@@ -53,7 +53,6 @@ from .solver import (
     cfl_dt,
     comparison_harness,
     simulate,
-    step_density,
     step_density_report,
     weak_residual,
 )

@@ -29,7 +29,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import Potential
+from .core import Potential, level_crossings
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -458,7 +458,7 @@ def residual_pmed(
             int_res.append(r_int[mask])
             int_pts.append(pts[mask])
             int_ts.append(np.full(int(mask.sum()), t))
-        crossings = _floor_crossings(u0, pts, floor, box.dim, h_s)
+        crossings = level_crossings(u0, axes, floor)
         if crossings.size:
             _, r_b, rate, gn = _derivatives(candidate, pot, crossings, float(t), h_s, m)
             ok = gn > gfloor
@@ -495,36 +495,3 @@ def residual_pmed(
         passed=bool(ok_int and ok_bd),
     )
 
-
-def _floor_crossings(
-    u0: np.ndarray, pts: np.ndarray, floor: float, dim: int, h_s: float
-) -> np.ndarray:
-    """Linear-interpolated floor-level crossings along each lattice line."""
-    out = []
-    if dim == 1:
-        out.append(_line_crossings(u0, pts[:, 0], floor))
-        pts_out = [np.asarray(c)[:, None] for c in out if len(c)]
-        return np.concatenate(pts_out) if pts_out else np.empty((0, 1))
-    found = []
-    above = u0 > floor
-    # crossings along axis 0, then axis 1, row-major
-    for axis in (0, 1):
-        a = above if axis == 0 else above.T
-        v = u0 if axis == 0 else u0.T
-        p = pts if axis == 0 else np.swapaxes(pts, 0, 1)
-        flip = a[:-1, :] != a[1:, :]
-        idx = np.argwhere(flip)
-        for i, j in idx:
-            v0, v1 = v[i, j], v[i + 1, j]
-            theta = (floor - v0) / (v1 - v0)
-            found.append(p[i, j] + theta * (p[i + 1, j] - p[i, j]))
-    return np.asarray(found) if found else np.empty((0, 2))
-
-
-def _line_crossings(vals: np.ndarray, xs: np.ndarray, floor: float) -> list[float]:
-    above = vals > floor
-    out = []
-    for i in np.nonzero(above[:-1] != above[1:])[0]:
-        theta = (floor - vals[i]) / (vals[i + 1] - vals[i])
-        out.append(float(xs[i] + theta * (xs[i + 1] - xs[i])))
-    return out

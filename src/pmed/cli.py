@@ -7,9 +7,7 @@ runtime errors.  Output files are written to a temporary name and renamed
 only after the whole run succeeds, so a failing run leaves no partial
 files.  Identical configs produce byte-identical outputs.
 
-The config schema is documented in the repository README.  PMED_THREADS
-caps internal parallelism; the implementation is sequential, so results
-never depend on it.
+The config schema is documented in the repository README.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .core import (
     make_zero_potential,
     pressure_from_density,
 )
-from .errors import ConfigError, PmedError
+from .errors import BoundaryGapError, ConfigError, PmedError
 from .freeboundary import (
     default_support_threshold,
     equilibrium_profile,
@@ -181,16 +179,14 @@ def _parse_solver(ck: _Checker, obj: Any, m: float | None,
     if not isinstance(obj, dict):
         ck.fail("solver", "must be an object")
         return None
-    ck.require_keys(obj, "solver", ("t_end", "snapshot_every"),
-                    ("cfl_safety", "support_threshold"))
+    ck.require_keys(obj, "solver", ("t_end", "snapshot_every"), ("cfl_safety",))
     t_end = ck.number(obj, "solver", "t_end", lo=0.0)
     snap = ck.number(obj, "solver", "snapshot_every", lo=0.0)
     cfl = ck.number(obj, "solver", "cfl_safety", lo=0.0, hi=1.0, default=0.4)
-    thresh = ck.number(obj, "solver", "support_threshold", lo=0.0, default=1e-8)
-    if None in (t_end, snap, cfl, thresh) or m is None or pot is None:
+    if None in (t_end, snap, cfl) or m is None or pot is None:
         return None
     return SolverConfig(m=m, potential=pot, t_end=t_end, snapshot_every=snap,
-                        cfl_safety=cfl, support_threshold=thresh)
+                        cfl_safety=cfl)
 
 
 def _parse_barrier_base(ck: _Checker, obj: dict, path: str):
@@ -568,17 +564,15 @@ def _run_convergence(cfg: dict, stage: _Stage) -> int:
     if eps_fb is None:
         eps_fb = default_support_threshold(traj.final.field)
     prof = equilibrium_profile(mass, cfg["potential"], cfg["m"], grid, eps_fb=eps_fb)
-    rows = []
-    final_d = None
-    for snap in traj.snapshots:
-        b = extract_boundary(snap.field, eps_fb)
-        if b.empty:
-            raise PmedError(f"empty support boundary at t = {snap.t}")
-        d = hausdorff(b, prof.boundary)
-        rows.append((snap.t, d))
-        final_d = d
-        final_b = b
+    boundaries = [extract_boundary(snap.field, eps_fb) for snap in traj.snapshots]
+    gaps = [snap.t for snap, b in zip(traj.snapshots, boundaries) if b.empty]
+    if gaps:
+        raise BoundaryGapError(gaps)
+    rows = [(snap.t, hausdorff(b, prof.boundary))
+            for snap, b in zip(traj.snapshots, boundaries)]
     _write_rows(stage.path("hausdorff.csv"), ["t", "hausdorff"], rows)
+    final_d = rows[-1][1]
+    final_b = boundaries[-1]
 
     eps_shell = cfg["epsilon_shell"]
     if eps_shell is None:
@@ -620,16 +614,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
-
-    threads = os.environ.get("PMED_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"pmed: error: config: PMED_THREADS must be a positive integer, "
-                  f"got {threads!r}", file=sys.stderr)
-            return 2
 
     try:
         with open(args.config) as fh:

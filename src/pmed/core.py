@@ -30,6 +30,8 @@ __all__ = [
     "pressure_from_density",
     "density_from_pressure",
     "integrate",
+    "ring",
+    "level_crossings",
     "make_quadratic_potential",
     "make_zero_potential",
     "make_polynomial_potential",
@@ -128,7 +130,7 @@ class Field:
             raise InvalidInputError("field values must be nonnegative")
         if not self.m > 1.0:
             raise InvalidExponentError(f"exponent m must be > 1, got {self.m}")
-        if _outer_ring_max(v) != 0.0:
+        if np.any(ring(v, 1) != 0.0):
             raise InvalidInputError("outermost cell ring must be zero (compact support)")
         v = v.copy()
         v.setflags(write=False)
@@ -141,17 +143,42 @@ class Field:
         return float(self.values.max())
 
 
-def _outer_ring_max(v: np.ndarray) -> float:
+def ring(values: np.ndarray, width: int) -> np.ndarray:
+    """Values of the outermost ``width`` cell rings of a 1D or 2D array.
+
+    Returned flat in row-major order, i.e. ``values[mask]`` for the boolean
+    mask of the ring; ``width`` must be less than half of every axis.
+    """
+    v, w = values, width
     if v.ndim == 1:
-        return float(max(abs(v[0]), abs(v[-1])))
-    return float(
-        max(
-            np.abs(v[0, :]).max(),
-            np.abs(v[-1, :]).max(),
-            np.abs(v[:, 0]).max(),
-            np.abs(v[:, -1]).max(),
-        )
-    )
+        return np.concatenate((v[:w], v[-w:]))
+    sides = v[w:-w][:, np.r_[:w, -w:0]]
+    return np.concatenate((v[:w].ravel(), sides.ravel(), v[-w:].ravel()))
+
+
+def level_crossings(
+    values: np.ndarray, axes: Sequence[np.ndarray], level: float
+) -> np.ndarray:
+    """Linear-interpolated crossings of ``level`` between adjacent samples.
+
+    ``values`` is sampled on the tensor lattice of the coordinate arrays
+    ``axes`` (one per array axis).  A crossing lies on each lattice edge
+    whose endpoints fall on different sides of ``values > level``.  Returns
+    the points, shape (k, ndim): axis-0 edges before axis-1 edges, each in
+    row-major order of the edge's lower endpoint.
+    """
+    above = values > level
+    found = []
+    for a, x in enumerate(axes):
+        lower = np.nonzero(np.diff(above, axis=a))
+        i = lower[a]
+        upper = lower[:a] + (i + 1,) + lower[a + 1:]
+        v0 = values[lower]
+        theta = (level - v0) / (values[upper] - v0)
+        pts = np.stack([xb[k] for xb, k in zip(axes, lower)], axis=-1, dtype=float)
+        pts[:, a] = x[i] + theta * (x[i + 1] - x[i])
+        found.append(pts)
+    return np.concatenate(found)
 
 
 def pressure_from_density(rho: Field, m: float) -> Field:

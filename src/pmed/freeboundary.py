@@ -19,7 +19,9 @@ from .core import (
     FieldVariable,
     Grid,
     Potential,
+    level_crossings,
     pressure_from_density,
+    ring,
 )
 from .errors import (
     BoundaryGapError,
@@ -84,8 +86,8 @@ def extract_boundary(
     scheme smears the support edge over a few cells, so thresholds well
     below that scale probe the numerical tail rather than the front.
     Returns an empty set (not an error) when the field never exceeds the
-    threshold.  Point ordering is deterministic: ascending along each axis,
-    axis-0 edges before axis-1 edges in 2D.
+    threshold.  Point ordering is deterministic: axis-0 edges before axis-1
+    edges in 2D, each in row-major order.
     """
     if eps_fb is None:
         if f.max() == 0.0:
@@ -94,25 +96,8 @@ def extract_boundary(
         eps_fb = default_support_threshold(f)
     if not eps_fb > 0.0:
         raise InvalidParameterError(f"eps_fb must be > 0, got {eps_fb}")
-    v = f.values
     ax = f.grid.axis_centers()
-    pts: list[np.ndarray] = []
-    if f.grid.dim == 1:
-        above = v > eps_fb
-        for i in np.nonzero(above[:-1] != above[1:])[0]:
-            theta = (eps_fb - v[i]) / (v[i + 1] - v[i])
-            pts.append(np.array([ax[i] + theta * (ax[i + 1] - ax[i])]))
-    else:
-        above = v > eps_fb
-        flip0 = above[:-1, :] != above[1:, :]
-        for i, j in np.argwhere(flip0):
-            theta = (eps_fb - v[i, j]) / (v[i + 1, j] - v[i, j])
-            pts.append(np.array([ax[i] + theta * (ax[i + 1] - ax[i]), ax[j]]))
-        flip1 = above[:, :-1] != above[:, 1:]
-        for i, j in np.argwhere(flip1):
-            theta = (eps_fb - v[i, j]) / (v[i, j + 1] - v[i, j])
-            pts.append(np.array([ax[i], ax[j] + theta * (ax[j + 1] - ax[j])]))
-    arr = np.asarray(pts) if pts else np.empty((0, f.grid.dim))
+    arr = level_crossings(f.values, (ax,) * f.grid.dim, eps_fb)
     return BoundarySet(points=arr, time=time, threshold=eps_fb)
 
 
@@ -133,14 +118,6 @@ def _discrete_mass(c: float, phi: np.ndarray, m: float, cell_volume: float) -> f
     u = np.maximum(c - phi, 0.0)
     rho = np.power(((m - 1.0) / m) * u, 1.0 / (m - 1.0))
     return cell_volume * float(np.sum(rho))
-
-
-def _ring_min(phi: np.ndarray) -> float:
-    if phi.ndim == 1:
-        return float(min(phi[0], phi[-1]))
-    return float(
-        min(phi[0, :].min(), phi[-1, :].min(), phi[:, 0].min(), phi[:, -1].min())
-    )
 
 
 def equilibrium_constant(
@@ -165,7 +142,7 @@ def equilibrium_constant(
     vol = grid.cell_volume
 
     # capacity check: the support {Phi < C} must stay off the boundary ring
-    c_cap = _ring_min(phi)
+    c_cap = float(ring(phi, 1).min())
     if _discrete_mass(c_cap, phi, m, vol) < target_mass:
         raise DomainTooSmallError(
             f"target mass {target_mass} needs a level beyond the box capacity"
@@ -210,23 +187,12 @@ def equilibrium_profile(
     c = equilibrium_constant(target_mass, pot, m, grid)
     phi = np.asarray(pot.eval(grid.centers()), dtype=float)
     u = np.maximum(c - phi, 0.0)
-    if _outer_ring_positive(u):
+    if np.any(ring(u, 1) > 0.0):
         raise DomainTooSmallError("equilibrium support reaches the box edge")
     pressure = Field(grid, u, FieldVariable.PRESSURE, m)
     thresh = eps_fb if eps_fb is not None else default_support_threshold(pressure)
     return EquilibriumProfile(
         c_inf=c, pressure=pressure, boundary=extract_boundary(pressure, thresh)
-    )
-
-
-def _outer_ring_positive(v: np.ndarray) -> bool:
-    if v.ndim == 1:
-        return bool(v[0] > 0.0 or v[-1] > 0.0)
-    return bool(
-        np.any(v[0, :] > 0.0)
-        or np.any(v[-1, :] > 0.0)
-        or np.any(v[:, 0] > 0.0)
-        or np.any(v[:, -1] > 0.0)
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .barriers import BarenblattSpec, barenblatt
-from .core import Field, FieldVariable, Grid, Potential, density_from_pressure
+from .core import Field, FieldVariable, Grid, Potential, density_from_pressure, ring
 from .errors import DomainTooSmallError
 from .freeboundary import equilibrium_profile
 
@@ -34,20 +34,9 @@ def bump_density(
     r2 = np.sum((pts - c) ** 2, axis=-1)
     prof = np.maximum(1.0 - r2 / width**2, 0.0)
     values = amplitude * prof * prof
-    if np.any(r2[_ring_mask(grid)] <= width**2):
+    if np.any(ring(r2, 2) <= width**2):
         raise DomainTooSmallError("bump support reaches the box edge")
     return Field(grid, values, FieldVariable.DENSITY, m)
-
-
-def _ring_mask(grid: Grid) -> np.ndarray:
-    shape = grid.shape
-    mask = np.zeros(shape, dtype=bool)
-    if grid.dim == 1:
-        mask[:2] = mask[-2:] = True
-    else:
-        mask[:2, :] = mask[-2:, :] = True
-        mask[:, :2] = mask[:, -2:] = True
-    return mask
 
 
 def equilibrium_offset_density(

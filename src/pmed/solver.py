@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Field, FieldVariable, Grid, Potential
+from .core import Field, FieldVariable, Grid, Potential, ring
 from .errors import (
     DomainOverflowError,
     InvalidInputError,
@@ -46,7 +46,6 @@ __all__ = [
     "Trajectory",
     "StepReport",
     "cfl_dt",
-    "step_density",
     "step_density_report",
     "simulate",
     "SpaceTimeTestFunction",
@@ -67,7 +66,6 @@ class SolverConfig:
     t_end: float
     snapshot_every: float
     cfl_safety: float = 0.4
-    support_threshold: float = 1e-8
 
     def __post_init__(self):
         if not self.m > 1.0:
@@ -81,10 +79,6 @@ class SolverConfig:
         if not self.snapshot_every > 0.0:
             raise InvalidParameterError(
                 f"snapshot_every must be > 0, got {self.snapshot_every}"
-            )
-        if not self.support_threshold > 0.0:
-            raise InvalidParameterError(
-                f"support_threshold must be > 0, got {self.support_threshold}"
             )
 
 
@@ -135,7 +129,6 @@ class Trajectory:
 class StepReport:
     field: Field
     clipped_mass: float
-    mass_error: float  # pre-clip relative mass change
 
 
 class _DriftContext:
@@ -164,15 +157,7 @@ def _drift_context(grid: Grid, potential: Potential) -> _DriftContext:
 
 def _support_margin_ok(v: np.ndarray) -> bool:
     # "support" at machine scale: values above 1e-12 of the current max
-    tol = 1e-12 * float(v.max())
-    if v.ndim == 1:
-        return not (np.any(v[:2] > tol) or np.any(v[-2:] > tol))
-    return not (
-        np.any(v[:2, :] > tol)
-        or np.any(v[-2:, :] > tol)
-        or np.any(v[:, :2] > tol)
-        or np.any(v[:, -2:] > tol)
-    )
+    return not np.any(ring(v, 2) > 1e-12 * float(v.max()))
 
 
 def _cfl_dt_values(v: np.ndarray, grid: Grid, cfg: SolverConfig, ctx: _DriftContext) -> float:
@@ -228,39 +213,32 @@ def _flux_divergence(v: np.ndarray, grid: Grid, m: float, ctx: _DriftContext) ->
 
 def _step_values(
     v: np.ndarray, grid: Grid, cfg: SolverConfig, ctx: _DriftContext, dt: float
-) -> tuple[np.ndarray, float, float]:
+) -> tuple[np.ndarray, float]:
     if not _support_margin_ok(v):
         raise DomainOverflowError("support within two cells of the box edge")
     new = v + dt * _flux_divergence(v, grid, cfg.m, ctx)
-    mass_old = float(np.sum(v))
-    mass_new = float(np.sum(new))
-    mass_err = abs(mass_new - mass_old) / mass_old if mass_old > 0.0 else 0.0
     neg = new < 0.0
     clipped = -grid.cell_volume * float(np.sum(new[neg])) if np.any(neg) else 0.0
     if clipped > 0.0:
         new = np.where(neg, 0.0, new)
-    return new, clipped, mass_err
+    return new, clipped
 
 
 def step_density_report(rho: Field, cfg: SolverConfig, dt: float) -> StepReport:
-    """One explicit step with conservation diagnostics."""
+    """One explicit flux-form step of size dt (dt must respect cfl_dt).
+
+    Reports the mass removed by clipping rounding-level negative values.
+    """
     if rho.variable is not FieldVariable.DENSITY:
-        raise InvalidInputError("step_density expects a density field")
+        raise InvalidInputError("step_density_report expects a density field")
     ctx = _drift_context(rho.grid, cfg.potential)
     dt_max = _cfl_dt_values(rho.values, rho.grid, cfg, ctx)
     if dt > dt_max * (1.0 + 1e-9):
         raise StepTooLargeError(f"dt = {dt} exceeds stability limit {dt_max}")
-    new, clipped, mass_err = _step_values(rho.values, rho.grid, cfg, ctx, dt)
+    new, clipped = _step_values(rho.values, rho.grid, cfg, ctx, dt)
     return StepReport(
-        field=Field(rho.grid, new, FieldVariable.DENSITY, cfg.m),
-        clipped_mass=clipped,
-        mass_error=mass_err,
+        field=Field(rho.grid, new, FieldVariable.DENSITY, cfg.m), clipped_mass=clipped
     )
-
-
-def step_density(rho: Field, cfg: SolverConfig, dt: float) -> Field:
-    """One explicit flux-form step of size dt (dt must respect cfl_dt)."""
-    return step_density_report(rho, cfg, dt).field
 
 
 def simulate(rho0: Field, cfg: SolverConfig) -> Trajectory:
@@ -291,7 +269,7 @@ def simulate(rho0: Field, cfg: SolverConfig) -> Trajectory:
             if not dt > 0.0:
                 raise PmedError(f"stepping stalled at t = {t}")
             try:
-                v, clipped, _ = _step_values(v, grid, cfg, ctx, dt)
+                v, clipped = _step_values(v, grid, cfg, ctx, dt)
             except PmedError as exc:
                 raise type(exc)(f"{exc} (at t = {t:.9g})") from None
             clipped_cum += clipped

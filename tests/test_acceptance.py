@@ -165,8 +165,8 @@ def test_criterion_5_finite_propagation():
         cfg = SolverConfig(m=2.0, potential=QUAD_1D, t_end=2.0, snapshot_every=0.1)
         traj = simulate(rho0, cfg)
         for snap in traj.snapshots:
-            # support cells at the configured threshold stay inside the barrier
-            support = snap.field.values > cfg.support_threshold
+            # support cells above a fixed 1e-8 density stay inside the barrier
+            support = snap.field.values > 1e-8
             assert np.any(support)
             assert float(phi[support].max()) <= c_barrier
             # shell machinery on the grid-scale boundary proxy: points inside

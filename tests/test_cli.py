@@ -217,14 +217,17 @@ class TestCompareCommand:
 
 
 class TestConvergenceCommand:
-    def test_short_run(self, tmp_path):
-        data = {
+    def base(self):
+        return {
             "grid": {"dim": 1, "L": 2.5, "h": 0.05},
             "physics": {"m": 2.0, "potential": {"kind": "quadratic", "a": 1.0}},
             "solver": {"t_end": 8.0, "snapshot_every": 1.0},
             "initial": {"kind": "bump", "amplitude": 0.6, "width": 0.8},
             "convergence": {"eps_fb": 0.01, "max_final_hausdorff": 0.15},
         }
+
+    def test_short_run(self, tmp_path):
+        data = self.base()
         cfgp = write_config(tmp_path, data)
         out = str(tmp_path / "out")
         assert main(["convergence", "--config", cfgp, "--out", out]) == 0
@@ -238,19 +241,21 @@ class TestConvergenceCommand:
         assert summary["shell_ok"] == "true"
         assert summary["hausdorff_ok"] == "true"
 
+    def test_threshold_above_data_is_boundary_gap(self, tmp_path, capsys):
+        # the density never exceeds 0.6, so no snapshot has an eps_fb crossing
+        data = self.base()
+        data["solver"] = {"t_end": 0.2, "snapshot_every": 0.1}
+        data["convergence"] = {"eps_fb": 10.0}
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfgp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["pmed: error: BoundaryGapError: "
+                       "empty support boundary at t = 0, 0.1, 0.2"]
+        assert os.listdir(out) == []
+
 
 class TestEnvironment:
-    def test_bad_thread_cap(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PMED_THREADS", "zero")
-        cfgp = write_config(tmp_path, simulate_config())
-        assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
-        assert "PMED_THREADS" in capsys.readouterr().err
-
-    def test_thread_cap_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PMED_THREADS", "2")
-        cfgp = write_config(tmp_path, simulate_config())
-        assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
-
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.json"]) == 2
         assert capsys.readouterr().err.startswith("pmed: error: io:")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pmed.core import (
     Field,
@@ -7,10 +10,12 @@ from pmed.core import (
     Grid,
     integrate,
     density_from_pressure,
+    level_crossings,
     make_polynomial_potential,
     make_quadratic_potential,
     make_zero_potential,
     pressure_from_density,
+    ring,
 )
 from pmed.errors import InvalidExponentError, InvalidInputError, InvalidParameterError
 
@@ -75,6 +80,71 @@ class TestField:
         f = field_1d(np.zeros(8))
         with pytest.raises(ValueError):
             f.values[2] = 1.0
+
+
+class TestRing:
+    @pytest.mark.parametrize("shape", [(8,), (9,), (8, 8), (9, 12), (12, 9)])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_matches_boolean_mask(self, shape, width):
+        # distinct values, so a missing, repeated or reordered cell shows
+        v = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        mask = np.ones(shape, dtype=bool)
+        mask[(slice(width, -width),) * len(shape)] = False
+        np.testing.assert_array_equal(ring(v, width), v[mask], strict=True)
+
+
+def loop_level_crossings(values, axes, level):
+    """Per-point reference: the edge loop boundary extraction used to run."""
+    above = values > level
+    pts = []
+    if values.ndim == 1:
+        (x,) = axes
+        for i in np.nonzero(above[:-1] != above[1:])[0]:
+            theta = (level - values[i]) / (values[i + 1] - values[i])
+            pts.append([x[i] + theta * (x[i + 1] - x[i])])
+    else:
+        x, y = axes
+        for i, j in np.argwhere(above[:-1, :] != above[1:, :]):
+            theta = (level - values[i, j]) / (values[i + 1, j] - values[i, j])
+            pts.append([x[i] + theta * (x[i + 1] - x[i]), y[j]])
+        for i, j in np.argwhere(above[:, :-1] != above[:, 1:]):
+            theta = (level - values[i, j]) / (values[i, j + 1] - values[i, j])
+            pts.append([x[i], y[j] + theta * (y[j + 1] - y[j])])
+    return np.asarray(pts, dtype=float).reshape(-1, values.ndim)
+
+
+@st.composite
+def lattice_fields(draw):
+    shape = tuple(draw(st.lists(st.integers(2, 12), min_size=1, max_size=2)))
+    # a few distinct values, so cells often tie with each other and the level
+    palette = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
+    values = draw(arrays(float, shape, elements=st.sampled_from(palette)))
+    axes = tuple(
+        draw(arrays(float, n, elements=st.floats(-10.0, 10.0))) for n in shape
+    )
+    level = draw(st.sampled_from(palette) | st.floats(-2.0, 2.0))
+    return values, axes, level
+
+
+class TestLevelCrossings:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_fields())
+    def test_matches_per_point_loop(self, case):
+        values, axes, level = case
+        np.testing.assert_array_equal(
+            level_crossings(values, axes, level),
+            loop_level_crossings(values, axes, level),
+            strict=True,
+        )
+
+    def test_2d_order_axis0_edges_first(self):
+        v = np.zeros((3, 3))
+        v[1, 1] = 1.0
+        ax = np.array([0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(
+            level_crossings(v, (ax, ax), 0.5),
+            [[0.5, 1.0], [1.5, 1.0], [1.0, 0.5], [1.0, 1.5]],
+        )
 
 
 class TestTransforms:

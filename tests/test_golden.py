@@ -1,0 +1,149 @@
+"""Golden-bytes pins for every CLI command on small 1D and 2D configs.
+
+Each case runs ``pmed <command>`` in-process and compares the SHA-256 of
+every output file, and the exit code, against values recorded from an
+earlier revision.  A refactor that keeps the numerics must keep these
+digests; a change that alters outputs on purpose records new ones and says
+why.  The digests depend on IEEE-754 double arithmetic as numpy performs
+it, so a different numpy build may legitimately disagree.
+
+To print fresh digests: ``python tests/test_golden.py``.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from pmed.cli import main
+
+QUAD_1D = {"m": 2.0, "potential": {"kind": "quadratic", "a": 1.0}}
+BOTH = {"formats": ["csv", "ndjson"]}
+
+CASES = {
+    "simulate-1d": ("simulate", {
+        "grid": {"dim": 1, "L": 2.0, "h": 0.05},
+        "physics": {"m": 2.0, "potential": {
+            "kind": "polynomial", "coefficients": [0.0, 0.1, 1.0],
+            "strictly_convex": True, "min_point": [-0.05]}},
+        "solver": {"t_end": 0.2, "snapshot_every": 0.1},
+        "initial": {"kind": "barenblatt", "tau": 1.0, "C": 0.5},
+        "output": BOTH,
+    }),
+    "simulate-2d": ("simulate", {
+        "grid": {"dim": 2, "L": 1.5, "h": 0.1},
+        "physics": {"m": 2.0, "potential": {"kind": "quadratic", "a": 0.5}},
+        "solver": {"t_end": 0.1, "snapshot_every": 0.05, "cfl_safety": 0.3},
+        "initial": {"kind": "bump", "amplitude": 0.4, "width": 0.5,
+                    "center": [0.1, -0.2]},
+        "output": BOTH,
+    }),
+    "equilibrium-1d": ("equilibrium", {
+        "grid": {"dim": 1, "L": 2.0, "h": 0.01},
+        "physics": QUAD_1D,
+        "equilibrium": {"target_mass": 0.5},
+    }),
+    "equilibrium-2d": ("equilibrium", {
+        "grid": {"dim": 2, "L": 2.0, "h": 0.05},
+        "physics": {"m": 1.5, "potential": {"kind": "quadratic", "a": 1.0}},
+        "equilibrium": {"target_mass": 0.3, "eps_fb": 0.02},
+    }),
+    "verify-barriers-1d": ("verify-barriers", {
+        "physics": QUAD_1D,
+        "barriers": [
+            {"kind": "barenblatt", "m": 2.0, "d": 1, "tau": 1.0, "C": 1.0,
+             "check": "both", "h_s": 0.02,
+             "box": {"lo": [-3.0], "hi": [3.0], "t_lo": 0.0, "t_hi": 0.1}},
+            {"kind": "rescaled-wave",
+             "base": {"kind": "spherical-wave", "A": 1.5, "omega": 1.7,
+                      "B": 0.55, "R": 1.0, "m": 2.0, "d": 1},
+             "alpha": 0.1, "x0": [1.05], "t0": 0.0, "check": "super",
+             "h_s": 0.00125,
+             "box": {"lo": [0.9525], "hi": [1.1475], "t_lo": -0.0975,
+                     "t_hi": -3.125e-06}},
+        ],
+    }),
+    "verify-barriers-2d": ("verify-barriers", {
+        "physics": {"m": 2.0, "potential": {"kind": "zero"}},
+        "barriers": [
+            {"kind": "barenblatt", "m": 2.0, "d": 2, "tau": 1.0, "C": 0.5,
+             "check": "both", "h_s": 0.025,
+             "box": {"lo": [-2.5, -2.5], "hi": [2.5, 2.5],
+                     "t_lo": 0.0, "t_hi": 0.1}},
+            {"kind": "spherical-wave", "A": 1.0, "omega": 2.5, "B": 0.7,
+             "R": 1.0, "m": 2.0, "d": 2, "check": "super", "h_s": 0.05,
+             "box": {"lo": [-0.9, -0.9], "hi": [0.9, 0.9],
+                     "t_lo": -0.1, "t_hi": 0.0}},
+        ],
+    }),
+    "compare-1d": ("compare", {
+        "grid": {"dim": 1, "L": 2.0, "h": 0.05},
+        "physics": QUAD_1D,
+        "solver": {"t_end": 0.2, "snapshot_every": 0.1},
+        "initial_lo": {"kind": "bump", "amplitude": 0.3, "width": 0.6},
+        "initial_hi": {"kind": "bump", "amplitude": 0.5, "width": 0.6},
+    }),
+    "compare-2d": ("compare", {
+        "grid": {"dim": 2, "L": 1.5, "h": 0.1},
+        "physics": {"m": 2.0, "potential": {"kind": "quadratic", "a": 1.0}},
+        "solver": {"t_end": 0.1, "snapshot_every": 0.05},
+        "initial_lo": {"kind": "equilibrium-offset", "mass": 0.2, "scale": 0.5},
+        "initial_hi": {"kind": "equilibrium-offset", "mass": 0.2},
+    }),
+    "convergence-1d": ("convergence", {
+        "grid": {"dim": 1, "L": 2.5, "h": 0.05},
+        "physics": QUAD_1D,
+        "solver": {"t_end": 2.0, "snapshot_every": 0.5},
+        "initial": {"kind": "bump", "amplitude": 0.6, "width": 0.8, "center": -0.3},
+        "convergence": {"eps_fb": 0.01, "max_final_hausdorff": 0.5},
+    }),
+    "convergence-2d": ("convergence", {
+        "grid": {"dim": 2, "L": 2.0, "h": 0.1},
+        "physics": {"m": 2.0, "potential": {"kind": "quadratic", "a": 1.0}},
+        "solver": {"t_end": 1.0, "snapshot_every": 0.5},
+        "initial": {"kind": "bump", "amplitude": 0.6, "width": 0.8,
+                    "center": [0.2, 0.0]},
+    }),
+}
+
+# case -> (exit code, {output file: sha256 hex digest})
+DIGESTS = {
+    'compare-1d': (0, {'compare.csv': '76d2d33de55a10aa4ea637521ba59f9e01741ee455d1da6c665c98f2fc59cc8e'}),
+    'compare-2d': (0, {'compare.csv': 'f63b90bfe0a73380517254b17066bc763c89a7247472553a592a18782a56414d'}),
+    'convergence-1d': (0, {'hausdorff.csv': '8308ca54a35109941dbf7e6750be841886fe4a5bd1e673d5b1e1abbc170f0872', 'summary.csv': '88bf4c20329376c113f82024a3705e87a814fb8bc47cff7f4b9505dc00513dc2'}),
+    'convergence-2d': (0, {'hausdorff.csv': 'e636117c82ea386a60bff650271e737779921e862355cd8720d1f7878f49ae40', 'summary.csv': 'da4c5d3f938a2c80066e76cf4e2da62ba1410531be5959d37ebcaca32e92363a'}),
+    'equilibrium-1d': (0, {'equilibrium.csv': 'cda9ca5b3e4b14614d2e5c6bc230e5cb891957f98b9390b2996b33c759bc036e'}),
+    'equilibrium-2d': (0, {'equilibrium.csv': '9e1c3fe6d3ee955d3e6352f277f7e1014a2b96b5559d25fae80767082652d37c'}),
+    'simulate-1d': (0, {'mass.csv': '1d72fdd7b88d78ec7d584aaaaa9bc20bb8453d0f9fe1007515912c532c9eaee6', 'snapshots.csv': '2072274f85d25f1e4b67c904f35490592ee50e925a53c16b5792af6f40148b2e', 'snapshots.ndjson': '7c70dc9ce21d38b7dbc10c8c76303205dfe4fce6a0d98d9a3b5000db4c004538'}),
+    'simulate-2d': (0, {'mass.csv': 'f710ff9a46ddcdbdd7bd780e2444ae0d1a6cdbbd7d4554278479191eaaeecb36', 'snapshots.csv': 'ca3c9edbb78fde4f26d0fdb3462754917a7d80ae1511c7d3f649857243395a3b', 'snapshots.ndjson': 'd6d661d85d05a68a5f072bb1640e61de4cf3b6cb250744179ea01a6f98d62f64'}),
+    'verify-barriers-1d': (1, {'residuals.csv': '15f04bbde86654c46c6f32a3851403c21ac9a79fe2c8208cf369ef61a81deac8'}),
+    'verify-barriers-2d': (0, {'residuals.csv': 'bc73f5a04015f1e2148b0e681ae881e5aa6f7b03b1267f7e167d926e7af8530e'}),
+}
+
+
+def run_case(name, tmp_dir):
+    command, config = CASES[name]
+    cfg_path = os.path.join(tmp_dir, "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh)
+    out = os.path.join(tmp_dir, "out")
+    code = main([command, "--config", cfg_path, "--out", out])
+    digests = {}
+    for fname in sorted(os.listdir(out)):
+        with open(os.path.join(out, fname), "rb") as fh:
+            digests[fname] = hashlib.sha256(fh.read()).hexdigest()
+    return code, digests
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_outputs(name, tmp_path):
+    assert run_case(name, str(tmp_path)) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {case!r}: {run_case(case, tmp)!r},")
