@@ -13,7 +13,10 @@ The config schema is documented in the repository README.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -32,7 +35,7 @@ from .core import (
     make_zero_potential,
     pressure_from_density,
 )
-from .errors import BoundaryGapError, ConfigError, PmedError
+from .errors import BoundaryGapError, ConfigError, InvalidParameterError, PmedError
 from .freeboundary import (
     default_support_threshold,
     equilibrium_profile,
@@ -43,177 +46,204 @@ from .freeboundary import (
 from .initialdata import barenblatt_density, bump_density, equilibrium_offset_density
 from .solver import SolverConfig, comparison_harness, simulate
 
-COMMANDS = ("simulate", "equilibrium", "verify-barriers", "compare", "convergence")
-
-
 # ---------------------------------------------------------------------------
-# config validation: every checker appends into ``errors`` and returns what it
-# could parse, so one pass reports all problems instead of the first
+# config schema as data.  A spec is a field table {key: (default or REQUIRED,
+# spec)} for an object, a _Kinds table {kind: field table} for an object
+# tagged by "kind", a one-item list [spec] for a nonempty list, or a leaf
+# check (see _leaf).  _check walks a config against the schema and records
+# every problem; _build then makes library objects from the blocks that passed.
+
+REQUIRED = object()
+_BAD = object()  # stands in for a value that failed its check
 
 
-class _Checker:
-    def __init__(self):
-        self.errors: list[str] = []
-
-    def fail(self, path: str, msg: str):
-        self.errors.append(f"{path}: {msg}")
-
-    def require_keys(self, obj: dict, path: str, required: tuple, optional: tuple = ()):
-        for key in required:
-            if key not in obj:
-                self.fail(f"{path}.{key}" if path else key, "missing required key")
-        allowed = set(required) | set(optional)
-        for key in obj:
-            if key not in allowed:
-                self.fail(f"{path}.{key}" if path else key, "unknown key")
-
-    def number(self, obj: dict, path: str, key: str, lo=None, hi=None,
-               lo_strict=True, default=None):
-        if key not in obj:
-            return default
-        v = obj[key]
-        where = f"{path}.{key}" if path else key
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            self.fail(where, f"must be a number, got {v!r}")
-            return default
-        v = float(v)
-        if lo is not None and (v <= lo if lo_strict else v < lo):
-            self.fail(where, f"must be {'>' if lo_strict else '>='} {lo}, got {v}")
-            return default
-        if hi is not None and v > hi:
-            self.fail(where, f"must be <= {hi}, got {v}")
-            return default
-        return v
+class _Kinds(dict):
+    """Kind name -> field table for the object's other keys."""
 
 
-def _parse_potential(ck: _Checker, obj: Any, path: str, dim: int) -> Potential | None:
-    if not isinstance(obj, dict):
-        ck.fail(path, "must be an object")
-        return None
-    kind = obj.get("kind")
-    if kind == "quadratic":
-        ck.require_keys(obj, path, ("kind", "a"))
-        a = ck.number(obj, path, "a", lo=0.0)
-        return make_quadratic_potential(a, dim) if a is not None else None
-    if kind == "zero":
-        ck.require_keys(obj, path, ("kind",))
+def _leaf(accepts, want: str, read=lambda v: v):
+    """Leaf check: ``read(v)`` if ``accepts(v)``, else "must be <want>"."""
+    def check(v):
+        if not accepts(v):
+            raise ValueError(f"must be {want}, got {v!r}")
+        return read(v)
+    return check
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))
+
+
+def _floats(v):
+    return float(v) if _is_number(v) else tuple(map(float, v))
+
+
+def _number(lo: float | None = None, hi: float | None = None):
+    """A finite number in (lo, hi], read as float; a None end is open."""
+    want = "a finite number" if lo is None else (
+        f"a number > {lo}" if hi is None else f"a number in ({lo}, {hi}]")
+    return _leaf(lambda v: _is_number(v) and (lo is None or v > lo)
+                 and (hi is None or v <= hi), want, float)
+
+
+def _one_of(*options):
+    """One of the given ints or strings (``true`` is not 1, ``1.0`` is not 1)."""
+    return _leaf(lambda v: type(v) in (int, str) and v in options,
+                 "one of " + "|".join(map(str, options)))
+
+
+_REAL = _number()
+_POSITIVE = _number(lo=0.0)
+_EXPONENT = _number(lo=1.0)
+_DIM = _one_of(1, 2)
+_BOOL = _leaf(lambda v: isinstance(v, bool), "a boolean")
+_STR = _leaf(lambda v: isinstance(v, str), "a string")
+_NUMBERS = _leaf(_is_numbers, "a nonempty list of numbers", _floats)
+_POINT = _leaf(lambda v: _is_number(v) or _is_numbers(v),
+               "a number or a nonempty list of numbers", _floats)
+
+_POTENTIAL = _Kinds({
+    "quadratic": {"a": (REQUIRED, _POSITIVE)},
+    "zero": {},
+    "polynomial": {"coefficients": (REQUIRED, _NUMBERS),
+                   "strictly_convex": (False, _BOOL),
+                   "min_point": (None, _NUMBERS)},
+})
+_INITIAL = _Kinds({
+    "barenblatt": {"tau": (REQUIRED, _POSITIVE), "C": (REQUIRED, _POSITIVE),
+                   "t": (0.0, _REAL)},
+    "bump": {"amplitude": (REQUIRED, _POSITIVE), "width": (REQUIRED, _POSITIVE),
+             "center": (0.0, _POINT)},
+    "equilibrium-offset": {"mass": (REQUIRED, _POSITIVE), "scale": (1.0, _POSITIVE)},
+})
+_BARENBLATT = {"m": (REQUIRED, _EXPONENT), "d": (REQUIRED, _DIM),
+               "tau": (REQUIRED, _POSITIVE), "C": (REQUIRED, _POSITIVE)}
+_WAVE = {"A": (REQUIRED, _POSITIVE), "omega": (REQUIRED, _POSITIVE),
+         "B": (REQUIRED, _POSITIVE), "R": (REQUIRED, _POSITIVE),
+         "m": (REQUIRED, _EXPONENT), "d": (REQUIRED, _DIM)}
+_JOB = {
+    "label": (None, _STR),
+    "check": ("both", _one_of("sub", "super", "both")),
+    "box": (REQUIRED, {"lo": (REQUIRED, _NUMBERS), "hi": (REQUIRED, _NUMBERS),
+                       "t_lo": (REQUIRED, _REAL), "t_hi": (REQUIRED, _REAL)}),
+    "h_s": (REQUIRED, _POSITIVE),
+    "ball_step": (None, _POSITIVE),
+}
+_RESCALE = {"alpha": (REQUIRED, _number(0.0, 1.0)), "x0": (REQUIRED, _NUMBERS),
+            "t0": (REQUIRED, _REAL), "C_pert": (None, _POSITIVE), "drift": (None, _NUMBERS)}
+_BARRIER = _Kinds({
+    "barenblatt": _BARENBLATT | _JOB,
+    "spherical-wave": _WAVE | _JOB,
+    "rescaled-wave": {"base": (REQUIRED, _Kinds({"spherical-wave": _WAVE})),
+                      **_RESCALE, **_JOB},
+    "rescaled-barenblatt": {"base": (REQUIRED, _Kinds({"barenblatt": _BARENBLATT})),
+                            **_RESCALE, **_JOB},
+})
+
+# block -> (default when the block is optional, spec)
+_BLOCKS = {
+    "grid": (None, {"dim": (REQUIRED, _DIM), "L": (REQUIRED, _POSITIVE),
+                    "h": (REQUIRED, _POSITIVE)}),
+    "physics": (None, {"m": (REQUIRED, _EXPONENT), "potential": (REQUIRED, _POTENTIAL)}),
+    "solver": (None, {"t_end": (REQUIRED, _POSITIVE),
+                      "snapshot_every": (REQUIRED, _POSITIVE),
+                      "cfl_safety": (0.4, _number(0.0, 1.0))}),
+    "initial": (None, _INITIAL),
+    "initial_lo": (None, _INITIAL),
+    "initial_hi": (None, _INITIAL),
+    "equilibrium": (None, {"target_mass": (REQUIRED, _POSITIVE),
+                           "eps_fb": (None, _POSITIVE)}),
+    "barriers": (None, [_BARRIER]),
+    "convergence": ({}, {key: (None, _POSITIVE)
+                         for key in ("eps_fb", "epsilon_shell", "max_final_hausdorff")}),
+    "output": ({}, {"directory": (None, _STR),
+                    "formats": (["csv"], [_one_of("csv", "ndjson")])}),
+}
+# command -> (required blocks, optional blocks)
+_COMMANDS = {
+    "simulate": ("grid physics solver initial", "output"),
+    "equilibrium": ("grid physics equilibrium", "output"),
+    "verify-barriers": ("physics barriers", "grid output"),
+    "compare": ("grid physics solver initial_lo initial_hi", "output"),
+    "convergence": ("grid physics solver initial", "output convergence"),
+}
+COMMANDS = tuple(_COMMANDS)
+
+
+def _check(errors: list[str], value: Any, path: str, spec: Any) -> Any:
+    """Append ``"<path>: <message>"`` to ``errors`` for every missing, unknown
+    or invalid key in ``value``.  Returns ``value`` as its checks read it, with
+    defaults filled in (a default other than None is checked like a given
+    value) and every part that failed replaced by ``_BAD``."""
+    def fail(where: str, msg: Any):
+        errors.append(f"{where}: {msg}")
+        return _BAD
+
+    def sub(key: str) -> str:
+        return f"{path}.{key}" if path else key
+
+    if callable(spec):
+        try:
+            return spec(value)
+        except (ValueError, OverflowError) as exc:  # overflow: an int beyond float
+            return fail(path, exc)
+    if isinstance(spec, list):
+        if not (isinstance(value, list) and value):
+            return fail(path, f"must be a nonempty list, got {value!r}")
+        return [_check(errors, v, f"{path}[{i}]", spec[0]) for i, v in enumerate(value)]
+    if not isinstance(value, dict):
+        return fail(path, f"must be an object, got {value!r}")
+    if isinstance(spec, _Kinds):
+        kind = _check(errors, value.get("kind"), sub("kind"), _one_of(*spec))
+        if kind is _BAD:
+            return _BAD
+        rest = {k: v for k, v in value.items() if k != "kind"}
+        return {"kind": kind, **_check(errors, rest, path, spec[kind])}
+    for key in value:
+        if key not in spec:
+            fail(sub(key), "unknown key")
+    out = {}
+    for key, (default, item) in spec.items():
+        if key in value:
+            out[key] = _check(errors, value[key], sub(key), item)
+        elif default is REQUIRED:
+            out[key] = fail(sub(key), "missing required key")
+        else:
+            out[key] = None if default is None else _check(errors, default, sub(key), item)
+    return out
+
+
+def _ok(value: Any) -> bool:
+    """True when no part of a checked value failed."""
+    if isinstance(value, dict):
+        return all(map(_ok, value.values()))
+    if isinstance(value, list):
+        return all(map(_ok, value))
+    return value is not _BAD
+
+
+def _potential(p: dict, dim: int) -> Potential:
+    if p["kind"] == "quadratic":
+        return make_quadratic_potential(p["a"], dim)
+    if p["kind"] == "zero":
         return make_zero_potential(dim)
-    if kind == "polynomial":
-        ck.require_keys(obj, path, ("kind", "coefficients"), ("strictly_convex", "min_point"))
-        coeffs = obj.get("coefficients")
-        if not isinstance(coeffs, list) or not all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs
-        ):
-            ck.fail(f"{path}.coefficients", "must be a list of numbers")
-            return None
-        if dim != 1:
-            ck.fail(path, "polynomial potentials are 1D only")
-            return None
-        mp = obj.get("min_point")
-        return make_polynomial_potential(
-            coeffs,
-            strictly_convex=bool(obj.get("strictly_convex", False)),
-            min_point=tuple(mp) if mp is not None else None,
-        )
-    ck.fail(f"{path}.kind", f"must be one of quadratic|zero|polynomial, got {kind!r}")
-    return None
+    if dim != 1:
+        raise InvalidParameterError("polynomial potentials are 1D only")
+    return make_polynomial_potential(p["coefficients"], p["strictly_convex"], p["min_point"])
 
 
-def _parse_grid(ck: _Checker, obj: Any) -> Grid | None:
-    if not isinstance(obj, dict):
-        ck.fail("grid", "must be an object")
-        return None
-    ck.require_keys(obj, "grid", ("dim", "L", "h"))
-    dim = obj.get("dim")
-    if dim not in (1, 2):
-        ck.fail("grid.dim", f"must be 1 or 2, got {dim!r}")
-        dim = None
-    L = ck.number(obj, "grid", "L", lo=0.0)
-    h = ck.number(obj, "grid", "h", lo=0.0)
-    if None in (dim, L, h):
-        return None
-    try:
-        return Grid(dim=dim, h=h, extent=L)
-    except PmedError as exc:
-        ck.fail("grid", str(exc))
-        return None
-
-
-def _parse_initial(ck: _Checker, obj: Any, path: str, grid: Grid | None,
-                   m: float | None, pot: Potential | None) -> Field | None:
-    if not isinstance(obj, dict):
-        ck.fail(path, "must be an object")
-        return None
-    kind = obj.get("kind")
-    if kind == "barenblatt":
-        ck.require_keys(obj, path, ("kind", "tau", "C"), ("t",))
-        tau = ck.number(obj, path, "tau", lo=0.0)
-        c = ck.number(obj, path, "C", lo=0.0)
-        t = ck.number(obj, path, "t", default=0.0)
-        if None in (tau, c) or grid is None or m is None:
-            return None
-        spec = bar.BarenblattSpec(m=m, d=grid.dim, tau=tau, C=c)
-        return barenblatt_density(grid, spec, t=t)
-    if kind == "bump":
-        ck.require_keys(obj, path, ("kind", "amplitude", "width"), ("center",))
-        amp = ck.number(obj, path, "amplitude", lo=0.0)
-        width = ck.number(obj, path, "width", lo=0.0)
-        center = obj.get("center", 0.0)
-        if None in (amp, width) or grid is None or m is None:
-            return None
-        return bump_density(grid, m, amplitude=amp, width=width, center=center)
-    if kind == "equilibrium-offset":
-        ck.require_keys(obj, path, ("kind", "mass"), ("scale",))
-        mass = ck.number(obj, path, "mass", lo=0.0)
-        scale = ck.number(obj, path, "scale", lo=0.0, default=1.0)
-        if mass is None or grid is None or m is None or pot is None:
-            return None
-        return equilibrium_offset_density(grid, m, pot, mass=mass, scale=scale)
-    ck.fail(f"{path}.kind",
-            f"must be one of barenblatt|bump|equilibrium-offset, got {kind!r}")
-    return None
-
-
-def _parse_solver(ck: _Checker, obj: Any, m: float | None,
-                  pot: Potential | None) -> SolverConfig | None:
-    if not isinstance(obj, dict):
-        ck.fail("solver", "must be an object")
-        return None
-    ck.require_keys(obj, "solver", ("t_end", "snapshot_every"), ("cfl_safety",))
-    t_end = ck.number(obj, "solver", "t_end", lo=0.0)
-    snap = ck.number(obj, "solver", "snapshot_every", lo=0.0)
-    cfl = ck.number(obj, "solver", "cfl_safety", lo=0.0, hi=1.0, default=0.4)
-    if None in (t_end, snap, cfl) or m is None or pot is None:
-        return None
-    return SolverConfig(m=m, potential=pot, t_end=t_end, snapshot_every=snap,
-                        cfl_safety=cfl)
-
-
-def _parse_barrier_base(ck: _Checker, obj: dict, path: str):
-    kind = obj.get("kind")
-    if kind == "barenblatt":
-        ck.require_keys(obj, path, ("kind", "m", "d", "tau", "C"))
-        m = ck.number(obj, path, "m", lo=1.0)
-        d = obj.get("d")
-        tau = ck.number(obj, path, "tau", lo=0.0)
-        c = ck.number(obj, path, "C", lo=0.0)
-        if None in (m, tau, c) or d not in (1, 2):
-            if d not in (1, 2):
-                ck.fail(f"{path}.d", f"must be 1 or 2, got {d!r}")
-            return None
-        return bar.BarenblattSpec(m=m, d=d, tau=tau, C=c)
-    if kind == "spherical-wave":
-        ck.require_keys(obj, path, ("kind", "A", "omega", "B", "R", "m", "d"))
-        vals = {k: ck.number(obj, path, k, lo=0.0) for k in ("A", "omega", "B", "R", "m")}
-        d = obj.get("d")
-        if any(v is None for v in vals.values()) or d not in (1, 2):
-            if d not in (1, 2):
-                ck.fail(f"{path}.d", f"must be 1 or 2, got {d!r}")
-            return None
-        return bar.SphericalWaveSpec(A=vals["A"], omega=vals["omega"], B=vals["B"],
-                                     R=vals["R"], m=vals["m"], d=d)
-    ck.fail(f"{path}.kind", f"must be barenblatt|spherical-wave, got {kind!r}")
-    return None
+def _initial(b: dict, grid: Grid, m: float, pot: Potential) -> Field:
+    if b["kind"] == "barenblatt":
+        spec = bar.BarenblattSpec(m=m, d=grid.dim, tau=b["tau"], C=b["C"])
+        return barenblatt_density(grid, spec, t=b["t"])
+    if b["kind"] == "bump":
+        return bump_density(grid, m, amplitude=b["amplitude"], width=b["width"],
+                            center=b["center"])
+    return equilibrium_offset_density(grid, m, pot, mass=b["mass"], scale=b["scale"])
 
 
 @dataclass
@@ -227,97 +257,63 @@ class _BarrierJob:
     ball_step: float | None
 
 
-def _parse_barrier_job(ck: _Checker, obj: Any, idx: int,
-                       pot: Potential | None) -> _BarrierJob | None:
-    path = f"barriers[{idx}]"
-    if not isinstance(obj, dict):
-        ck.fail(path, "must be an object")
-        return None
-    kind = obj.get("kind")
-    keys_common = ("label", "check", "box", "h_s", "ball_step")
-    if kind in ("barenblatt", "spherical-wave"):
-        base = _parse_barrier_base(ck, {k: v for k, v in obj.items()
-                                        if k not in keys_common}, path)
-        spec = base
-        m = base.m if base is not None else None
-    elif kind in ("rescaled-wave", "rescaled-barenblatt"):
-        ck.require_keys(obj, path, ("kind", "base", "alpha", "x0", "t0"),
-                        keys_common + ("C_pert", "drift"))
-        base_obj = obj.get("base")
-        want = "spherical-wave" if kind == "rescaled-wave" else "barenblatt"
-        base = None
-        if isinstance(base_obj, dict):
-            if base_obj.get("kind") != want:
-                ck.fail(f"{path}.base.kind", f"must be {want}")
-            else:
-                base = _parse_barrier_base(ck, base_obj, f"{path}.base")
-        else:
-            ck.fail(f"{path}.base", "must be an object")
-        alpha = ck.number(obj, path, "alpha", lo=0.0, hi=1.0)
-        t0 = ck.number(obj, path, "t0", default=0.0)
-        x0 = obj.get("x0")
-        if not isinstance(x0, list) or not x0:
-            ck.fail(f"{path}.x0", "must be a nonempty list of numbers")
-            x0 = None
-        if base is None or alpha is None or x0 is None or pot is None:
-            return None
-        x0_t = tuple(float(v) for v in x0)
-        drift = obj.get("drift")
+def _barrier_job(idx: int, b: dict, pot: Potential) -> _BarrierJob:
+    p = b.get("base", b)  # the Barenblatt or spherical-wave profile
+    if p["kind"] == "barenblatt":
+        spec = base = bar.BarenblattSpec(**{k: p[k] for k in _BARENBLATT})
+    else:
+        spec = base = bar.SphericalWaveSpec(**{k: p[k] for k in _WAVE})
+    if "base" in b:
+        drift = b["drift"]
         if drift is None:
-            drift = tuple(np.atleast_1d(pot.grad(np.asarray(x0_t))).tolist())
-        else:
-            drift = tuple(float(v) for v in drift)
-        c_pert = ck.number(obj, path, "C_pert", lo=0.0,
-                           default=pot.hessian_bound + 1.0)
-        spec = bar.RescaledBarrierSpec(
-            base=base,
-            rescale=bar.RescaleSpec(alpha=alpha, x0=x0_t, t0=t0, drift=drift,
-                                    C_pert=c_pert),
-        )
-        m = base.m
-    else:
-        ck.fail(f"{path}.kind", f"unknown barrier kind {kind!r}")
-        return None
+            drift = tuple(np.atleast_1d(pot.grad(np.asarray(b["x0"]))).tolist())
+        c_pert = b["C_pert"] if b["C_pert"] is not None else pot.hessian_bound + 1.0
+        spec = bar.RescaledBarrierSpec(base=base, rescale=bar.RescaleSpec(
+            alpha=b["alpha"], x0=b["x0"], t0=b["t0"], drift=drift, C_pert=c_pert))
+    label = b["label"] if b["label"] is not None else f"{b['kind']}-{idx}"
+    return _BarrierJob(label=label, spec=spec, check=b["check"],
+                       box=bar.SpaceTimeBox(**b["box"]), h_s=b["h_s"], m=base.m,
+                       ball_step=b["ball_step"])
 
-    check = obj.get("check", "both")
-    if check not in ("sub", "super", "both"):
-        ck.fail(f"{path}.check", f"must be sub|super|both, got {check!r}")
-        return None
-    if "h_s" not in obj:
-        ck.fail(f"{path}.h_s", "missing required key")
-    box_obj = obj.get("box")
-    box = None
-    if not isinstance(box_obj, dict):
-        ck.fail(f"{path}.box", "must be an object with lo, hi, t_lo, t_hi")
-    else:
-        ck.require_keys(box_obj, f"{path}.box", ("lo", "hi", "t_lo", "t_hi"))
+
+def _build(errors: list[str], blocks: dict, command: str) -> dict:
+    """Construct the library objects from the checked blocks that passed; a
+    PmedError raised by a constructor becomes one more ``"<path>: <message>"``
+    error.  An object whose inputs failed is skipped: their errors are in."""
+    def make(path: str, build, *inputs):
+        if not all(x is not None and _ok(x) for x in inputs):
+            return None
         try:
-            box = bar.SpaceTimeBox(
-                lo=tuple(float(v) for v in box_obj["lo"]),
-                hi=tuple(float(v) for v in box_obj["hi"]),
-                t_lo=float(box_obj["t_lo"]),
-                t_hi=float(box_obj["t_hi"]),
-            )
-        except (PmedError, TypeError, KeyError, ValueError) as exc:
-            ck.fail(f"{path}.box", f"invalid: {exc}")
-    h_s = ck.number(obj, path, "h_s", lo=0.0)
-    ball_step = ck.number(obj, path, "ball_step", lo=0.0)
-    if spec is None or box is None or h_s is None or m is None:
-        return None
-    label = obj.get("label", f"{kind}-{idx}")
-    return _BarrierJob(label=str(label), spec=spec, check=check, box=box,
-                       h_s=h_s, m=m, ball_step=ball_step)
+            return build(*inputs)
+        except PmedError as exc:
+            errors.append(f"{path}: {exc}")
+            return None
 
-
-_TOP_KEYS = {
-    "simulate": (("grid", "physics", "solver", "initial"), ("command", "output")),
-    "equilibrium": (("grid", "physics", "equilibrium"), ("command", "output")),
-    "verify-barriers": (("physics", "barriers"), ("command", "grid", "output")),
-    "compare": (("grid", "physics", "solver", "initial_lo", "initial_hi"),
-                ("command", "output")),
-    "convergence": (("grid", "physics", "solver", "initial"),
-                    ("command", "output", "convergence")),
-}
+    grid = make("grid", lambda g: Grid(dim=g["dim"], h=g["h"], extent=g["L"]),
+                blocks.get("grid"))
+    physics = blocks["physics"] if _ok(blocks["physics"]) else {}
+    m = physics.get("m")
+    pot = make("physics.potential", _potential, physics.get("potential"),
+               grid.dim if grid is not None else 1)
+    out: dict[str, Any] = {"command": command, "grid": grid, "m": m, "potential": pot}
+    if "solver" in blocks:
+        out["solver"] = make("solver", lambda s, m, pot: SolverConfig(m=m, potential=pot, **s),
+                             blocks["solver"], m, pot)
+    for key in ("initial", "initial_lo", "initial_hi"):
+        if key in blocks:
+            out[key] = make(key, _initial, blocks[key], grid, m, pot)
+    if isinstance(blocks.get("barriers"), list):
+        out["barriers"] = [make(f"barriers[{i}]", _barrier_job, i, b, pot)
+                           for i, b in enumerate(blocks["barriers"])]
+    # plain values (if any failed, ``out`` is never returned)
+    if isinstance(eq := blocks.get("equilibrium"), dict):
+        out.update(target_mass=eq["target_mass"], eps_fb=eq["eps_fb"])
+    if isinstance(conv := blocks.get("convergence"), dict):
+        out.update(conv_eps_fb=conv["eps_fb"], epsilon_shell=conv["epsilon_shell"],
+                   max_final_hausdorff=conv["max_final_hausdorff"])
+    if isinstance(output := blocks["output"], dict):
+        out.update(out_dir=output["directory"], formats=output["formats"])
+    return out
 
 
 def parse_config(text: str, command: str) -> dict:
@@ -331,96 +327,15 @@ def parse_config(text: str, command: str) -> dict:
         ) from None
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be an object"])
-
-    ck = _Checker()
-    required, optional = _TOP_KEYS[command]
-    ck.require_keys(raw, "", required, optional)
-    if "command" in raw and raw["command"] != command:
-        ck.fail("command", f"config says {raw['command']!r} but {command!r} was invoked")
-
-    out: dict[str, Any] = {"command": command}
-
-    grid = _parse_grid(ck, raw["grid"]) if "grid" in raw else None
-    out["grid"] = grid
-
-    m = None
-    pot = None
-    if "physics" in raw:
-        phys = raw["physics"]
-        if not isinstance(phys, dict):
-            ck.fail("physics", "must be an object")
-        else:
-            ck.require_keys(phys, "physics", ("m", "potential"))
-            m = ck.number(phys, "physics", "m", lo=1.0)
-            dim = grid.dim if grid is not None else 1
-            if "potential" in phys:
-                pot = _parse_potential(ck, phys["potential"], "physics.potential", dim)
-    out["m"] = m
-    out["potential"] = pot
-
-    if command in ("simulate", "compare", "convergence"):
-        out["solver"] = _parse_solver(ck, raw.get("solver"), m, pot) if "solver" in raw else None
-        if command == "compare":
-            for key in ("initial_lo", "initial_hi"):
-                out[key] = (
-                    _parse_initial(ck, raw[key], key, grid, m, pot) if key in raw else None
-                )
-        elif "initial" in raw:
-            out["initial"] = _parse_initial(ck, raw["initial"], "initial", grid, m, pot)
-        else:
-            out["initial"] = None
-
-    if command == "equilibrium" and "equilibrium" in raw:
-        eq = raw["equilibrium"]
-        if not isinstance(eq, dict):
-            ck.fail("equilibrium", "must be an object")
-        else:
-            ck.require_keys(eq, "equilibrium", ("target_mass",), ("eps_fb",))
-            out["target_mass"] = ck.number(eq, "equilibrium", "target_mass", lo=0.0)
-            out["eps_fb"] = ck.number(eq, "equilibrium", "eps_fb", lo=0.0)
-
-    if command == "verify-barriers":
-        jobs = []
-        items = raw.get("barriers")
-        if not isinstance(items, list) or not items:
-            ck.fail("barriers", "must be a nonempty list")
-        else:
-            for i, item in enumerate(items):
-                job = _parse_barrier_job(ck, item, i, pot)
-                if job is not None:
-                    jobs.append(job)
-        out["barriers"] = jobs
-
-    if command == "convergence":
-        conv = raw.get("convergence", {})
-        if not isinstance(conv, dict):
-            ck.fail("convergence", "must be an object")
-            conv = {}
-        ck.require_keys(conv, "convergence", (),
-                        ("eps_fb", "epsilon_shell", "max_final_hausdorff"))
-        out["conv_eps_fb"] = ck.number(conv, "convergence", "eps_fb", lo=0.0)
-        out["epsilon_shell"] = ck.number(conv, "convergence", "epsilon_shell", lo=0.0)
-        out["max_final_hausdorff"] = ck.number(conv, "convergence",
-                                               "max_final_hausdorff", lo=0.0)
-
-    outc = raw.get("output", {})
-    if not isinstance(outc, dict):
-        ck.fail("output", "must be an object")
-        outc = {}
-    else:
-        ck.require_keys(outc, "output", (), ("directory", "formats"))
-    formats = outc.get("formats", ["csv"])
-    if not isinstance(formats, list) or not formats or any(
-        f not in ("csv", "ndjson") for f in formats
-    ):
-        ck.fail("output.formats", f"must be a nonempty list from csv|ndjson, got {formats!r}")
-        formats = ["csv"]
-    out["out_dir"] = outc.get("directory")
-    out["formats"] = formats
-
-    if ck.errors:
-        raise ConfigError(ck.errors)
-    return out
+    required, optional = (names.split() for names in _COMMANDS[command])
+    schema = {"command": (command, _one_of(command)),
+              **{key: (REQUIRED, _BLOCKS[key][1]) for key in required},
+              **{key: _BLOCKS[key] for key in optional}}
+    errors: list[str] = []
+    cfg = _build(errors, _check(errors, raw, "", schema), command)
+    if errors:
+        raise ConfigError(errors)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -458,44 +373,46 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_lines(fh, rows):
+    for row in rows:
+        fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def _write_rows(path: str, header: list[str], rows):
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_lines(fh, [header])
+        _write_lines(fh, rows)
 
 
 # ---------------------------------------------------------------------------
 # command runners
 
 
-def _snapshot_rows(traj, grid: Grid):
-    ax = grid.axis_centers()
-    for snap in traj.snapshots:
-        u = pressure_from_density(snap.field, traj.config.m)
-        if grid.dim == 1:
-            for i in range(grid.n_cells):
-                yield (snap.t, ax[i], snap.field.values[i], u.values[i])
-        else:
-            for i in range(grid.n_cells):
-                for j in range(grid.n_cells):
-                    yield (snap.t, ax[i], ax[j], snap.field.values[i, j],
-                           u.values[i, j])
+def _snapshot_rows(t: float, ax: np.ndarray, rho: np.ndarray, u: np.ndarray):
+    for x, r, p in zip(itertools.product(ax, repeat=rho.ndim), rho.ravel(), u.ravel()):
+        yield (t, *x, r, p)
 
 
 def _run_simulate(cfg: dict, stage: _Stage) -> int:
     traj = simulate(cfg["initial"], cfg["solver"])
     grid = cfg["grid"]
-    if "csv" in cfg["formats"]:
-        header = ["t", "x", "rho", "u"] if grid.dim == 1 else ["t", "x", "y", "rho", "u"]
-        _write_rows(stage.path("snapshots.csv"), header, _snapshot_rows(traj, grid))
-    if "ndjson" in cfg["formats"]:
-        with open(stage.path("snapshots.ndjson"), "w") as fh:
-            for snap in traj.snapshots:
-                u = pressure_from_density(snap.field, traj.config.m)
-                rec = {"t": snap.t, "rho": snap.field.values.tolist(),
-                       "u": u.values.tolist()}
-                fh.write(json.dumps(rec) + "\n")
+    ax = grid.axis_centers()
+    with contextlib.ExitStack() as files:
+        csv = ndjson = None
+        if "csv" in cfg["formats"]:
+            csv = files.enter_context(open(stage.path("snapshots.csv"), "w", newline=""))
+            _write_lines(csv, [["t", "x", "rho", "u"] if grid.dim == 1
+                               else ["t", "x", "y", "rho", "u"]])
+        if "ndjson" in cfg["formats"]:
+            ndjson = files.enter_context(open(stage.path("snapshots.ndjson"), "w"))
+        for snap in traj.snapshots:  # both formats share one pressure field
+            rho = snap.field.values
+            u = pressure_from_density(snap.field, traj.config.m).values
+            if csv:
+                _write_lines(csv, _snapshot_rows(snap.t, ax, rho, u))
+            if ndjson:
+                ndjson.write(json.dumps({"t": snap.t, "rho": rho.tolist(),
+                                         "u": u.tolist()}) + "\n")
     _write_rows(
         stage.path("mass.csv"),
         ["t", "mass", "clipped_mass"],
@@ -618,27 +535,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config) as fh:
             text = fh.read()
-    except OSError as exc:
+        cfg = parse_config(text, args.command)
+        stage = _Stage(args.out or cfg["out_dir"] or "pmed-out")
+    except ConfigError as exc:
+        print(f"pmed: error: config: {'; '.join(exc.errors)}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"pmed: error: io: {exc}", file=sys.stderr)
         return 2
 
     try:
-        cfg = parse_config(text, args.command)
-    except ConfigError as exc:
-        print(f"pmed: error: config: {'; '.join(exc.errors)}", file=sys.stderr)
-        return 2
-
-    out_dir = args.out or cfg["out_dir"] or "pmed-out"
-    stage = _Stage(out_dir)
-    try:
         code = _RUNNERS[args.command](cfg, stage)
-    except PmedError as exc:
+    except Exception as exc:  # no partial files on any failure
         stage.abort()
-        print(f"pmed: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failure: no partial files either
-        stage.abort()
-        print(f"pmed: error: runtime: {type(exc).__name__}: {exc}", file=sys.stderr)
+        kind = "" if isinstance(exc, PmedError) else "runtime: "
+        print(f"pmed: error: {kind}{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     stage.commit()
     return code

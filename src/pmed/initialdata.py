@@ -6,7 +6,7 @@ import numpy as np
 
 from .barriers import BarenblattSpec, barenblatt
 from .core import Field, FieldVariable, Grid, Potential, density_from_pressure, ring
-from .errors import DomainTooSmallError
+from .errors import DomainTooSmallError, InvalidInputError
 from .freeboundary import equilibrium_profile
 
 __all__ = ["barenblatt_density", "bump_density", "equilibrium_offset_density"]
@@ -28,6 +28,10 @@ def bump_density(
 ) -> Field:
     """Smooth compactly supported bump: amplitude * ((1 - |x-c|^2/w^2)_+)^2."""
     c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.ndim != 1 or c.size not in (1, grid.dim):
+        raise InvalidInputError(
+            f"center must have 1 or dim = {grid.dim} entries, got {center!r}"
+        )
     if c.size == 1 and grid.dim == 2:
         c = np.full(2, float(c[0]))
     pts = grid.centers()

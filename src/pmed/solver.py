@@ -155,13 +155,17 @@ def _drift_context(grid: Grid, potential: Potential) -> _DriftContext:
     return _DriftContext(grid, potential)
 
 
-def _support_margin_ok(v: np.ndarray) -> bool:
-    # "support" at machine scale: values above 1e-12 of the current max
-    return not np.any(ring(v, 2) > 1e-12 * float(v.max()))
+def _support_margin_ok(v: np.ndarray, v_top: float) -> bool:
+    # "support" at machine scale: values above 1e-12 of the current max v_top
+    return not np.any(ring(v, 2) > 1e-12 * v_top)
 
 
-def _cfl_dt_values(v: np.ndarray, grid: Grid, cfg: SolverConfig, ctx: _DriftContext) -> float:
-    d_max = cfg.m * float(v.max()) ** (cfg.m - 1.0) if v.max() > 0.0 else 0.0
+def _cfl_dt_values(
+    v: np.ndarray, v_top: float, grid: Grid, cfg: SolverConfig, ctx: _DriftContext
+) -> float:
+    """cfl_dt on raw values; ``v_top`` is ``v.max()``, which the caller
+    computes once per step and shares with ``_support_margin_ok``."""
+    d_max = cfg.m * v_top ** (cfg.m - 1.0) if v_top > 0.0 else 0.0
     support = v > 0.0
     v_max = float(ctx.grad_norms[support].max()) if np.any(support) else 0.0
     v_max = max(v_max, _TINY)
@@ -179,7 +183,7 @@ def cfl_dt(rho: Field, cfg: SolverConfig) -> float:
     (floored at machine-tiny so the empty field stays finite).
     """
     ctx = _drift_context(rho.grid, cfg.potential)
-    return _cfl_dt_values(rho.values, rho.grid, cfg, ctx)
+    return _cfl_dt_values(rho.values, float(rho.values.max()), rho.grid, cfg, ctx)
 
 
 def _flux_divergence(v: np.ndarray, grid: Grid, m: float, ctx: _DriftContext) -> np.ndarray:
@@ -212,9 +216,9 @@ def _flux_divergence(v: np.ndarray, grid: Grid, m: float, ctx: _DriftContext) ->
 
 
 def _step_values(
-    v: np.ndarray, grid: Grid, cfg: SolverConfig, ctx: _DriftContext, dt: float
+    v: np.ndarray, v_top: float, grid: Grid, cfg: SolverConfig, ctx: _DriftContext, dt: float
 ) -> tuple[np.ndarray, float]:
-    if not _support_margin_ok(v):
+    if not _support_margin_ok(v, v_top):
         raise DomainOverflowError("support within two cells of the box edge")
     new = v + dt * _flux_divergence(v, grid, cfg.m, ctx)
     neg = new < 0.0
@@ -232,10 +236,11 @@ def step_density_report(rho: Field, cfg: SolverConfig, dt: float) -> StepReport:
     if rho.variable is not FieldVariable.DENSITY:
         raise InvalidInputError("step_density_report expects a density field")
     ctx = _drift_context(rho.grid, cfg.potential)
-    dt_max = _cfl_dt_values(rho.values, rho.grid, cfg, ctx)
+    v_top = float(rho.values.max())
+    dt_max = _cfl_dt_values(rho.values, v_top, rho.grid, cfg, ctx)
     if dt > dt_max * (1.0 + 1e-9):
         raise StepTooLargeError(f"dt = {dt} exceeds stability limit {dt_max}")
-    new, clipped = _step_values(rho.values, rho.grid, cfg, ctx, dt)
+    new, clipped = _step_values(rho.values, v_top, rho.grid, cfg, ctx, dt)
     return StepReport(
         field=Field(rho.grid, new, FieldVariable.DENSITY, cfg.m), clipped_mass=clipped
     )
@@ -250,7 +255,7 @@ def simulate(rho0: Field, cfg: SolverConfig) -> Trajectory:
     """
     if rho0.variable is not FieldVariable.DENSITY:
         raise InvalidInputError("simulate expects a density field")
-    if not _support_margin_ok(rho0.values):
+    if not _support_margin_ok(rho0.values, float(rho0.values.max())):
         raise DomainOverflowError("initial support within two cells of the box edge")
     grid = rho0.grid
     ctx = _drift_context(grid, cfg.potential)
@@ -265,11 +270,12 @@ def simulate(rho0: Field, cfg: SolverConfig) -> Trajectory:
     for k in range(1, n_targets + 1):
         target = k * cfg.snapshot_every
         while t < target * (1.0 - 1e-14):
-            dt = min(_cfl_dt_values(v, grid, cfg, ctx), target - t)
+            v_top = float(v.max())  # the one full-field max of this step
+            dt = min(_cfl_dt_values(v, v_top, grid, cfg, ctx), target - t)
             if not dt > 0.0:
                 raise PmedError(f"stepping stalled at t = {t}")
             try:
-                v, clipped = _step_values(v, grid, cfg, ctx, dt)
+                v, clipped = _step_values(v, v_top, grid, cfg, ctx, dt)
             except PmedError as exc:
                 raise type(exc)(f"{exc} (at t = {t:.9g})") from None
             clipped_cum += clipped

@@ -1,10 +1,17 @@
+import copy
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+import pmed.cli
 from pmed.cli import main, parse_config
 from pmed.errors import ConfigError
+from test_golden import CASES
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -64,6 +71,90 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps(data), "simulate")
 
+    def test_readme_examples_parse(self):
+        # the README's example configs, each parsed for the command it runs
+        text = README.read_text()
+        examples = re.findall(
+            r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\npmed (\S+) --config \1", text, re.S)
+        assert [name for name, _, _ in examples] == ["eq.json", "barriers.json"]
+        for _, config, command in examples:
+            parse_config(config, command)
+
+
+def rescaled_wave_config(**overrides):
+    data = copy.deepcopy(CASES["verify-barriers-1d"][1])
+    data["barriers"] = [data["barriers"][1]]
+    data["barriers"][0].update(overrides)
+    return data
+
+
+def polynomial_config(**overrides):
+    data = copy.deepcopy(CASES["simulate-1d"][1])
+    data["physics"]["potential"].update(overrides)
+    return data
+
+
+def with_initial(initial, grid=None):
+    data = simulate_config(initial=initial)
+    if grid is not None:
+        data["grid"] = grid
+    return data
+
+
+BUMP = {"kind": "bump", "amplitude": 0.5, "width": 0.6}
+WAVE = {"kind": "spherical-wave", "A": 1.0, "omega": 2.5, "B": 0.7, "R": 1.0,
+        "m": 0.5, "d": 1, "check": "super", "h_s": 0.05,
+        "box": {"lo": [-0.9], "hi": [0.9], "t_lo": -0.1, "t_hi": 0.0}}
+
+# configs with one bad value, each rejected by a check or by a library
+# constructor: (command, config, the path the single error must name)
+BAD_CONFIGS = {
+    "bump-wider-than-box": ("simulate", with_initial(
+        {**BUMP, "width": 5.0}, grid={"dim": 1, "L": 2.0, "h": 0.05}), "initial"),
+    "bump-center-string": ("simulate", with_initial({**BUMP, "center": "abc"}),
+                           "initial.center"),
+    "bump-center-3d": ("simulate", with_initial(
+        {**BUMP, "center": [0.1, 0.2, 0.3]}, grid={"dim": 2, "L": 2.0, "h": 0.1}),
+        "initial"),
+    "barenblatt-before-start": ("simulate", with_initial(
+        {"kind": "barenblatt", "tau": 1.0, "C": 0.5, "t": -2.0}), "initial"),
+    "polynomial-no-coefficients": ("simulate", polynomial_config(coefficients=[]),
+                                   "physics.potential.coefficients"),
+    "polynomial-min-point-number": ("simulate", polynomial_config(min_point=3),
+                                    "physics.potential.min_point"),
+    "polynomial-convexity-string": ("simulate", polynomial_config(strictly_convex="no"),
+                                    "physics.potential.strictly_convex"),
+    "equilibrium-offset-zero-potential": ("simulate", {
+        **with_initial({"kind": "equilibrium-offset", "mass": 0.2}),
+        "physics": {"m": 2.0, "potential": {"kind": "zero"}}}, "initial"),
+    "rescaled-x0-string": ("verify-barriers", rescaled_wave_config(x0=["a"]),
+                           "barriers[0].x0"),
+    "rescaled-drift-number": ("verify-barriers", rescaled_wave_config(drift=3),
+                              "barriers[0].drift"),
+    "rescaled-drift-length": ("verify-barriers", rescaled_wave_config(drift=[1.0, 2.0]),
+                              "barriers[0]"),
+    "wave-exponent-below-one": ("verify-barriers", {
+        "physics": {"m": 2.0, "potential": {"kind": "zero"}}, "barriers": [WAVE]},
+        "barriers[0].m"),
+    "output-directory-number": ("simulate", simulate_config(output={"directory": 5}),
+                                "output.directory"),
+    "grid-dim-true": ("simulate", simulate_config(
+        grid={"dim": True, "L": 4.0, "h": 0.05}), "grid.dim"),
+    "grid-extent-beyond-float": ("simulate", simulate_config(
+        grid={"dim": 1, "L": 10**400, "h": 0.05}), "grid.L"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_is_one_config_error(name, tmp_path, capsys):
+    command, data, path = BAD_CONFIGS[name]
+    cfgp = write_config(tmp_path, data)
+    assert main([command, "--config", cfgp, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"pmed: error: config: {path}: ")
+    assert "; " not in err[0]  # one error, not several
+
 
 class TestSimulateCommand:
     def test_outputs(self, tmp_path):
@@ -89,6 +180,24 @@ class TestSimulateCommand:
         assert rec["t"] == 0.0
         assert len(rec["rho"]) == 40
         assert not (tmp_path / "out" / "snapshots.csv").exists()
+
+    def test_one_pressure_conversion_per_snapshot(self, tmp_path, monkeypatch):
+        # csv and ndjson share each snapshot's pressure field
+        calls = []
+        real = pmed.cli.pressure_from_density
+
+        def counting(rho, m):
+            calls.append(rho)
+            return real(rho, m)
+
+        monkeypatch.setattr(pmed.cli, "pressure_from_density", counting)
+        command, data = CASES["simulate-2d"]
+        assert data["output"]["formats"] == ["csv", "ndjson"]
+        cfgp = write_config(tmp_path, data)
+        assert main([command, "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+        snapshots = (tmp_path / "out" / "mass.csv").read_text().splitlines()[1:]
+        assert len(snapshots) == 3
+        assert len(calls) == 3
 
     def test_runtime_error_leaves_no_files(self, tmp_path):
         data = simulate_config()
@@ -259,3 +368,12 @@ class TestEnvironment:
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.json"]) == 2
         assert capsys.readouterr().err.startswith("pmed: error: io:")
+
+    def test_out_names_a_regular_file(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, simulate_config())
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+        assert main(["simulate", "--config", cfgp, "--out", str(target)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("pmed: error: io:")
+        assert target.read_text() == "not a directory"
