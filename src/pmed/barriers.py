@@ -206,18 +206,15 @@ def validate_wave_params(
 def _ball_offsets(dim: int, radius: float, step: float) -> np.ndarray:
     """Sample offsets covering the closed ball of given radius.
 
-    One-dimensional balls are segments: the lattice includes both endpoints
-    and the exact center, which makes extremization of radial ramps exact.
-    In 2D a Cartesian sub-lattice of the disk plus the center is used.
+    The Cartesian sub-lattice of the ball includes the exact center and, on
+    each axis, both endpoints; a one-dimensional ball is the whole segment
+    lattice, which makes extremization of radial ramps exact.
     """
     if radius <= 0.0:
         return np.zeros((1, dim))
     k = max(1, int(np.ceil(radius / step)))
     axis = np.linspace(-radius, radius, 2 * k + 1)
-    if dim == 1:
-        return axis[:, None]
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    pts = np.stack(np.meshgrid(*(axis,) * dim, indexing="ij"), axis=-1).reshape(-1, dim)
     keep = np.sum(pts * pts, axis=-1) <= radius * radius * (1.0 + 1e-12)
     return pts[keep]
 
@@ -331,23 +328,18 @@ class ResidualReport:
     Interior residual (per sample point with u above the floor):
         r_int = u_t - (m-1) u Lap(u) - |grad u|^2 - grad u . grad Phi
                 - (m-1) u Lap(Phi)
-    Boundary residual (velocity form, at floor-crossing points):
-        r_bd  = u_t / |grad u| - |grad u| - grad Phi . grad u / |grad u|
-    A subsolution check passes when the worst residuals stay below +tol;
-    a supersolution check when they stay above -tol (rate form for the
-    boundary, i.e. r_bd * |grad u|).
+    Boundary residual (rate form, at floor-crossing points):
+        r_bd  = u_t - |grad u|^2 - grad Phi . grad u,
+    the free-boundary law u_t / |grad u| = |grad u| + grad Phi . grad u / |grad u|
+    multiplied through by |grad u|.  A subsolution check passes when the
+    worst residuals stay below +tol, a supersolution check when they stay
+    above -tol; a check with no interior or no boundary sample fails.
     """
 
     kind: str
     tol: float
     interior_residuals: np.ndarray
-    interior_points: np.ndarray
-    interior_times: np.ndarray
-    boundary_residuals: np.ndarray
     boundary_rate_residuals: np.ndarray
-    boundary_points: np.ndarray
-    boundary_times: np.ndarray
-    passed: bool
 
     @property
     def interior_count(self) -> int:
@@ -355,19 +347,24 @@ class ResidualReport:
 
     @property
     def boundary_count(self) -> int:
-        return int(self.boundary_residuals.size)
+        return int(self.boundary_rate_residuals.size)
+
+    def _worst(self, vals: np.ndarray) -> float:
+        if vals.size == 0:
+            return 0.0
+        return float(vals.max() if self.kind == "sub" else vals.min())
 
     def worst_interior(self) -> float:
-        if self.interior_residuals.size == 0:
-            return 0.0
-        vals = self.interior_residuals
-        return float(vals.max() if self.kind == "sub" else vals.min())
+        return self._worst(self.interior_residuals)
 
     def worst_boundary(self) -> float:
-        if self.boundary_rate_residuals.size == 0:
-            return 0.0
-        vals = self.boundary_rate_residuals
-        return float(vals.max() if self.kind == "sub" else vals.min())
+        return self._worst(self.boundary_rate_residuals)
+
+    @property
+    def passed(self) -> bool:
+        sign = 1.0 if self.kind == "sub" else -1.0  # sub: r <= tol, super: r >= -tol
+        worst = max(sign * self.worst_interior(), sign * self.worst_boundary())
+        return self.interior_count > 0 and self.boundary_count > 0 and worst <= self.tol
 
 
 def _lattice(lo: float, hi: float, step: float) -> np.ndarray:
@@ -401,16 +398,16 @@ def _derivatives(
         gp = pot.grad(pts + e)[..., k]
         gm = pot.grad(pts - e)[..., k]
         lap_phi += (gp - gm) / (2.0 * h_s)
-    g_phi = pot.grad(pts)
+    transport = np.sum(grad * pot.grad(pts), axis=-1)  # grad u . grad Phi
     r_int = (
         u_t
         - (m - 1.0) * u0 * lap
         - np.sum(grad * grad, axis=-1)
-        - np.sum(grad * g_phi, axis=-1)
+        - transport
         - (m - 1.0) * u0 * lap_phi
     )
     grad_norm = np.sqrt(np.sum(grad * grad, axis=-1))
-    rate = u_t - grad_norm**2 - np.sum(grad * g_phi, axis=-1)
+    rate = u_t - grad_norm**2 - transport
     return u0, r_int, rate, grad_norm
 
 
@@ -421,77 +418,40 @@ def residual_pmed(
     box: SpaceTimeBox,
     h_s: float,
     m: float,
-    c_tol: float | None = None,
-    u_floor: float | None = None,
-    grad_floor: float | None = None,
 ) -> ResidualReport:
     """Sample the sub/supersolution inequalities of the pressure equation.
 
     The candidate must be evaluable on the box enlarged by h_s in space and
-    h_s^2 in time.  Interior points are those with u above ``u_floor``
-    (default 10 h_s); boundary residuals are evaluated at the floor-crossing
-    points of each lattice line, where |grad u| exceeds ``grad_floor``.
+    h_s^2 in time.  Interior points are those with u above the floor 10 h_s;
+    boundary residuals are evaluated at the floor-crossing points of each
+    lattice line where |grad u| also exceeds 10 h_s.  The tolerance is
+    50 (1 + max u) h_s.
     """
     if kind not in ("sub", "super"):
         raise InvalidParameterError(f"kind must be 'sub' or 'super', got {kind!r}")
     if not h_s > 0.0:
         raise InvalidParameterError(f"h_s must be > 0, got {h_s}")
-    floor = 10.0 * h_s if u_floor is None else u_floor
-    gfloor = 10.0 * h_s if grad_floor is None else grad_floor
+    floor = 10.0 * h_s
 
     axes = [_lattice(lo, hi, h_s) for lo, hi in zip(box.lo, box.hi)]
     times = _lattice(box.t_lo, box.t_hi, h_s)
-    if box.dim == 1:
-        pts = axes[0][:, None]
-    else:
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    int_res, int_pts, int_ts = [], [], []
-    bd_vel, bd_rate, bd_pts, bd_ts = [], [], [], []
+    int_res, bd_rate = [], []
     u_max = 0.0
     for t in times:
         u0, r_int, _, _ = _derivatives(candidate, pot, pts, float(t), h_s, m)
         u_max = max(u_max, float(u0.max(initial=0.0)))
-        mask = u0 > floor
-        if np.any(mask):
-            int_res.append(r_int[mask])
-            int_pts.append(pts[mask])
-            int_ts.append(np.full(int(mask.sum()), t))
+        int_res.append(r_int[u0 > floor])
         crossings = level_crossings(u0, axes, floor)
         if crossings.size:
-            _, r_b, rate, gn = _derivatives(candidate, pot, crossings, float(t), h_s, m)
-            ok = gn > gfloor
-            if np.any(ok):
-                bd_rate.append(rate[ok])
-                bd_vel.append(rate[ok] / gn[ok])
-                bd_pts.append(crossings[ok])
-                bd_ts.append(np.full(int(ok.sum()), t))
+            _, _, rate, gn = _derivatives(candidate, pot, crossings, float(t), h_s, m)
+            bd_rate.append(rate[gn > floor])
 
-    interior = np.concatenate(int_res) if int_res else np.empty(0)
+    interior = np.concatenate(int_res)
     rate_arr = np.concatenate(bd_rate) if bd_rate else np.empty(0)
-    vel_arr = np.concatenate(bd_vel) if bd_vel else np.empty(0)
-    if not (np.all(np.isfinite(interior)) and np.all(np.isfinite(vel_arr))):
+    if not (np.all(np.isfinite(interior)) and np.all(np.isfinite(rate_arr))):
         raise InvalidInputError("candidate produced non-finite residuals")
-
-    tol = (c_tol if c_tol is not None else 50.0 * (1.0 + u_max)) * h_s
-    if kind == "sub":
-        ok_int = interior.size == 0 or float(interior.max()) <= tol
-        ok_bd = rate_arr.size == 0 or float(rate_arr.max()) <= tol
-    else:
-        ok_int = interior.size == 0 or float(interior.min()) >= -tol
-        ok_bd = rate_arr.size == 0 or float(rate_arr.min()) >= -tol
-
-    return ResidualReport(
-        kind=kind,
-        tol=tol,
-        interior_residuals=interior,
-        interior_points=np.concatenate(int_pts) if int_pts else np.empty((0, box.dim)),
-        interior_times=np.concatenate(int_ts) if int_ts else np.empty(0),
-        boundary_residuals=vel_arr,
-        boundary_rate_residuals=rate_arr,
-        boundary_points=np.concatenate(bd_pts) if bd_pts else np.empty((0, box.dim)),
-        boundary_times=np.concatenate(bd_ts) if bd_ts else np.empty(0),
-        passed=bool(ok_int and ok_bd),
-    )
-
+    tol = 50.0 * (1.0 + u_max) * h_s
+    return ResidualReport(kind=kind, tol=tol, interior_residuals=interior,
+                          boundary_rate_residuals=rate_arr)

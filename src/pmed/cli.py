@@ -270,6 +270,8 @@ def _barrier_job(idx: int, b: dict, pot: Potential) -> _BarrierJob:
         c_pert = b["C_pert"] if b["C_pert"] is not None else pot.hessian_bound + 1.0
         spec = bar.RescaledBarrierSpec(base=base, rescale=bar.RescaleSpec(
             alpha=b["alpha"], x0=b["x0"], t0=b["t0"], drift=drift, C_pert=c_pert))
+    if len(b["box"]["lo"]) != base.d:
+        raise InvalidParameterError(f"box.lo has {len(b['box']['lo'])} entries, but d = {base.d}")
     label = b["label"] if b["label"] is not None else f"{b['kind']}-{idx}"
     return _BarrierJob(label=label, spec=spec, check=b["check"],
                        box=bar.SpaceTimeBox(**b["box"]), h_s=b["h_s"], m=base.m,
@@ -325,6 +327,8 @@ def parse_config(text: str, command: str) -> dict:
         raise ConfigError(
             [f"config: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"]
         ) from None
+    except RecursionError:
+        raise ConfigError(["config: JSON nested too deeply to parse"]) from None
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be an object"])
     required, optional = (names.split() for names in _COMMANDS[command])
@@ -401,8 +405,7 @@ def _run_simulate(cfg: dict, stage: _Stage) -> int:
         csv = ndjson = None
         if "csv" in cfg["formats"]:
             csv = files.enter_context(open(stage.path("snapshots.csv"), "w", newline=""))
-            _write_lines(csv, [["t", "x", "rho", "u"] if grid.dim == 1
-                               else ["t", "x", "y", "rho", "u"]])
+            _write_lines(csv, [["t", *("x", "y")[:grid.dim], "rho", "u"]])
         if "ndjson" in cfg["formats"]:
             ndjson = files.enter_context(open(stage.path("snapshots.ndjson"), "w"))
         for snap in traj.snapshots:  # both formats share one pressure field
@@ -425,10 +428,9 @@ def _run_equilibrium(cfg: dict, stage: _Stage) -> int:
     prof = equilibrium_profile(cfg["target_mass"], cfg["potential"], cfg["m"],
                                cfg["grid"], eps_fb=cfg.get("eps_fb"))
     grid = cfg["grid"]
-    header = ["c_inf", "x"] if grid.dim == 1 else ["c_inf", "x", "y"]
     _write_rows(
         stage.path("equilibrium.csv"),
-        header,
+        ["c_inf", *("x", "y")[:grid.dim]],
         ((prof.c_inf, *pt) for pt in prof.boundary.points),
     )
     return 0

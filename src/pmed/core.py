@@ -92,12 +92,8 @@ class Grid:
 
 @lru_cache(maxsize=64)
 def _centers_cached(grid: Grid) -> np.ndarray:
-    ax = grid.axis_centers()
-    if grid.dim == 1:
-        pts = ax[:, None]
-    else:
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
+    axes = (grid.axis_centers(),) * grid.dim
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     pts.setflags(write=False)
     return pts
 

@@ -50,11 +50,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundarySet:
-    """Finite point cloud approximating the support boundary at one time."""
+    """Finite point cloud approximating the support boundary of one field."""
 
     points: np.ndarray  # (k, dim)
-    time: float
-    threshold: float
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -77,9 +75,7 @@ def default_support_threshold(f: Field) -> float:
     return 10.0 * f.grid.h * f.max() / f.grid.extent
 
 
-def extract_boundary(
-    f: Field, eps_fb: float | None = None, time: float = 0.0
-) -> BoundarySet:
+def extract_boundary(f: Field, eps_fb: float | None = None) -> BoundarySet:
     """Crossing points of the eps_fb level between adjacent cell centers.
 
     The threshold defaults to the grid scale (10 h ||f||_inf / L); the
@@ -91,14 +87,13 @@ def extract_boundary(
     """
     if eps_fb is None:
         if f.max() == 0.0:
-            return BoundarySet(points=np.empty((0, f.grid.dim)), time=time,
-                               threshold=0.0)
+            return BoundarySet(points=np.empty((0, f.grid.dim)))
         eps_fb = default_support_threshold(f)
     if not eps_fb > 0.0:
         raise InvalidParameterError(f"eps_fb must be > 0, got {eps_fb}")
     ax = f.grid.axis_centers()
     arr = level_crossings(f.values, (ax,) * f.grid.dim, eps_fb)
-    return BoundarySet(points=arr, time=time, threshold=eps_fb)
+    return BoundarySet(points=arr)
 
 
 def hausdorff(aset: BoundarySet, bset: BoundarySet) -> float:
@@ -232,7 +227,7 @@ def boundary_velocity(traj: Trajectory, eps_fb: float) -> list[VelocitySample]:
     boundaries = []
     gaps = []
     for snap in traj.snapshots:
-        bset = extract_boundary(snap.field, eps_fb, time=snap.t)
+        bset = extract_boundary(snap.field, eps_fb)
         if bset.empty:
             gaps.append(snap.t)
         boundaries.append(bset)

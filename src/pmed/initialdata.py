@@ -32,8 +32,6 @@ def bump_density(
         raise InvalidInputError(
             f"center must have 1 or dim = {grid.dim} entries, got {center!r}"
         )
-    if c.size == 1 and grid.dim == 2:
-        c = np.full(2, float(c[0]))
     pts = grid.centers()
     r2 = np.sum((pts - c) ** 2, axis=-1)
     prof = np.maximum(1.0 - r2 / width**2, 0.0)

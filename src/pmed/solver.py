@@ -137,17 +137,9 @@ class _DriftContext:
 
     def __init__(self, grid: Grid, potential: Potential):
         phi = np.asarray(potential.eval(grid.centers()), dtype=float)
-        h = grid.h
-        if grid.dim == 1:
-            self.g = ((phi[1:] - phi[:-1]) / h,)
-        else:
-            self.g = (
-                (phi[1:, :] - phi[:-1, :]) / h,
-                (phi[:, 1:] - phi[:, :-1]) / h,
-            )
+        self.g = tuple(np.diff(phi, axis=a) / grid.h for a in range(grid.dim))
         grad = np.asarray(potential.grad(grid.centers()), dtype=float)
         self.grad_norms = np.sqrt(np.sum(grad * grad, axis=-1))
-        self.phi = phi
 
 
 @lru_cache(maxsize=32)
@@ -166,8 +158,7 @@ def _cfl_dt_values(
     """cfl_dt on raw values; ``v_top`` is ``v.max()``, which the caller
     computes once per step and shares with ``_support_margin_ok``."""
     d_max = cfg.m * v_top ** (cfg.m - 1.0) if v_top > 0.0 else 0.0
-    support = v > 0.0
-    v_max = float(ctx.grad_norms[support].max()) if np.any(support) else 0.0
+    v_max = float(np.max(ctx.grad_norms, where=v > 0.0, initial=0.0))
     v_max = max(v_max, _TINY)
     dt_diff = grid.h**2 / (2.0 * grid.dim * d_max) if d_max > 0.0 else np.inf
     dt_adv = grid.h / (2.0 * grid.dim * v_max)
@@ -195,24 +186,19 @@ def _flux_divergence(v: np.ndarray, grid: Grid, m: float, ctx: _DriftContext) ->
     """
     h = grid.h
     rm = np.power(v, m)
-    if grid.dim == 1:
-        g = ctx.g[0]
-        f = (rm[1:] - rm[:-1]) / h + np.where(g > 0.0, v[1:], v[:-1]) * g
-        f[0] = f[-1] = 0.0
-        return np.diff(np.concatenate(([0.0], f, [0.0]))) / h
-    g0, g1 = ctx.g
-    f0 = (rm[1:, :] - rm[:-1, :]) / h + np.where(g0 > 0.0, v[1:, :], v[:-1, :]) * g0
-    f1 = (rm[:, 1:] - rm[:, :-1]) / h + np.where(g1 > 0.0, v[:, 1:], v[:, :-1]) * g1
-    f0[0, :] = f0[-1, :] = 0.0
-    f0[:, 0] = f0[:, -1] = 0.0
-    f1[0, :] = f1[-1, :] = 0.0
-    f1[:, 0] = f1[:, -1] = 0.0
-    n = grid.n_cells
-    z0 = np.zeros((1, n))
-    z1 = np.zeros((n, 1))
-    div0 = np.diff(np.concatenate([z0, f0, z0], axis=0), axis=0)
-    div1 = np.diff(np.concatenate([z1, f1, z1], axis=1), axis=1)
-    return (div0 + div1) / h
+    every = (slice(None),) * v.ndim
+    div = None
+    for a, g in enumerate(ctx.g):
+        lo = every[:a] + (slice(None, -1),)
+        hi = every[:a] + (slice(1, None),)
+        f = (rm[hi] - rm[lo]) / h + np.where(g > 0.0, v[hi], v[lo]) * g
+        for b in range(v.ndim):
+            f[every[:b] + (0,)] = 0.0
+            f[every[:b] + (-1,)] = 0.0
+        d = np.zeros_like(v)
+        d[every[:a] + (slice(1, -1),)] = np.diff(f, axis=a)
+        div = d if div is None else div + d  # axis 0 first, as a fixed order
+    return div / h
 
 
 def _step_values(
@@ -323,8 +309,6 @@ def weak_residual(traj: Trajectory, phi: SpaceTimeTestFunction) -> float:
     with midpoint quadrature in space and trapezoid quadrature over the
     snapshot times.  For a valid run this is O(h + dt).
     """
-    if not traj.snapshots:
-        raise InvalidInputError("trajectory must be nonempty")
     cfg = traj.config
     grid = traj.snapshots[0].field.grid
     pts = grid.centers()

@@ -263,6 +263,16 @@ class TestResidualPmed:
         assert rep.boundary_count > 0
         assert np.max(np.abs(rep.interior_residuals)) <= 1e-5
 
+    @pytest.mark.parametrize("kind", ["sub", "super"])
+    def test_no_samples_is_not_a_pass(self, kind):
+        # the floor 10 h_s = 1 is not below max u = C/tau = 1
+        spec = BarenblattSpec(m=2.0, d=2, tau=1.0, C=1.0)
+        box = SpaceTimeBox(lo=(-2.0, -2.0), hi=(2.0, 2.0), t_lo=0.0, t_hi=0.2)
+        rep = residual_pmed(build_barrier(spec), make_zero_potential(2), kind, box,
+                            h_s=0.1, m=2.0)
+        assert rep.interior_count == 0 and rep.boundary_count == 0
+        assert not rep.passed
+
     def test_wave_super_under_pme(self):
         spec = SphericalWaveSpec(A=1.0, omega=2.0, B=0.6, R=1.0, m=2.0, d=2)
         assert spec.is_valid()

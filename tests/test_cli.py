@@ -66,6 +66,12 @@ class TestParseConfig:
         joined = " ".join(exc.value.errors)
         assert "physics.m" in joined and "grid.h" in joined and "solver.t_end" in joined
 
+    def test_deep_nesting_is_config_error(self):
+        # json.loads gives up with RecursionError long before this depth
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[" * 100000, "simulate")
+        assert exc.value.errors == ["config: JSON nested too deeply to parse"]
+
     def test_command_mismatch(self):
         data = simulate_config(command="equilibrium")
         with pytest.raises(ConfigError):
@@ -277,6 +283,41 @@ class TestVerifyBarriersCommand:
         assert main(["verify-barriers", "--config", cfgp, "--out", out]) == 0
         lines = (tmp_path / "out" / "residuals.csv").read_text().splitlines()
         assert ",super,pass," in lines[1]
+
+    def test_check_without_samples_fails(self, tmp_path):
+        # max u = C/tau = 1 is not above the floor 10 h_s = 1: no interior
+        # point and no floor crossing, so neither check can pass
+        data = {
+            "physics": {"m": 2.0, "potential": {"kind": "zero"}},
+            "barriers": [{
+                "kind": "barenblatt", "m": 2.0, "d": 2, "tau": 1.0, "C": 1.0,
+                "check": "both", "h_s": 0.1,
+                "box": {"lo": [-2.0, -2.0], "hi": [2.0, 2.0], "t_lo": 0.0, "t_hi": 0.2},
+            }],
+        }
+        cfgp = write_config(tmp_path, data)
+        out = str(tmp_path / "out")
+        assert main(["verify-barriers", "--config", cfgp, "--out", out]) == 1
+        lines = (tmp_path / "out" / "residuals.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[1:3] for row in rows] == [["sub", "fail"], ["super", "fail"]]
+        assert all(row[6:] == ["0", "0"] for row in rows)
+
+    def test_box_dimension_must_equal_d(self, tmp_path, capsys):
+        data = {
+            "physics": {"m": 2.0, "potential": {"kind": "zero"}},
+            "barriers": [{
+                "kind": "barenblatt", "m": 2.0, "d": 1, "tau": 1.0, "C": 1.0,
+                "h_s": 0.1,
+                "box": {"lo": [-2.0, -2.0], "hi": [2.0, 2.0], "t_lo": 0.0, "t_hi": 0.2},
+            }],
+        }
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["verify-barriers", "--config", cfgp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["pmed: error: config: barriers[0]: box.lo has 2 entries, but d = 1"]
+        assert not out.exists()
 
     def test_failing_barrier_exits_one(self, tmp_path):
         # a wave violating the slope criterion is not a supersolution

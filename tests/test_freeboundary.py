@@ -33,7 +33,7 @@ from pmed.solver import SolverConfig, simulate
 
 
 def bset(points):
-    return BoundarySet(points=np.asarray(points, float), time=0.0, threshold=1e-6)
+    return BoundarySet(points=np.asarray(points, float))
 
 
 class TestExtractBoundary:

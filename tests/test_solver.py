@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmed.barriers import BarenblattSpec
 from pmed.core import (
@@ -7,6 +9,7 @@ from pmed.core import (
     FieldVariable,
     Grid,
     integrate,
+    make_polynomial_potential,
     make_quadratic_potential,
     make_zero_potential,
 )
@@ -27,6 +30,7 @@ from pmed.solver import (
     step_density_report,
     weak_residual,
 )
+from pmed.solver import _drift_context, _flux_divergence
 
 
 def loop_flux_divergence(values, grid, m, potential):
@@ -43,6 +47,86 @@ def loop_flux_divergence(values, grid, m, potential):
         flux[i] = (values[i] ** m - values[i - 1] ** m) / h + up * g
     flux[1] = flux[n - 1] = 0.0  # ring interfaces are inert
     return np.array([(flux[i + 1] - flux[i]) / h for i in range(n)])
+
+
+def reference_g(grid, potential):
+    """Interface gradients of Phi as the solver once wrote them, per dimension."""
+    phi = np.asarray(potential.eval(grid.centers()), dtype=float)
+    h = grid.h
+    if grid.dim == 1:
+        return ((phi[1:] - phi[:-1]) / h,)
+    return (
+        (phi[1:, :] - phi[:-1, :]) / h,
+        (phi[:, 1:] - phi[:, :-1]) / h,
+    )
+
+
+def reference_flux_divergence(v, grid, m, g):
+    """The solver's former 1D and 2D flux-divergence bodies, kept verbatim."""
+    h = grid.h
+    rm = np.power(v, m)
+    if grid.dim == 1:
+        g = g[0]
+        f = (rm[1:] - rm[:-1]) / h + np.where(g > 0.0, v[1:], v[:-1]) * g
+        f[0] = f[-1] = 0.0
+        return np.diff(np.concatenate(([0.0], f, [0.0]))) / h
+    g0, g1 = g
+    f0 = (rm[1:, :] - rm[:-1, :]) / h + np.where(g0 > 0.0, v[1:, :], v[:-1, :]) * g0
+    f1 = (rm[:, 1:] - rm[:, :-1]) / h + np.where(g1 > 0.0, v[:, 1:], v[:, :-1]) * g1
+    f0[0, :] = f0[-1, :] = 0.0
+    f0[:, 0] = f0[:, -1] = 0.0
+    f1[0, :] = f1[-1, :] = 0.0
+    f1[:, 0] = f1[:, -1] = 0.0
+    n = grid.n_cells
+    z0 = np.zeros((1, n))
+    z1 = np.zeros((n, 1))
+    div0 = np.diff(np.concatenate([z0, f0, z0], axis=0), axis=0)
+    div1 = np.diff(np.concatenate([z1, f1, z1], axis=1), axis=1)
+    return (div0 + div1) / h
+
+
+def same_bits(a, b):
+    """Equal shapes and identical IEEE-754 bit patterns (signed zeros included)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def kernel_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(8, 14))
+    h = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    grid = Grid(dim=dim, h=h, extent=n * h / 2.0)
+    kinds = ["quadratic", "zero"] + (["polynomial"] if dim == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "quadratic":
+        pot = make_quadratic_potential(draw(st.floats(0.01, 5.0)), dim)
+    elif kind == "zero":
+        pot = make_zero_potential(dim)
+    else:
+        coeffs = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+        pot = make_polynomial_potential(coeffs)
+    # palettes with zeros force ties, empty cells and zero fluxes
+    palette = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5)) + [0.0]
+    v = np.array(draw(st.lists(st.sampled_from(palette), min_size=n**dim,
+                               max_size=n**dim))).reshape(grid.shape)
+    inner = (slice(1, -1),) * dim
+    ring_zero = np.zeros(grid.shape)
+    ring_zero[inner] = v[inner]
+    m = draw(st.sampled_from([1.5, 2.0, 3.0]) | st.floats(1.01, 4.0))
+    return grid, pot, ring_zero, m
+
+
+class TestFluxKernelReference:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_bitwise_equal_to_per_dimension_code(self, case):
+        grid, pot, v, m = case
+        ctx = _drift_context(grid, pot)
+        g = reference_g(grid, pot)
+        assert len(ctx.g) == len(g)
+        assert all(same_bits(a, b) for a, b in zip(ctx.g, g))
+        assert same_bits(_flux_divergence(v, grid, m, ctx),
+                         reference_flux_divergence(v, grid, m, g))
 
 
 def empty_density(grid, m=2.0):
