@@ -18,8 +18,11 @@ the positivity set.  Two explicit families act as comparison profiles:
 
 Ball-extremized, exponentially weighted perturbations (sup/inf convolutions)
 followed by a velocity-preserving hyperbolic rescale turn these into local
-barriers for the full drift equation.  ``residual_pmed`` verifies the
-resulting inequalities by centered finite differences on a sample lattice.
+barriers for the full drift equation.  Both profiles are radial about the
+origin and monotone in |x|, so each convolution is exact: it evaluates w at
+the ball points nearest to and farthest from the origin.  ``residual_pmed``
+verifies the resulting inequalities by centered finite differences on a
+sample lattice.
 """
 
 from __future__ import annotations
@@ -203,25 +206,7 @@ def validate_wave_params(
     return bool(in_range and slope_ok)
 
 
-def _ball_offsets(dim: int, radius: float, step: float) -> np.ndarray:
-    """Sample offsets covering the closed ball of given radius.
-
-    The Cartesian sub-lattice of the ball includes the exact center and, on
-    each axis, both endpoints; a one-dimensional ball is the whole segment
-    lattice, which makes extremization of radial ramps exact.
-    """
-    if radius <= 0.0:
-        return np.zeros((1, dim))
-    k = max(1, int(np.ceil(radius / step)))
-    axis = np.linspace(-radius, radius, 2 * k + 1)
-    pts = np.stack(np.meshgrid(*(axis,) * dim, indexing="ij"), axis=-1).reshape(-1, dim)
-    keep = np.sum(pts * pts, axis=-1) <= radius * radius * (1.0 + 1e-12)
-    return pts[keep]
-
-
-def _ball_extremized(
-    w: Evaluable, alpha: float, step: float | None, sign: float
-) -> Evaluable:
+def _ball_extremized(w: Evaluable, alpha: float, sign: float) -> Evaluable:
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha}")
 
@@ -230,24 +215,29 @@ def _ball_extremized(
             raise InvalidTimeError(f"convolution radius negative for t = {t}")
         x = np.asarray(x, dtype=float)
         radius = alpha * (1.0 - min(t, 1.0))
-        dim = x.shape[-1]
-        offs = _ball_offsets(dim, radius, step if step is not None else radius / 4.0)
-        pts = x[..., None, :] + offs  # (..., k, dim)
-        vals = w(pts, t)
-        ext = vals.max(axis=-1) if sign > 0 else vals.min(axis=-1)
+        # w is radial and monotone in |x|: its ball extrema lie at the points nearest
+        # to and farthest from the origin (x is scaled so |x|^2 cannot under/overflow)
+        s = np.max(np.abs(x), axis=-1, keepdims=True)
+        x1 = np.where(s > 0.0, x / np.where(s > 0.0, s, 1.0), np.eye(x.shape[-1])[0])
+        n1 = _radii(x1)[..., None]
+        near = w(x - np.minimum(radius, s * n1) * (x1 / n1), t)
+        far = w(x + radius * (x1 / n1), t)
+        ext = np.maximum(near, far) if sign > 0 else np.minimum(near, far)
         return np.exp(-sign * alpha * t) * ext
 
     return _conv
 
 
-def sup_convolution(w: Evaluable, alpha: float, step: float | None = None) -> Evaluable:
-    """e^(-alpha t) * sup of w over the ball of radius alpha (1 - t)."""
-    return _ball_extremized(w, alpha, step, sign=+1.0)
+def sup_convolution(w: Evaluable, alpha: float) -> Evaluable:
+    """e^(-alpha t) * sup of w over the ball of radius alpha (1 - t); exact
+    when w is radial about the origin and monotone in |x|."""
+    return _ball_extremized(w, alpha, sign=+1.0)
 
 
-def inf_convolution(w: Evaluable, alpha: float, step: float | None = None) -> Evaluable:
-    """e^(+alpha t) * inf of w over the ball of radius alpha (1 - t)."""
-    return _ball_extremized(w, alpha, step, sign=-1.0)
+def inf_convolution(w: Evaluable, alpha: float) -> Evaluable:
+    """e^(+alpha t) * inf of w over the ball of radius alpha (1 - t); exact
+    when w is radial about the origin and monotone in |x|."""
+    return _ball_extremized(w, alpha, sign=-1.0)
 
 
 def hyperbolic_rescale(w: Evaluable, spec: RescaleSpec) -> Evaluable:
@@ -276,7 +266,7 @@ def hyperbolic_rescale(w: Evaluable, spec: RescaleSpec) -> Evaluable:
     return _rescaled
 
 
-def build_barrier(spec: BarrierSpec, step: float | None = None) -> Evaluable:
+def build_barrier(spec: BarrierSpec) -> Evaluable:
     """Turn a barrier parameter set into an evaluable space-time profile.
 
     Rescaled kinds are composed as convolution at strength C_pert * alpha in
@@ -292,9 +282,9 @@ def build_barrier(spec: BarrierSpec, step: float | None = None) -> Evaluable:
         base = build_barrier(spec.base)
         strength = spec.rescale.C_pert * spec.rescale.alpha
         if isinstance(spec.base, SphericalWaveSpec):
-            conv = inf_convolution(base, strength, step)
+            conv = inf_convolution(base, strength)
         else:
-            conv = sup_convolution(base, strength, step)
+            conv = sup_convolution(base, strength)
         return hyperbolic_rescale(conv, spec.rescale)
     raise InvalidParameterError(f"unknown barrier spec {spec!r}")
 

@@ -131,7 +131,6 @@ _JOB = {
     "box": (REQUIRED, {"lo": (REQUIRED, _NUMBERS), "hi": (REQUIRED, _NUMBERS),
                        "t_lo": (REQUIRED, _REAL), "t_hi": (REQUIRED, _REAL)}),
     "h_s": (REQUIRED, _POSITIVE),
-    "ball_step": (None, _POSITIVE),
 }
 _RESCALE = {"alpha": (REQUIRED, _number(0.0, 1.0)), "x0": (REQUIRED, _NUMBERS),
             "t0": (REQUIRED, _REAL), "C_pert": (None, _POSITIVE), "drift": (None, _NUMBERS)}
@@ -167,7 +166,7 @@ _BLOCKS = {
 _COMMANDS = {
     "simulate": ("grid physics solver initial", "output"),
     "equilibrium": ("grid physics equilibrium", "output"),
-    "verify-barriers": ("physics barriers", "grid output"),
+    "verify-barriers": ("physics barriers", "output"),
     "compare": ("grid physics solver initial_lo initial_hi", "output"),
     "convergence": ("grid physics solver initial", "output convergence"),
 }
@@ -254,15 +253,19 @@ class _BarrierJob:
     box: bar.SpaceTimeBox
     h_s: float
     m: float
-    ball_step: float | None
+    pot: Potential
 
 
-def _barrier_job(idx: int, b: dict, pot: Potential) -> _BarrierJob:
+def _barrier_job(idx: int, b: dict, potential: dict) -> _BarrierJob:
     p = b.get("base", b)  # the Barenblatt or spherical-wave profile
     if p["kind"] == "barenblatt":
         spec = base = bar.BarenblattSpec(**{k: p[k] for k in _BARENBLATT})
     else:
         spec = base = bar.SphericalWaveSpec(**{k: p[k] for k in _WAVE})
+    for key, v in (("box.lo", b["box"]["lo"]), ("x0", b.get("x0")), ("drift", b.get("drift"))):
+        if v is not None and len(v) != base.d:
+            raise InvalidParameterError(f"{key} has {len(v)} entries, but d = {base.d}")
+    pot = _potential(potential, base.d)
     if "base" in b:
         drift = b["drift"]
         if drift is None:
@@ -270,12 +273,9 @@ def _barrier_job(idx: int, b: dict, pot: Potential) -> _BarrierJob:
         c_pert = b["C_pert"] if b["C_pert"] is not None else pot.hessian_bound + 1.0
         spec = bar.RescaledBarrierSpec(base=base, rescale=bar.RescaleSpec(
             alpha=b["alpha"], x0=b["x0"], t0=b["t0"], drift=drift, C_pert=c_pert))
-    if len(b["box"]["lo"]) != base.d:
-        raise InvalidParameterError(f"box.lo has {len(b['box']['lo'])} entries, but d = {base.d}")
     label = b["label"] if b["label"] is not None else f"{b['kind']}-{idx}"
     return _BarrierJob(label=label, spec=spec, check=b["check"],
-                       box=bar.SpaceTimeBox(**b["box"]), h_s=b["h_s"], m=base.m,
-                       ball_step=b["ball_step"])
+                       box=bar.SpaceTimeBox(**b["box"]), h_s=b["h_s"], m=base.m, pot=pot)
 
 
 def _build(errors: list[str], blocks: dict, command: str) -> dict:
@@ -295,8 +295,8 @@ def _build(errors: list[str], blocks: dict, command: str) -> dict:
                 blocks.get("grid"))
     physics = blocks["physics"] if _ok(blocks["physics"]) else {}
     m = physics.get("m")
-    pot = make("physics.potential", _potential, physics.get("potential"),
-               grid.dim if grid is not None else 1)
+    pot = make("physics.potential", lambda p, g: _potential(p, g.dim),
+               physics.get("potential"), grid)
     out: dict[str, Any] = {"command": command, "grid": grid, "m": m, "potential": pot}
     if "solver" in blocks:
         out["solver"] = make("solver", lambda s, m, pot: SolverConfig(m=m, potential=pot, **s),
@@ -305,7 +305,7 @@ def _build(errors: list[str], blocks: dict, command: str) -> dict:
         if key in blocks:
             out[key] = make(key, _initial, blocks[key], grid, m, pot)
     if isinstance(blocks.get("barriers"), list):
-        out["barriers"] = [make(f"barriers[{i}]", _barrier_job, i, b, pot)
+        out["barriers"] = [make(f"barriers[{i}]", _barrier_job, i, b, physics.get("potential"))
                            for i, b in enumerate(blocks["barriers"])]
     # plain values (if any failed, ``out`` is never returned)
     if isinstance(eq := blocks.get("equilibrium"), dict):
@@ -440,11 +440,10 @@ def _run_verify_barriers(cfg: dict, stage: _Stage) -> int:
     rows = []
     all_pass = True
     for job in cfg["barriers"]:
-        cand = bar.build_barrier(job.spec, step=job.ball_step)
+        cand = bar.build_barrier(job.spec)
         kinds = ("sub", "super") if job.check == "both" else (job.check,)
         for kind in kinds:
-            rep = bar.residual_pmed(cand, cfg["potential"], kind, job.box,
-                                    job.h_s, job.m)
+            rep = bar.residual_pmed(cand, job.pot, kind, job.box, job.h_s, job.m)
             all_pass = all_pass and rep.passed
             rows.append((
                 job.label, kind, "pass" if rep.passed else "fail",

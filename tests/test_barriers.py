@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmed.barriers import (
     BarenblattSpec,
@@ -109,7 +111,84 @@ class TestValidateWaveParams:
             validate_wave_params(1.0, 2.0, 0.6, 0.0, 2.0, 2)
 
 
+def reference_lattice(dim, radius, step):
+    """The Cartesian ball lattice the convolutions once sampled, kept as a
+    reference: its extremum can only fall short of the exact one."""
+    if radius <= 0.0:
+        return np.zeros((1, dim))
+    k = max(1, int(np.ceil(radius / step)))
+    axis = np.linspace(-radius, radius, 2 * k + 1)
+    pts = np.stack(np.meshgrid(*(axis,) * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    keep = np.sum(pts * pts, axis=-1) <= radius * radius * (1.0 + 1e-12)
+    return pts[keep]
+
+
+@st.composite
+def convolution_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    m = draw(st.floats(1.1, 4.0))
+    if draw(st.booleans()):
+        spec = BarenblattSpec(m=m, d=d, tau=draw(st.floats(1.05, 3.0)),
+                              C=draw(st.floats(0.1, 2.0)))
+    else:
+        spec = SphericalWaveSpec(A=draw(st.floats(0.2, 3.0)), omega=draw(st.floats(0.2, 3.0)),
+                                 B=draw(st.floats(0.1, 1.5)), R=2.0, m=m, d=d)
+    coords = st.floats(-3.0, 3.0)
+    xs = np.array(draw(st.lists(st.lists(coords, min_size=d, max_size=d),
+                                min_size=1, max_size=8)))
+    alpha = draw(st.floats(0.01, 0.99))
+    t = draw(st.floats(-1.0, 1.0))
+    return spec, xs, alpha, t
+
+
 class TestConvolutions:
+    @settings(max_examples=200, deadline=None)
+    @given(convolution_cases())
+    # |x|^2 is subnormal here, so x / |x| is not a unit vector
+    @example((BarenblattSpec(m=2.0, d=1, tau=2.0, C=1.0), np.array([[1e-160]]), 0.5, 0.0))
+    def test_exact_extremum_over_the_ball(self, case):
+        spec, xs, alpha, t = case
+        w = build_barrier(spec)
+        radius = alpha * (1.0 - t)
+        lattice = xs[:, None, :] + reference_lattice(xs.shape[-1], radius, radius / 4.0)
+        # the ball points nearest to and farthest from the origin, along x;
+        # x is scaled to a largest entry of 1 so its direction survives subnormals
+        s = np.max(np.abs(xs), axis=-1, keepdims=True)
+        y = xs / np.where(s > 0.0, s, 1.0)
+        n = (np.abs(y[:, 0]) if y.shape[-1] == 1 else np.hypot(y[:, 0], y[:, 1]))[:, None]
+        ray = np.where(s > 0.0, y / np.where(s > 0.0, n, 1.0), np.eye(xs.shape[-1])[0])
+        ends = np.stack([ray * np.maximum(s * n - radius, 0.0), ray * (s * n + radius)], axis=1)
+        assert np.all(np.sqrt(np.sum((ends - xs[:, None, :]) ** 2, axis=-1))
+                      <= radius * (1.0 + 1e-12) + 1e-12)
+        for conv, sign, lattice_ext in ((sup_convolution, 1.0, np.max),
+                                        (inf_convolution, -1.0, np.min)):
+            got = conv(w, alpha)(xs, t) * np.exp(sign * alpha * t)
+            assert np.all(sign * (got - lattice_ext(w(lattice, t), axis=-1)) >= -1e-12)
+            attained = np.abs(w(ends, t) - got[:, None]) <= 1e-12 * (1.0 + np.abs(got[:, None]))
+            assert np.all(np.any(attained, axis=-1))
+
+    def test_inf_convolution_wave_1d_inner_ball_oracle(self):
+        # the ball around x = 0.05 of radius 0.3 (1 - 0.5) = 0.15 holds the
+        # origin, where the wave is smallest: A (omega t - B) > 0
+        spec = SphericalWaveSpec(A=1.0, omega=2.5, B=0.7, R=1.0, m=2.0, d=1)
+        got = inf_convolution(build_barrier(spec), 0.3)(pt(0.05), 0.5)
+        assert got == pytest.approx(np.exp(0.15) * spec.A * (spec.omega * 0.5 - spec.B),
+                                    rel=1e-14)
+        assert got == pytest.approx(0.6390088335005557, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [0.0, 0.4])
+    def test_sup_convolution_barenblatt_2d_oracle(self, t):
+        spec = BarenblattSpec(m=2.0, d=2, tau=1.0, C=1.0)
+        alpha = 0.25
+        radius = alpha * (1.0 - t)
+        conv = sup_convolution(build_barrier(spec), alpha)
+        for x in ((0.0, 0.0), (0.1, -0.05), (0.7, 0.4), (-1.3, 1.1), (2.0, -2.5)):
+            x = pt(*x)
+            r = np.hypot(*x)
+            inner = x * max(r - radius, 0.0) / r if r > 0.0 else x
+            assert conv(x, t) == pytest.approx(
+                np.exp(-alpha * t) * float(barenblatt(inner, t, spec)), abs=1e-14)
+
     def test_constant_scaling(self):
         const = lambda x, t: np.full(np.asarray(x).shape[:-1], 3.0)
         for t in (-0.5, 0.0, 0.5):

@@ -77,6 +77,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps(data), "simulate")
 
+    def test_default_c_pert_follows_barrier_dimension(self):
+        # Hessian bound 2 a d + 1 of a |x|^2 with d = 2, with no grid block
+        data = barenblatt_2d_config({"kind": "quadratic", "a": 1.0}, x0=[0.5, 0.0])
+        cfg = parse_config(json.dumps(data), "verify-barriers")
+        assert cfg["barriers"][0].spec.rescale.C_pert == 5.0
+
+    @pytest.mark.parametrize("potential,overrides,message", [
+        ({"kind": "zero"}, {"x0": [0.5]}, "x0 has 1 entries, but d = 2"),
+        ({"kind": "zero"}, {"x0": [0.5, 0.0], "drift": [0.0]}, "drift has 1 entries, but d = 2"),
+        ({"kind": "polynomial", "coefficients": [1.0]}, {}, "polynomial potentials are 1D only"),
+    ])
+    def test_barrier_dimension_errors(self, potential, overrides, message):
+        data = barenblatt_2d_config(potential, **overrides)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(data), "verify-barriers")
+        assert exc.value.errors == [f"barriers[0]: {message}"]
+
     def test_readme_examples_parse(self):
         # the README's example configs, each parsed for the command it runs
         text = README.read_text()
@@ -92,6 +109,18 @@ def rescaled_wave_config(**overrides):
     data["barriers"] = [data["barriers"][1]]
     data["barriers"][0].update(overrides)
     return data
+
+
+def barenblatt_2d_config(potential, **overrides):
+    # a d = 2 job on a 2D box; rescaled when overrides name the rescale keys
+    base = {"kind": "barenblatt", "m": 2.0, "d": 2, "tau": 1.0, "C": 0.5}
+    job = {"h_s": 0.01, "box": {"lo": [0.45, -0.05], "hi": [0.55, 0.05],
+                                "t_lo": -0.05, "t_hi": 0.0}}
+    if overrides:
+        job.update(kind="rescaled-barenblatt", base=base, alpha=0.1, t0=0.0, **overrides)
+    else:
+        job.update(base)
+    return {"physics": {"m": 2.0, "potential": potential}, "barriers": [job]}
 
 
 def polynomial_config(**overrides):
@@ -139,6 +168,14 @@ BAD_CONFIGS = {
                               "barriers[0].drift"),
     "rescaled-drift-length": ("verify-barriers", rescaled_wave_config(drift=[1.0, 2.0]),
                               "barriers[0]"),
+    "rescaled-x0-length": ("verify-barriers", barenblatt_2d_config(
+        {"kind": "zero"}, x0=[0.5]), "barriers[0]"),
+    "polynomial-potential-2d-barrier": ("verify-barriers", barenblatt_2d_config(
+        {"kind": "polynomial", "coefficients": [0.0, 0.0, 1.0]}), "barriers[0]"),
+    "barrier-ball-step": ("verify-barriers", rescaled_wave_config(ball_step=0.01),
+                          "barriers[0].ball_step"),
+    "verify-barriers-grid": ("verify-barriers", {
+        **rescaled_wave_config(), "grid": {"dim": 1, "L": 2.0, "h": 0.05}}, "grid"),
     "wave-exponent-below-one": ("verify-barriers", {
         "physics": {"m": 2.0, "potential": {"kind": "zero"}}, "barriers": [WAVE]},
         "barriers[0].m"),

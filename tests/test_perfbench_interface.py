@@ -1,26 +1,29 @@
-"""The names the traced benchmark run (perfbench/) takes from pmed.
+"""The names and configs the benchmark (perfbench/) takes from pmed.
 
 perfbench/tracing.py swaps the functions ``pmed.cli`` imported for traced
-wrappers, and perfbench/run.py replays the solver's dt schedule through
-``pmed.solver``.  A refactor that renames or drops one of these names breaks
-the benchmark, so this test fails first.
+wrappers, perfbench/run.py replays the solver's dt schedule through
+``pmed.solver``, and perfbench/workloads.py generates the configs the CLI
+must accept.  A refactor that renames or drops one of these names, or a
+config key the workloads use, breaks the benchmark, so this test fails first.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pmed.cli
 import pmed.solver
 from pmed.core import Field, FieldVariable, Grid, make_zero_potential
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
@@ -28,7 +31,7 @@ def load_tracing():
 
 
 def test_cli_exposes_every_traced_name():
-    names = [*load_tracing().CLI_CALLS, "bar", "main"]
+    names = [*load_perfbench("tracing").CLI_CALLS, "bar", "main"]
     assert [n for n in names if not hasattr(pmed.cli, n)] == []
 
 
@@ -43,3 +46,13 @@ def test_solver_replay_names():
                                    t_end=1.0, snapshot_every=1.0)
     rep = pmed.solver.step_density_report(rho, cfg, pmed.solver.cfl_dt(rho, cfg))
     assert isinstance(rep.field, Field)
+
+
+WORKLOADS = load_perfbench("workloads")
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_configs_parse(name, tiny):
+    config = WORKLOADS.generate(name, 0, tiny=tiny)
+    pmed.cli.parse_config(json.dumps(config), WORKLOADS.WORKLOADS[name].command)
