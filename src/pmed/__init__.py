@@ -35,7 +35,6 @@ from .core import (
     pressure_from_density,
 )
 from .freeboundary import (
-    BoundarySet,
     EquilibriumProfile,
     boundary_velocity,
     equilibrium_constant,

@@ -431,7 +431,7 @@ def _run_equilibrium(cfg: dict, stage: _Stage) -> int:
     _write_rows(
         stage.path("equilibrium.csv"),
         ["c_inf", *("x", "y")[:grid.dim]],
-        ((prof.c_inf, *pt) for pt in prof.boundary.points),
+        ((prof.c_inf, *pt) for pt in prof.boundary),
     )
     return 0
 
@@ -483,7 +483,7 @@ def _run_convergence(cfg: dict, stage: _Stage) -> int:
         eps_fb = default_support_threshold(traj.final.field)
     prof = equilibrium_profile(mass, cfg["potential"], cfg["m"], grid, eps_fb=eps_fb)
     boundaries = [extract_boundary(snap.field, eps_fb) for snap in traj.snapshots]
-    gaps = [snap.t for snap, b in zip(traj.snapshots, boundaries) if b.empty]
+    gaps = [snap.t for snap, b in zip(traj.snapshots, boundaries) if len(b) == 0]
     if gaps:
         raise BoundaryGapError(gaps)
     rows = [(snap.t, hausdorff(b, prof.boundary))

@@ -269,11 +269,14 @@ def make_polynomial_potential(
     """One-dimensional polynomial Phi(x) = sum_k c_k x^k.
 
     Convexity cannot be inferred cheaply for arbitrary coefficients, so the
-    caller declares it (and then the minimum location, if known).
+    caller declares it (and then the minimum location, if known, as a
+    1-entry ``min_point``).
     """
     coeffs = [float(c) for c in coefficients]
     if len(coeffs) < 1:
         raise InvalidParameterError("need at least one polynomial coefficient")
+    if min_point is not None and len(min_point) != 1:
+        raise InvalidParameterError(f"min_point must have 1 entry, got {len(min_point)}")
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
 
     def _eval(x: np.ndarray) -> np.ndarray:

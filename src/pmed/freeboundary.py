@@ -35,7 +35,6 @@ from .errors import (
 from .solver import Trajectory
 
 __all__ = [
-    "BoundarySet",
     "extract_boundary",
     "default_support_threshold",
     "hausdorff",
@@ -48,65 +47,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundarySet:
-    """Finite point cloud approximating the support boundary of one field."""
-
-    points: np.ndarray  # (k, dim)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, 1)
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def empty(self) -> bool:
-        return len(self) == 0
-
-
 def default_support_threshold(f: Field) -> float:
     """Grid-scale default for the support threshold: 10 h ||f||_inf / L."""
     return 10.0 * f.grid.h * f.max() / f.grid.extent
 
 
-def extract_boundary(f: Field, eps_fb: float | None = None) -> BoundarySet:
+def extract_boundary(f: Field, eps_fb: float | None = None) -> np.ndarray:
     """Crossing points of the eps_fb level between adjacent cell centers.
 
     The threshold defaults to the grid scale (10 h ||f||_inf / L); the
     scheme smears the support edge over a few cells, so thresholds well
     below that scale probe the numerical tail rather than the front.
-    Returns an empty set (not an error) when the field never exceeds the
-    threshold.  Point ordering is deterministic: axis-0 edges before axis-1
-    edges in 2D, each in row-major order.
+    Returns the points as a (k, dim) array, empty (not an error) when the
+    field never exceeds the threshold.  Point ordering is deterministic:
+    axis-0 edges before axis-1 edges in 2D, each in row-major order.
     """
     if eps_fb is None:
         if f.max() == 0.0:
-            return BoundarySet(points=np.empty((0, f.grid.dim)))
+            return np.empty((0, f.grid.dim))
         eps_fb = default_support_threshold(f)
     if not eps_fb > 0.0:
         raise InvalidParameterError(f"eps_fb must be > 0, got {eps_fb}")
     ax = f.grid.axis_centers()
-    arr = level_crossings(f.values, (ax,) * f.grid.dim, eps_fb)
-    return BoundarySet(points=arr)
+    return level_crossings(f.values, (ax,) * f.grid.dim, eps_fb)
 
 
-def hausdorff(aset: BoundarySet, bset: BoundarySet) -> float:
-    """Symmetric Hausdorff distance between two nonempty point clouds."""
-    if aset.empty or bset.empty:
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of a (k, dim) and b (l, dim): (k, l)."""
+    return sum((a[:, None, k] - b[None, :, k]) ** 2 for k in range(a.shape[1]))
+
+
+def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric Hausdorff distance between two nonempty (k, dim) point clouds."""
+    if len(a) == 0 or len(b) == 0:
         raise EmptyBoundarySetError("hausdorff requires nonempty boundary sets")
-    a = aset.points
-    b = bset.points
-    diff = a[:, None, :] - b[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    d_ab = float(dist.min(axis=1).max())
-    d_ba = float(dist.min(axis=0).max())
-    return max(d_ab, d_ba)
+    d2 = _sq_distances(a, b)
+    # sqrt is monotone and correctly rounded: one root at the end is exact
+    return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 
 def _discrete_mass(c: float, phi: np.ndarray, m: float, cell_volume: float) -> float:
@@ -121,8 +98,9 @@ def equilibrium_constant(
     """Level C such that the density of (C - Phi)_+ carries the target mass.
 
     Bisection on the discrete mass map M(C) (continuous and nondecreasing on
-    a fixed grid); the bracket is grown geometrically from the potential
-    minimum.  Runs to |M(C) - target| <= 1e-10 target.
+    a fixed grid); the bracket is grown geometrically from the lower of the
+    grid minimum of Phi and its recorded minimum, where M vanishes.  Runs to
+    |M(C) - target| <= 1e-10 target.
     """
     if not target_mass > 0.0:
         raise InvalidParameterError(f"target_mass must be > 0, got {target_mass}")
@@ -133,7 +111,9 @@ def equilibrium_constant(
             "equilibrium profiles need a strictly convex potential"
         )
     phi = np.asarray(pot.eval(grid.centers()), dtype=float)
-    phi_min = pot.min_value() if pot.min_point is not None else float(phi.min())
+    phi_min = float(phi.min())
+    if pot.min_point is not None:
+        phi_min = min(phi_min, pot.min_value())
     vol = grid.cell_volume
 
     # capacity check: the support {Phi < C} must stay off the boundary ring
@@ -165,11 +145,11 @@ def equilibrium_constant(
 
 @dataclass(frozen=True)
 class EquilibriumProfile:
-    """Stationary pressure (C_inf - Phi)_+ with its boundary point cloud."""
+    """Stationary pressure (C_inf - Phi)_+ with its (k, dim) boundary points."""
 
     c_inf: float
     pressure: Field
-    boundary: BoundarySet
+    boundary: np.ndarray
 
 
 def equilibrium_profile(
@@ -185,19 +165,18 @@ def equilibrium_profile(
     if np.any(ring(u, 1) > 0.0):
         raise DomainTooSmallError("equilibrium support reaches the box edge")
     pressure = Field(grid, u, FieldVariable.PRESSURE, m)
-    thresh = eps_fb if eps_fb is not None else default_support_threshold(pressure)
     return EquilibriumProfile(
-        c_inf=c, pressure=pressure, boundary=extract_boundary(pressure, thresh)
+        c_inf=c, pressure=pressure, boundary=extract_boundary(pressure, eps_fb)
     )
 
 
 def sublevel_shell_check(
-    bset: BoundarySet, pot: Potential, c_inf: float, eps: float
+    points: np.ndarray, pot: Potential, c_inf: float, eps: float
 ) -> bool:
-    """True iff every boundary point sits in the shell C_inf - eps <= Phi <= C_inf + eps."""
-    if bset.empty:
+    """True iff every point sits in the shell C_inf - eps <= Phi <= C_inf + eps."""
+    if len(points) == 0:
         raise EmptyBoundarySetError("shell check requires a nonempty boundary set")
-    vals = np.asarray(pot.eval(bset.points), dtype=float)
+    vals = np.asarray(pot.eval(points), dtype=float)
     return bool(np.all(vals >= c_inf - eps) and np.all(vals <= c_inf + eps))
 
 
@@ -214,23 +193,18 @@ class VelocitySample:
 def boundary_velocity(traj: Trajectory, eps_fb: float) -> list[VelocitySample]:
     """Normal-velocity estimates against the free-boundary law.
 
-    Velocity: nearest-point displacement between consecutive boundary sets,
+    Velocity: displacement from the nearest point of the previous boundary,
     projected on the outward normal, divided by the snapshot spacing.
     Law value: |grad u| + grad Phi . grad u / |grad u| with the pressure
-    gradient taken by one-sided differences a couple of cells inside the
-    support (grad u / |grad u| is the inward normal).  Residuals are
+    gradient taken by central differences a few up-gradient cells inside
+    the support (grad u / |grad u| is the inward normal).  Residuals are
     O(h + dt_snap) wherever the gradient stays away from zero.
     """
     if len(traj.snapshots) < 3:
         raise InvalidInputError("boundary_velocity needs at least 3 snapshots")
     cfg = traj.config
-    boundaries = []
-    gaps = []
-    for snap in traj.snapshots:
-        bset = extract_boundary(snap.field, eps_fb)
-        if bset.empty:
-            gaps.append(snap.t)
-        boundaries.append(bset)
+    boundaries = [extract_boundary(snap.field, eps_fb) for snap in traj.snapshots]
+    gaps = [snap.t for snap, b in zip(traj.snapshots, boundaries) if len(b) == 0]
     if gaps:
         raise BoundaryGapError(gaps)
 
@@ -241,16 +215,15 @@ def boundary_velocity(traj: Trajectory, eps_fb: float) -> list[VelocitySample]:
         cur = boundaries[k]
         dt_snap = snap.t - traj.snapshots[k - 1].t
         u = pressure_from_density(snap.field, cfg.m)
+        nearest = prev[np.argmin(_sq_distances(cur, prev), axis=1)]
         pts, vels, resids = [], [], []
-        for p in cur.points:
+        for p, q in zip(cur, nearest):
             found = _interior_gradient(u, p, eps_fb)
             if found is None:
                 continue
             grad, where = found
             norm = float(np.sqrt(np.sum(grad * grad)))
             n_hat = -grad / norm
-            diff = prev.points - p
-            q = prev.points[np.argmin(np.sum(diff * diff, axis=-1))]
             v_n = float(np.dot(p - q, n_hat)) / dt_snap
             # grad Phi sampled where grad u is sampled, so the two gradients
             # cancel coherently on near-stationary profiles
@@ -262,7 +235,7 @@ def boundary_velocity(traj: Trajectory, eps_fb: float) -> list[VelocitySample]:
         samples.append(
             VelocitySample(
                 t=snap.t,
-                points=np.asarray(pts) if pts else np.empty((0, cur.points.shape[1])),
+                points=np.asarray(pts) if pts else np.empty((0, cur.shape[1])),
                 normal_velocity=np.asarray(vels),
                 law_residual=np.asarray(resids),
             )
@@ -273,54 +246,37 @@ def boundary_velocity(traj: Trajectory, eps_fb: float) -> list[VelocitySample]:
 def _interior_gradient(
     u: Field, p: np.ndarray, eps_fb: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """One-sided pressure gradient just inside the support near point p.
+    """Central-difference pressure gradient just inside the support near p.
 
-    Steps a couple of cells inward (away from the scheme's smeared collar)
-    before differencing.  Returns (gradient, stencil location) or None when
-    no usable interior stencil exists.
+    Starts at the cell nearest to p (kept off the outermost ring) and takes
+    up to 3 steps to its largest neighbour, in the order +axis0, -axis0,
+    +axis1, -axis1, while that rises; this leaves the scheme's smeared
+    collar before differencing.  Returns (gradient, stencil location) or
+    None when no usable interior stencil exists.
     """
     grid = u.grid
     v = u.values
     n = grid.n_cells
-    h = grid.h
 
-    if grid.dim == 1:
-        i = min(max(grid.index_of_coord(float(p[0])), 0), n - 1)
-        if grid.coord_of_index(i) > p[0] and i > 0:
-            i -= 1  # crossing lies between centers i and i+1
-        if i + 1 > n - 1:
-            return None
-        left_inside = v[i] > v[min(i + 1, n - 1)]
-        for inset in (2, 1, 0):
-            if left_inside:
-                b = i - inset
-                a = b - 1
-            else:
-                a = i + 1 + inset
-                b = a + 1
-            if 0 <= a and b <= n - 1 and v[a] > eps_fb and v[b] > eps_fb:
-                mid = 0.5 * (grid.coord_of_index(a) + grid.coord_of_index(b))
-                return np.array([(v[b] - v[a]) / h]), np.array([mid])
-        return None
+    def clamp(cell):
+        return tuple(min(max(i, 1), n - 2) for i in cell)
 
-    # 2D: walk up-gradient from the nearest cell, then central differences
-    i = min(max(grid.index_of_coord(float(p[0])), 1), n - 2)
-    j = min(max(grid.index_of_coord(float(p[1])), 1), n - 2)
+    def shifted(cell, axis, step):
+        return tuple(i + step if a == axis else i for a, i in enumerate(cell))
+
+    cell = clamp(grid.index_of_coord(float(x)) for x in p)
+    moves = [(axis, step) for axis in range(grid.dim) for step in (1, -1)]
     for _ in range(3):
-        neighbors = [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
-        best = max(neighbors, key=lambda ij: v[ij])
-        if v[best] <= v[i, j]:
+        best = max((shifted(cell, *mv) for mv in moves), key=lambda c: v[c])
+        if v[best] <= v[cell]:
             break
-        i, j = min(max(best[0], 1), n - 2), min(max(best[1], 1), n - 2)
-    if v[i, j] <= eps_fb:
+        cell = clamp(best)
+    if v[cell] <= eps_fb:
         return None
-    grad = np.array(
-        [
-            (v[i + 1, j] - v[i - 1, j]) / (2.0 * h),
-            (v[i, j + 1] - v[i, j - 1]) / (2.0 * h),
-        ]
-    )
+    grad = np.array([
+        (v[shifted(cell, axis, 1)] - v[shifted(cell, axis, -1)]) / (2.0 * grid.h)
+        for axis in range(grid.dim)
+    ])
     if np.all(grad == 0.0):
         return None
-    where = np.array([grid.coord_of_index(i), grid.coord_of_index(j)])
-    return grad, where
+    return grad, np.array([grid.coord_of_index(i) for i in cell])

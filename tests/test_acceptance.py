@@ -308,10 +308,29 @@ def test_criterion_9_velocity_law():
         assert samples
         worst = max(float(np.max(np.abs(s.law_residual)))
                     for s in samples if s.law_residual.size)
-        # frozen calibration: measured 0.11 (h + dt_snap) at this resolution
+        # frozen calibration: measured 0.18 (h + dt_snap) at this resolution
         assert worst <= 1.0 * (h + dt_snap)
         # the velocity itself tracks the hand-differentiated radius speed
         for s in samples:
             if s.normal_velocity.size:
                 rdot = BB.boundary_speed(s.t - 0.5 * dt_snap)
                 assert np.max(np.abs(s.normal_velocity - rdot)) <= 2.0 * (h + dt_snap)
+
+
+def test_criterion_9b_velocity_law_2d():
+    with criterion(9, "(b) free-boundary velocity law on a 2D Barenblatt run"):
+        spec = BarenblattSpec(m=2.0, d=2, tau=1.0, C=0.25)
+        h = dt_snap = 0.05
+        grid = Grid(dim=2, h=h, extent=2.5)
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(2), t_end=0.5,
+                           snapshot_every=dt_snap)
+        traj = simulate(barenblatt_density(grid, spec), cfg)
+        eps_fb = default_support_threshold(traj.final.field)
+        samples = boundary_velocity(traj, eps_fb=eps_fb)
+        assert all(s.law_residual.size for s in samples)
+        worst = max(float(np.max(np.abs(s.law_residual))) for s in samples)
+        # same bounds as the 1D criterion; measured 0.57 (h + dt_snap)
+        assert worst <= 1.0 * (h + dt_snap)
+        for s in samples:
+            rdot = spec.boundary_speed(s.t - 0.5 * dt_snap)
+            assert np.max(np.abs(s.normal_velocity - rdot)) <= 2.0 * (h + dt_snap)

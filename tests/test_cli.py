@@ -157,6 +157,8 @@ BAD_CONFIGS = {
                                    "physics.potential.coefficients"),
     "polynomial-min-point-number": ("simulate", polynomial_config(min_point=3),
                                     "physics.potential.min_point"),
+    "polynomial-min-point-two-entries": ("simulate", polynomial_config(
+        min_point=[0.0, 7.0]), "physics.potential"),
     "polynomial-convexity-string": ("simulate", polynomial_config(strictly_convex="no"),
                                     "physics.potential.strictly_convex"),
     "equilibrium-offset-zero-potential": ("simulate", {

@@ -17,7 +17,8 @@ import pytest
 
 import pmed.cli
 import pmed.solver
-from pmed.core import Field, FieldVariable, Grid, make_zero_potential
+from pmed.core import (Field, FieldVariable, Grid, make_quadratic_potential,
+                       make_zero_potential)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,6 +47,21 @@ def test_solver_replay_names():
                                    t_end=1.0, snapshot_every=1.0)
     rep = pmed.solver.step_density_report(rho, cfg, pmed.solver.cfl_dt(rho, cfg))
     assert isinstance(rep.field, Field)
+
+
+def test_trace_counts_read_real_results():
+    # freeboundary.boundary_points and hausdorff_pairs are read off these
+    counts = load_perfbench("tracing")._call_counts
+    grid = Grid(dim=2, h=0.05, extent=1.0)
+    pot = make_quadratic_potential(1.0, dim=2)
+    prof = pmed.cli.equilibrium_profile(0.05, pot, 2.0, grid)
+    b = pmed.cli.extract_boundary(prof.pressure)
+    d = pmed.cli.hausdorff(b, prof.boundary)
+    k, l = b.shape[0], prof.boundary.shape[0]
+    assert k > 0 and l > 0
+    assert counts("equilibrium_profile")((0.05, pot, 2.0, grid), prof) == {"points": l}
+    assert counts("extract_boundary")((prof.pressure,), b) == {"points": k}
+    assert counts("hausdorff")((b, prof.boundary), d) == {"pairs": k * l}
 
 
 WORKLOADS = load_perfbench("workloads")
