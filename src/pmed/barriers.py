@@ -32,7 +32,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import Potential, level_crossings
+from .core import Potential, dot_last, level_crossings
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -174,7 +174,7 @@ BarrierSpec = Union[BarenblattSpec, SphericalWaveSpec, RescaledBarrierSpec]
 
 def _radii(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return np.sqrt(np.sum(x * x, axis=-1))
+    return np.sqrt(dot_last(x, x))
 
 
 def barenblatt(x: np.ndarray, t: float, spec: BarenblattSpec) -> np.ndarray:
@@ -183,7 +183,7 @@ def barenblatt(x: np.ndarray, t: float, spec: BarenblattSpec) -> np.ndarray:
     if s <= 0.0:
         raise InvalidTimeError(f"t + tau must be > 0, got {s}")
     x = np.asarray(x, dtype=float)
-    r2 = np.sum(x * x, axis=-1)
+    r2 = dot_last(x, x)
     return np.maximum(spec.C * s ** (2.0 * spec.lam) - spec.K * r2, 0.0) / s
 
 
@@ -217,7 +217,7 @@ def _ball_extremized(w: Evaluable, alpha: float, sign: float) -> Evaluable:
         radius = alpha * (1.0 - min(t, 1.0))
         # w is radial and monotone in |x|: its ball extrema lie at the points nearest
         # to and farthest from the origin (x is scaled so |x|^2 cannot under/overflow)
-        s = np.max(np.abs(x), axis=-1, keepdims=True)
+        s = np.maximum(np.abs(x[..., :1]), np.abs(x[..., -1:]))  # max |x_k|: d is 1 or 2
         x1 = np.where(s > 0.0, x / np.where(s > 0.0, s, 1.0), np.eye(x.shape[-1])[0])
         n1 = _radii(x1)[..., None]
         near = w(x - np.minimum(radius, s * n1) * (x1 / n1), t)
@@ -259,7 +259,7 @@ def hyperbolic_rescale(w: Evaluable, spec: RescaleSpec) -> Evaluable:
                 f"t = {t} outside [{spec.t0 - a}, {spec.t0}] for alpha = {a}"
             )
         rel = x - x0
-        if np.any(np.sum(rel * rel, axis=-1) > a * a * (1.0 + 1e-9)):
+        if np.any(dot_last(rel, rel) > a * a * (1.0 + 1e-9)):
             raise OutOfCylinderError(f"points outside the ball of radius {a} around {spec.x0}")
         return a * w((rel + b * dt) / a, dt / a)
 
@@ -388,15 +388,10 @@ def _derivatives(
         gp = pot.grad(pts + e)[..., k]
         gm = pot.grad(pts - e)[..., k]
         lap_phi += (gp - gm) / (2.0 * h_s)
-    transport = np.sum(grad * pot.grad(pts), axis=-1)  # grad u . grad Phi
-    r_int = (
-        u_t
-        - (m - 1.0) * u0 * lap
-        - np.sum(grad * grad, axis=-1)
-        - transport
-        - (m - 1.0) * u0 * lap_phi
-    )
-    grad_norm = np.sqrt(np.sum(grad * grad, axis=-1))
+    transport = dot_last(grad, pot.grad(pts))  # grad u . grad Phi
+    grad_sq = dot_last(grad, grad)
+    r_int = u_t - (m - 1.0) * u0 * lap - grad_sq - transport - (m - 1.0) * u0 * lap_phi
+    grad_norm = np.sqrt(grad_sq)
     rate = u_t - grad_norm**2 - transport
     return u0, r_int, rate, grad_norm
 

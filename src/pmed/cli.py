@@ -392,15 +392,21 @@ def _write_rows(path: str, header: list[str], rows):
 # command runners
 
 
-def _snapshot_rows(t: float, ax: np.ndarray, rho: np.ndarray, u: np.ndarray):
-    for x, r, p in zip(itertools.product(ax, repeat=rho.ndim), rho.ravel(), u.ravel()):
-        yield (t, *x, r, p)
+def _write_snapshot(fh, t: float, ax: list[str], rho: np.ndarray, u: np.ndarray):
+    """Rows ``t,x[,y],rho,u`` of one snapshot as _write_lines would write them,
+    from the formatted axis centers ``ax``; one write per line of cells."""
+    t = repr(float(t))
+    for pre, r_row, p_row in zip(itertools.product(ax, repeat=rho.ndim - 1),
+                                 rho.reshape(-1, len(ax)), u.reshape(-1, len(ax))):
+        head = ",".join((t, *pre))
+        fh.write("".join(f"{head},{x},{r!r},{p!r}\n"
+                         for x, r, p in zip(ax, r_row.tolist(), p_row.tolist())))
 
 
 def _run_simulate(cfg: dict, stage: _Stage) -> int:
     traj = simulate(cfg["initial"], cfg["solver"])
     grid = cfg["grid"]
-    ax = grid.axis_centers()
+    ax = list(map(repr, grid.axis_centers().tolist()))  # as _fmt writes them, once
     with contextlib.ExitStack() as files:
         csv = ndjson = None
         if "csv" in cfg["formats"]:
@@ -412,7 +418,7 @@ def _run_simulate(cfg: dict, stage: _Stage) -> int:
             rho = snap.field.values
             u = pressure_from_density(snap.field, traj.config.m).values
             if csv:
-                _write_lines(csv, _snapshot_rows(snap.t, ax, rho, u))
+                _write_snapshot(csv, snap.t, ax, rho, u)
             if ndjson:
                 ndjson.write(json.dumps({"t": snap.t, "rho": rho.tolist(),
                                          "u": u.tolist()}) + "\n")

@@ -30,6 +30,7 @@ __all__ = [
     "pressure_from_density",
     "density_from_pressure",
     "integrate",
+    "dot_last",
     "ring",
     "level_crossings",
     "make_quadratic_potential",
@@ -139,6 +140,17 @@ class Field:
         return float(self.values.max())
 
 
+def dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.sum(a * b, axis=-1)``, bit for bit, for a last axis shorter than 8:
+    numpy's reduce adds the products in axis order onto +0.0 (added last here,
+    where it only turns a -0.0 sum into +0.0), without the reduce's overhead."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    out += 0.0
+    return out
+
+
 def ring(values: np.ndarray, width: int) -> np.ndarray:
     """Values of the outermost ``width`` cell rings of a 1D or 2D array.
 
@@ -232,7 +244,7 @@ def make_quadratic_potential(a: float, dim: int = 1) -> Potential:
 
     def _eval(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return a * np.sum(x * x, axis=-1)
+        return a * dot_last(x, x)
 
     def _grad(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -48,15 +48,15 @@ __all__ = [
 
 
 def default_support_threshold(f: Field) -> float:
-    """Grid-scale default for the support threshold: 10 h ||f||_inf / L."""
-    return 10.0 * f.grid.h * f.max() / f.grid.extent
+    """Grid-scale threshold min(10 h |f|_inf / L, |f|_inf / 2); the cap serves coarse grids."""
+    return min(10.0 * f.grid.h * f.max() / f.grid.extent, 0.5 * f.max())
 
 
 def extract_boundary(f: Field, eps_fb: float | None = None) -> np.ndarray:
     """Crossing points of the eps_fb level between adjacent cell centers.
 
-    The threshold defaults to the grid scale (10 h ||f||_inf / L); the
-    scheme smears the support edge over a few cells, so thresholds well
+    The threshold defaults to the grid scale of default_support_threshold;
+    the scheme smears the support edge over a few cells, so thresholds well
     below that scale probe the numerical tail rather than the front.
     Returns the points as a (k, dim) array, empty (not an error) when the
     field never exceeds the threshold.  Point ordering is deterministic:
@@ -86,10 +86,10 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 
-def _discrete_mass(c: float, phi: np.ndarray, m: float, cell_volume: float) -> float:
-    u = np.maximum(c - phi, 0.0)
-    rho = np.power(((m - 1.0) / m) * u, 1.0 / (m - 1.0))
-    return cell_volume * float(np.sum(rho))
+def _discrete_mass(c: float, phi: np.ndarray, m: float, vol: float, out=None) -> float:
+    u = np.maximum(np.subtract(c, phi, out=out), 0.0, out=out)
+    rho = np.power(np.multiply((m - 1.0) / m, u, out=out), 1.0 / (m - 1.0), out=out)
+    return vol * float(np.sum(rho))
 
 
 def equilibrium_constant(
@@ -114,24 +114,24 @@ def equilibrium_constant(
     phi_min = float(phi.min())
     if pot.min_point is not None:
         phi_min = min(phi_min, pot.min_value())
-    vol = grid.cell_volume
+    buf = np.empty_like(phi)  # for _discrete_mass: no grid-sized temporaries per step
 
     # capacity check: the support {Phi < C} must stay off the boundary ring
     c_cap = float(ring(phi, 1).min())
-    if _discrete_mass(c_cap, phi, m, vol) < target_mass:
+    if _discrete_mass(c_cap, phi, m, grid.cell_volume, buf) < target_mass:
         raise DomainTooSmallError(
             f"target mass {target_mass} needs a level beyond the box capacity"
         )
 
     lo, hi = phi_min, phi_min + 1.0
-    while _discrete_mass(hi, phi, m, vol) < target_mass:
+    while _discrete_mass(hi, phi, m, grid.cell_volume, buf) < target_mass:
         lo = hi
         hi = phi_min + 2.0 * (hi - phi_min)
     hi = min(hi, c_cap)
     tol = 1e-10 * target_mass
     for _ in range(400):
         mid = 0.5 * (lo + hi)
-        value = _discrete_mass(mid, phi, m, vol)
+        value = _discrete_mass(mid, phi, m, grid.cell_volume, buf)
         if abs(value - target_mass) <= tol:
             return mid
         if value < target_mass:

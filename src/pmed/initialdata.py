@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .barriers import BarenblattSpec, barenblatt
-from .core import Field, FieldVariable, Grid, Potential, density_from_pressure, ring
+from .core import Field, FieldVariable, Grid, Potential, density_from_pressure, dot_last, ring
 from .errors import DomainTooSmallError, InvalidInputError
 from .freeboundary import equilibrium_profile
 
@@ -33,7 +33,7 @@ def bump_density(
             f"center must have 1 or dim = {grid.dim} entries, got {center!r}"
         )
     pts = grid.centers()
-    r2 = np.sum((pts - c) ** 2, axis=-1)
+    r2 = dot_last(pts - c, pts - c)
     prof = np.maximum(1.0 - r2 / width**2, 0.0)
     values = amplitude * prof * prof
     if np.any(ring(r2, 2) <= width**2):

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Field, FieldVariable, Grid, Potential, ring
+from .core import Field, FieldVariable, Grid, Potential, dot_last, ring
 from .errors import (
     DomainOverflowError,
     InvalidInputError,
@@ -139,7 +139,7 @@ class _DriftContext:
         phi = np.asarray(potential.eval(grid.centers()), dtype=float)
         self.g = tuple(np.diff(phi, axis=a) / grid.h for a in range(grid.dim))
         grad = np.asarray(potential.grad(grid.centers()), dtype=float)
-        self.grad_norms = np.sqrt(np.sum(grad * grad, axis=-1))
+        self.grad_norms = np.sqrt(dot_last(grad, grad))
 
 
 @lru_cache(maxsize=32)
@@ -324,7 +324,7 @@ def weak_residual(traj: Trajectory, phi: SpaceTimeTestFunction) -> float:
         integrand = (
             rho * phi.dt(pts, t)
             + np.power(rho, cfg.m) * phi.lap(pts, t)
-            - rho * np.sum(g_phi * phi.grad(pts, t), axis=-1)
+            - rho * dot_last(g_phi, phi.grad(pts, t))
         )
         interior_terms.append(vol * float(np.sum(integrand)))
 

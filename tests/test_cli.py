@@ -1,10 +1,15 @@
 import copy
+import io
+import itertools
 import json
 import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmed.cli
 from pmed.cli import main, parse_config
@@ -257,6 +262,43 @@ class TestSimulateCommand:
         assert os.listdir(out) == []
 
 
+def reference_rows(t, ax, rho, u):
+    """The rows of the earlier snapshot writer, each value formatted by _fmt."""
+    for x, r, p in zip(itertools.product(ax, repeat=rho.ndim), rho.ravel(), u.ravel()):
+        yield (t, *x, r, p)
+
+
+# signed zeros, subnormals, and magnitudes 1e-300..1e300
+CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e-310]),
+    st.builds(lambda sign, mant, exp: sign * mant * 10.0**exp,
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-300, 299)),
+)
+
+
+@st.composite
+def snapshot_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 7))
+    ax = np.array(draw(st.lists(st.floats(-1e3, 1e3, width=64), min_size=n, max_size=n)))
+    rho, u = (np.array(draw(st.lists(CSV_VALUES, min_size=n**dim, max_size=n**dim)))
+              .reshape((n,) * dim) for _ in range(2))
+    t = draw(st.floats(0.0, 1e6))
+    return (np.float64(t) if draw(st.booleans()) else t), ax, rho, u
+
+
+class TestSnapshotWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot_cases())
+    def test_matches_per_value_rows(self, case):
+        t, ax, rho, u = case
+        want = io.StringIO()
+        pmed.cli._write_lines(want, reference_rows(t, ax, rho, u))
+        got = io.StringIO()
+        pmed.cli._write_snapshot(got, t, list(map(repr, ax.tolist())), rho, u)
+        assert got.getvalue() == want.getvalue()
+
+
 class TestEquilibriumCommand:
     def test_analytic_value(self, tmp_path, capsys):
         data = {
@@ -442,6 +484,20 @@ class TestConvergenceCommand:
         assert err == ["pmed: error: BoundaryGapError: "
                        "empty support boundary at t = 0, 0.1, 0.2"]
         assert os.listdir(out) == []
+
+    def test_default_threshold_on_a_coarse_grid(self, tmp_path):
+        # 20 cells per axis: 10 h max / L is the maximum itself, so only the
+        # cap at max / 2 leaves a boundary to measure
+        data = self.base()
+        data["grid"] = {"dim": 1, "L": 1.0, "h": 0.1}
+        data["physics"]["potential"] = {"kind": "quadratic", "a": 4.0}
+        data["solver"] = {"t_end": 0.2, "snapshot_every": 0.1}
+        data["initial"] = {"kind": "bump", "amplitude": 0.5, "width": 0.5}
+        del data["convergence"]
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfgp, "--out", str(out)]) == 0
+        assert len((out / "hausdorff.csv").read_text().splitlines()) == 4
 
 
 class TestEnvironment:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -10,6 +10,7 @@ from pmed.core import (
     Grid,
     integrate,
     density_from_pressure,
+    dot_last,
     level_crossings,
     make_polynomial_potential,
     make_quadratic_potential,
@@ -145,6 +146,47 @@ class TestLevelCrossings:
             level_crossings(v, (ax, ax), 0.5),
             [[0.5, 1.0], [1.5, 1.0], [1.0, 0.5], [1.0, 1.5]],
         )
+
+
+# signed zeros, subnormals, and magnitudes 1e-150..1e150 (products stay finite)
+DOT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]),
+    st.builds(lambda sign, mant, exp: sign * mant * 10.0**exp,
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-150, 150)),
+)
+
+
+@st.composite
+def dot_operands(draw):
+    # a last axis of 3 or more is where the order of the additions shows:
+    # a sum of two terms is the same in either order
+    dim = draw(st.sampled_from([1, 2, 3, 7]))
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 4)),),
+                                 (draw(st.integers(1, 3)), draw(st.integers(1, 3)))]))
+    size = int(np.prod(lead + (dim,)))
+    a, b = (np.array(draw(st.lists(DOT_VALUES, min_size=size, max_size=size)))
+            .reshape(lead + (dim,)) for _ in range(2))
+    return a, a if draw(st.booleans()) else b
+
+
+class TestDotLast:
+    @settings(max_examples=400, deadline=None)
+    @given(dot_operands())
+    @example((np.array([-0.0]), np.array([1.0])))  # numpy sums onto +0.0: not -0.0
+    @example((np.array([[-0.0, 0.0], [-0.0, -0.0]]), np.array([[1.0, -1.0], [1.0, 2.0]])))
+    @example((np.array([1.0, 1e16, -1e16]), np.ones(3)))  # axis order: 0.0, reversed 1.0
+    def test_matches_numpy_sum(self, operands):
+        a, b = operands
+        want = np.asarray(np.sum(a * b, axis=-1))
+        got = np.asarray(dot_last(a, b))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_broadcasts_and_keeps_inputs(self):
+        a = np.arange(6.0).reshape(3, 2)
+        before = a.copy()
+        np.testing.assert_array_equal(dot_last(a, np.array([1.0, -1.0])), [-1.0, -1.0, -1.0])
+        np.testing.assert_array_equal(a, before)
 
 
 class TestTransforms:

@@ -82,6 +82,19 @@ class TestExtractBoundary:
         b2 = extract_boundary(f, 0.5)
         np.testing.assert_array_equal(b1, b2)
 
+    def test_default_threshold_on_a_coarse_grid(self):
+        # 2L/h = 20 cells: 10 h max / L equals the maximum, the cap is max / 2
+        g = Grid(dim=2, h=0.1, extent=1.0)
+        prof = equilibrium_profile(0.05, make_quadratic_potential(1.0, dim=2), 2.0, g)
+        assert default_support_threshold(prof.pressure) == 0.5 * prof.pressure.max()
+        assert len(prof.boundary) > 0
+
+    def test_default_threshold_on_a_fine_grid(self):
+        g = Grid(dim=1, h=0.05, extent=4.0)
+        u = Field(g, barenblatt(g.centers(), 0.0, BarenblattSpec(2.0, 1, 1.0, 1.0)),
+                  FieldVariable.PRESSURE, 2.0)
+        assert default_support_threshold(u) == 10.0 * g.h * u.max() / g.extent
+
 
 class TestHausdorff:
     def test_identical(self):

@@ -1,0 +1,157 @@
+"""Paired before/after runs of perfbench for two checkouts of this repository.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
+        [--workloads NAME[:FIRST-LAST] ...] [--seeds 0 1 2] [--seconds 12]
+        [--trace-workloads NAME[:FIRST-LAST] ...] [--trace-seconds 12]
+
+Each checkout is measured by its own ``perfbench/run.py`` (the program under
+``DIR/src``).  For every workload and seed one pair of ``--trace 0`` runs is
+made, parent and change back to back; which of the two runs first alternates
+from pair to pair, so that a slow phase of a shared host does not always
+fall on the same side.  A workload given as ``NAME:FIRST-LAST`` runs the
+seeds FIRST..LAST instead of ``--seeds``.  The workloads named by
+``--trace-workloads`` also get ``--trace 1`` pairs, for the per-layer
+tables: at the first of ``--seeds``, or at the seeds of their own range.
+
+The output file holds, per pair, the normalized metrics perfbench prints,
+the raw (unnormalized) medians, the output digests and the failure count of
+both sides; per workload, the medians of each end-to-end metric over its
+pairs, and of a few per-layer metrics over its traced pairs.  perfbench
+itself is only run, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+END_TO_END = ("wall_s", "wall_s_tail", "setup_s", "peak_rss_mb")
+ENVIRONMENT = ("git_commit", "source_sha256", "python", "numpy", "nproc", "cpu")
+LAYERS = ("barriers.residual_s", "barriers.samples_per_s", "cli.self_s",
+          "cli.write_mb_per_s", "core.pressure_s", "solver.simulate_s")
+
+
+def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run of ``checkout``: its printed result plus the parts
+    of result.json that the printed line leaves out."""
+    argv = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
+            "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(argv, capture_output=True, text=True, cwd=checkout)
+    if done.returncode != 0 and not done.stdout.strip():
+        raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: "
+                           f"{done.stderr.strip()[-500:]}")
+    printed = json.loads(done.stdout.strip().splitlines()[-1])
+    run_dir = os.path.join(checkout, ".perfbench-out",
+                           f"{workload}-seed{seed}-trace{trace}")
+    with open(os.path.join(run_dir, "result.json")) as fh:
+        result = json.load(fh)
+    env = result.get("environment", {})
+    out = {
+        "environment": {k: env.get(k) for k in ENVIRONMENT},
+        "failed": printed["failed"],
+        "attempted": printed["attempted"],
+        "metrics": {k: v["value"] for k, v in printed["metrics"].items()},
+        "outputs": result.get("outputs"),
+    }
+    if trace:
+        out["self_time_table"] = result.get("self_time_table", {})
+    else:
+        out["raw"] = result.get("raw", {})
+    return out
+
+
+def pair(dirs: dict, workload: str, seed: int, seconds: float, trace: int,
+         index: int) -> dict:
+    order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+    row = {"workload": workload, "seed": seed, "trace": trace, "first": order[0]}
+    for side in order:
+        row[side] = run(dirs[side], workload, seed, seconds, trace)
+        print(f"{workload} seed {seed} trace {trace} {side}: "
+              + ", ".join(f"{k} {row[side]['metrics'].get(k, float('nan')):.4g}"
+                          for k in (END_TO_END if not trace else LAYERS)),
+              file=sys.stderr, flush=True)
+    row["outputs_identical"] = row["parent"]["outputs"] == row["change"]["outputs"]
+    return row
+
+
+def seeds_of(spec: str, default: list[int]) -> tuple[str, list[int]]:
+    """``NAME`` or ``NAME:FIRST-LAST`` -> (NAME, seeds)."""
+    workload, _, span = spec.partition(":")
+    first, _, last = span.partition("-")
+    return workload, list(range(int(first), int(last) + 1)) if span else default
+
+
+def summary(pairs: list[dict], keys: tuple[str, ...]) -> dict:
+    """Per workload: the median of each metric in ``keys`` on both sides,
+    their ratio, and in how many pairs the change was lower."""
+    out = {}
+    for workload in dict.fromkeys(p["workload"] for p in pairs):
+        rows = [p for p in pairs if p["workload"] == workload]
+        entry = {"pairs": len(rows),
+                 "outputs_identical": all(p["outputs_identical"] for p in rows),
+                 "failed": {s: sum(p[s]["failed"] for p in rows) for s in ("parent", "change")}}
+        for key in keys:
+            before = [p["parent"]["metrics"][key] for p in rows]
+            after = [p["change"]["metrics"][key] for p in rows]
+            b, a = statistics.median(before), statistics.median(after)
+            entry[key] = {
+                "parent_median": b,
+                "change_median": a,
+                "ratio": a / b if b else None,
+                "change_lower_in": sum(x < y for x, y in zip(after, before)),
+            }
+        out[workload] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--workloads", nargs="+", default=[
+        "simulate-2d-output", "converge-2d-fine", "compare-1d-long", "verify-barriers-2d"])
+    parser.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2])
+    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--trace-workloads", nargs="*", default=[])
+    parser.add_argument("--trace-seconds", type=float, default=12.0)
+    args = parser.parse_args(argv)
+    dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+
+    pairs, traced, index = [], [], 0
+    for specs, trace, seconds, default, rows in (
+            (args.workloads, 0, args.seconds, args.seeds, pairs),
+            (args.trace_workloads, 1, args.trace_seconds, args.seeds[:1], traced)):
+        for spec in specs:
+            workload, seeds = seeds_of(spec, default)
+            for seed in seeds:
+                rows.append(pair(dirs, workload, seed, seconds, trace, index))
+                index += 1
+
+    environment = {}  # recorded once per side, not per run
+    for row in pairs + traced:
+        for side in ("parent", "change"):
+            environment.setdefault(side, row[side].pop("environment"))
+    record = {
+        "environment": environment,
+        "seeds": args.seeds,
+        "seconds": args.seconds,
+        "trace_seconds": args.trace_seconds,
+        "summary": summary(pairs, END_TO_END),
+        "trace_summary": summary(traced, LAYERS),
+        "pairs": pairs,
+        "trace_pairs": traced,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
