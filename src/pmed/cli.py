@@ -100,7 +100,6 @@ _REAL = _number()
 _POSITIVE = _number(lo=0.0)
 _EXPONENT = _number(lo=1.0)
 _DIM = _one_of(1, 2)
-_BOOL = _leaf(lambda v: isinstance(v, bool), "a boolean")
 _STR = _leaf(lambda v: isinstance(v, str), "a string")
 _NUMBERS = _leaf(_is_numbers, "a nonempty list of numbers", _floats)
 _POINT = _leaf(lambda v: _is_number(v) or _is_numbers(v),
@@ -109,9 +108,7 @@ _POINT = _leaf(lambda v: _is_number(v) or _is_numbers(v),
 _POTENTIAL = _Kinds({
     "quadratic": {"a": (REQUIRED, _POSITIVE)},
     "zero": {},
-    "polynomial": {"coefficients": (REQUIRED, _NUMBERS),
-                   "strictly_convex": (False, _BOOL),
-                   "min_point": (None, _NUMBERS)},
+    "polynomial": {"coefficients": (REQUIRED, _NUMBERS)},
 })
 _INITIAL = _Kinds({
     "barenblatt": {"tau": (REQUIRED, _POSITIVE), "C": (REQUIRED, _POSITIVE),
@@ -232,7 +229,7 @@ def _potential(p: dict, dim: int) -> Potential:
         return make_zero_potential(dim)
     if dim != 1:
         raise InvalidParameterError("polynomial potentials are 1D only")
-    return make_polynomial_potential(p["coefficients"], p["strictly_convex"], p["min_point"])
+    return make_polynomial_potential(p["coefficients"])
 
 
 def _initial(b: dict, grid: Grid, m: float, pot: Potential) -> Field:
@@ -267,10 +264,10 @@ def _barrier_job(idx: int, b: dict, potential: dict) -> _BarrierJob:
             raise InvalidParameterError(f"{key} has {len(v)} entries, but d = {base.d}")
     pot = _potential(potential, base.d)
     if "base" in b:
-        drift = b["drift"]
-        if drift is None:
-            drift = tuple(np.atleast_1d(pot.grad(np.asarray(b["x0"]))).tolist())
-        c_pert = b["C_pert"] if b["C_pert"] is not None else pot.hessian_bound + 1.0
+        # defaults: the drift grad Phi(x0), and C_pert 1 + Phi's curvature on |x - x0| <= a
+        x0, a = np.asarray(b["x0"]), b["alpha"]
+        drift = b["drift"] if b["drift"] is not None else tuple(pot.grad(x0).tolist())
+        c_pert = b["C_pert"] if b["C_pert"] is not None else pot.hessian_bound(x0 - a, x0 + a) + 1.0
         spec = bar.RescaledBarrierSpec(base=base, rescale=bar.RescaleSpec(
             alpha=b["alpha"], x0=b["x0"], t0=b["t0"], drift=drift, C_pert=c_pert))
     label = b["label"] if b["label"] is not None else f"{b['kind']}-{idx}"

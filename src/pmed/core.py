@@ -14,13 +14,14 @@ fixed traversal order, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidExponentError, InvalidInputError, InvalidParameterError
+from .errors import (InvalidExponentError, InvalidInputError, InvalidParameterError,
+                     UnsupportedPotentialError)
 
 __all__ = [
     "Grid",
@@ -214,106 +215,126 @@ def integrate(f: Field) -> float:
     return f.grid.cell_volume * float(np.sum(f.values))
 
 
+def _horner(c: Sequence[float], x: np.ndarray) -> np.ndarray:
+    """The polynomial with ascending coefficients ``c`` at every entry of the
+    float array ``x``, by Horner's rule."""
+    out = np.full_like(x, c[-1])
+    for ck in c[-2::-1]:
+        out *= x
+        out += ck
+    return out
+
+
+def _derivative(c: Sequence[float]) -> tuple[float, ...]:
+    return tuple(k * ck for k, ck in enumerate(c))[1:] or (0.0,)
+
+
+_BIG = float(np.finfo(float).max)  # the real line, as far as floats reach
+
+
+def _ordered(i: np.ndarray) -> np.ndarray:
+    """Int64 bit patterns of floats to integers in the floats' order, and back."""
+    return i ^ ((i >> 63) & 0x7FFFFFFFFFFFFFFF)
+
+
+def _roots(c: Sequence[float], lo: float, hi: float) -> np.ndarray:
+    """Real roots of the polynomial ``c`` in [lo, hi], each to one ulp.  Each
+    derivative of c is monotone between roots of the next, so each such piece
+    holds at most one root: 64 halvings in the floats' order reach it."""
+    chain = [c]
+    while any(chain[-1][1:]):
+        chain.append(_derivative(chain[-1]))
+    roots = np.empty(0)
+    for q in chain[-2::-1]:
+        ends = np.concatenate(([lo], roots, [hi]))
+        s = np.sign(_horner(q, ends))
+        has = s[:-1] * s[1:] <= 0
+        sign_a = s[:-1][has]
+        a, b = (_ordered(e[has].view(np.int64)) for e in (ends[:-1], ends[1:]))
+        for _ in range(64):
+            mid = (a >> 1) + (b >> 1) + (a & b & 1)
+            left = np.sign(_horner(q, _ordered(mid).view(float))) == sign_a
+            a, b = np.where(left, mid, a), np.where(left, b, mid)
+        roots = _ordered(a).view(float)
+    return roots
+
+
+def _extrema(c: Sequence[float], lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The polynomial ``c`` at every point of [lo, hi] where it can take an
+    extremum on it (the ends and the real roots of c' between them), and the
+    size sum_k |c_k x^k| of its terms there."""
+    with np.errstate(over="ignore"):
+        x = np.concatenate(([lo, hi], _roots(_derivative(c), lo, hi)))
+        return _horner(c, x), _horner(np.abs(c), np.abs(x))
+
+
 @dataclass(frozen=True)
 class Potential:
-    """Drift potential as evaluable value/gradient plus coarse metadata.
+    """Drift potential Phi(x) = sum_k p(x_k) over ``dim`` axes, for the
+    polynomial p with ascending ``coefficients``; hashed and compared by value.
 
-    ``eval`` maps points of shape (..., dim) to values of shape (...);
-    ``grad`` maps the same points to gradients of shape (..., dim).
-    ``hessian_bound`` is an upper bound for the Hessian norm on the box and
-    ``min_point`` locates the global minimum when the potential is strictly
-    convex (stored as a tuple so potentials stay hashable).
-    """
+    ``eval`` maps points (..., dim) to values (...).  ``grad`` applies p' to
+    every entry, so it maps points to gradients (..., dim), and coordinates
+    along one axis to that partial derivative.  Convexity, the minimum and
+    Hessian bounds are computed from the coefficients."""
 
-    eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    grad: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    hessian_bound: float
-    strictly_convex: bool
-    min_point: tuple[float, ...] | None = None
+    coefficients: tuple[float, ...]
+    dim: int = 1
+
+    def __post_init__(self):
+        c = tuple(map(float, self.coefficients))
+        if not c:
+            raise InvalidParameterError("need at least one polynomial coefficient")
+        object.__setattr__(self, "coefficients", c)
+
+    def eval(self, x) -> np.ndarray:
+        v = _horner(self.coefficients, np.asarray(x, dtype=float))
+        out = v[..., 0]
+        for k in range(1, v.shape[-1]):
+            out = out + v[..., k]
+        return out
+
+    def grad(self, x) -> np.ndarray:
+        return _horner(_derivative(self.coefficients), np.asarray(x, dtype=float))
+
+    @property
+    def strictly_convex(self) -> bool:
+        """p'' >= 0 on R, to rounding at the real roots of p''', and p'' != 0."""
+        d2 = _derivative(_derivative(self.coefficients))
+        deg = max((k for k, ck in enumerate(d2) if ck), default=-1)
+        if deg < 0 or deg % 2 or d2[deg] < 0:
+            return False
+        v, size = _extrema(d2, -_BIG, _BIG)
+        return bool(np.all(v >= -8.0 * np.finfo(float).eps * size))
 
     def min_value(self) -> float:
-        if self.min_point is None:
-            raise InvalidInputError("potential has no recorded minimum point")
-        return float(self.eval(np.asarray(self.min_point, dtype=float)))
+        """Global minimum dim * min p, taken at a real root of p'."""
+        if not self.strictly_convex:
+            raise UnsupportedPotentialError(
+                f"needs a strictly convex potential, got coefficients {self.coefficients}"
+            )
+        return self.dim * float(_extrema(self.coefficients, -_BIG, _BIG)[0].min())
+
+    def hessian_bound(self, lo, hi) -> float:
+        """Sum over the axes of max |p''| on [lo_k, hi_k], each maximum exact
+        up to rounding: a bound on the Hessian norm on that box."""
+        d2 = _derivative(_derivative(self.coefficients))
+        lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (self.dim,)) for v in (lo, hi))
+        return float(sum(np.abs(_extrema(d2, a, b)[0]).max() for a, b in zip(lo, hi)))
 
 
 def make_quadratic_potential(a: float, dim: int = 1) -> Potential:
-    """Phi(x) = a |x|^2 with gradient 2 a x; strictly convex, minimum at 0."""
+    """Phi(x) = a |x|^2, so p = a x^2; strictly convex, minimum at 0."""
     if not a > 0:
         raise InvalidParameterError(f"quadratic coefficient must be > 0, got {a}")
-
-    def _eval(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return a * dot_last(x, x)
-
-    def _grad(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return 2.0 * a * x
-
-    return Potential(
-        eval=_eval,
-        grad=_grad,
-        hessian_bound=2.0 * a * dim,
-        strictly_convex=True,
-        min_point=(0.0,) * dim,
-    )
+    return Potential((0.0, 0.0, a), dim)
 
 
 def make_zero_potential(dim: int = 1) -> Potential:
     """Phi = 0: no drift, not strictly convex."""
-
-    def _eval(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    def _grad(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape)
-
-    return Potential(eval=_eval, grad=_grad, hessian_bound=0.0, strictly_convex=False)
+    return Potential((0.0,), dim)
 
 
-def make_polynomial_potential(
-    coefficients: Sequence[float],
-    strictly_convex: bool = False,
-    min_point: tuple[float, ...] | None = None,
-) -> Potential:
-    """One-dimensional polynomial Phi(x) = sum_k c_k x^k.
-
-    Convexity cannot be inferred cheaply for arbitrary coefficients, so the
-    caller declares it (and then the minimum location, if known, as a
-    1-entry ``min_point``).
-    """
-    coeffs = [float(c) for c in coefficients]
-    if len(coeffs) < 1:
-        raise InvalidParameterError("need at least one polynomial coefficient")
-    if min_point is not None and len(min_point) != 1:
-        raise InvalidParameterError(f"min_point must have 1 entry, got {len(min_point)}")
-    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
-
-    def _eval(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        s = x[..., 0]
-        out = np.zeros_like(s)
-        for c in reversed(coeffs):
-            out = out * s + c
-        return out
-
-    def _grad(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        s = x[..., 0]
-        out = np.zeros_like(s)
-        for c in reversed(dcoeffs):
-            out = out * s + c
-        return out[..., None]
-
-    # crude but safe Hessian bound on |x| <= 10 for the second derivative
-    d2coeffs = [k * c for k, c in enumerate(dcoeffs)][1:] or [0.0]
-    hess = float(sum(abs(c) * 10.0**k for k, c in enumerate(d2coeffs)))
-    return Potential(
-        eval=_eval,
-        grad=_grad,
-        hessian_bound=hess,
-        strictly_convex=strictly_convex,
-        min_point=min_point,
-    )
+def make_polynomial_potential(coefficients: Sequence[float]) -> Potential:
+    """One-dimensional polynomial Phi(x) = sum_k c_k x^k."""
+    return Potential(tuple(coefficients))

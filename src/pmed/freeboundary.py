@@ -30,7 +30,6 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     PmedError,
-    UnsupportedPotentialError,
 )
 from .solver import Trajectory
 
@@ -99,21 +98,16 @@ def equilibrium_constant(
 
     Bisection on the discrete mass map M(C) (continuous and nondecreasing on
     a fixed grid); the bracket is grown geometrically from the lower of the
-    grid minimum of Phi and its recorded minimum, where M vanishes.  Runs to
-    |M(C) - target| <= 1e-10 target.
+    grid minimum of Phi and its computed minimum, where M vanishes.  Runs to
+    |M(C) - target| <= 1e-10 target.  Raises UnsupportedPotentialError
+    unless Phi is strictly convex.
     """
     if not target_mass > 0.0:
         raise InvalidParameterError(f"target_mass must be > 0, got {target_mass}")
     if not m > 1.0:
         raise InvalidParameterError(f"m must be > 1, got {m}")
-    if not pot.strictly_convex:
-        raise UnsupportedPotentialError(
-            "equilibrium profiles need a strictly convex potential"
-        )
     phi = np.asarray(pot.eval(grid.centers()), dtype=float)
-    phi_min = float(phi.min())
-    if pot.min_point is not None:
-        phi_min = min(phi_min, pot.min_value())
+    phi_min = min(float(phi.min()), pot.min_value())
     buf = np.empty_like(phi)  # for _discrete_mass: no grid-sized temporaries per step
 
     # capacity check: the support {Phi < C} must stay off the boundary ring
@@ -185,7 +179,6 @@ class VelocitySample:
     """Per-snapshot boundary kinematics: normal velocities and law defects."""
 
     t: float
-    points: np.ndarray
     normal_velocity: np.ndarray
     law_residual: np.ndarray
 
@@ -216,7 +209,7 @@ def boundary_velocity(traj: Trajectory, eps_fb: float) -> list[VelocitySample]:
         dt_snap = snap.t - traj.snapshots[k - 1].t
         u = pressure_from_density(snap.field, cfg.m)
         nearest = prev[np.argmin(_sq_distances(cur, prev), axis=1)]
-        pts, vels, resids = [], [], []
+        vels, resids = [], []
         for p, q in zip(cur, nearest):
             found = _interior_gradient(u, p, eps_fb)
             if found is None:
@@ -229,13 +222,11 @@ def boundary_velocity(traj: Trajectory, eps_fb: float) -> list[VelocitySample]:
             # cancel coherently on near-stationary profiles
             g_phi = np.asarray(cfg.potential.grad(where), dtype=float)
             law = norm + float(np.dot(g_phi, grad)) / norm
-            pts.append(p)
             vels.append(v_n)
             resids.append(v_n - law)
         samples.append(
             VelocitySample(
                 t=snap.t,
-                points=np.asarray(pts) if pts else np.empty((0, cur.shape[1])),
                 normal_velocity=np.asarray(vels),
                 law_residual=np.asarray(resids),
             )

@@ -239,8 +239,8 @@ def test_criterion_7c_rescaled_wave_under_drift():
         alpha = 0.1
         x0 = (1.05,)
         drift = tuple(np.atleast_1d(QUAD_1D.grad(np.asarray(x0))))
-        resc = RescaleSpec(alpha=alpha, x0=x0, t0=0.0, drift=drift,
-                           C_pert=QUAD_1D.hessian_bound + 1.0)
+        c_pert = QUAD_1D.hessian_bound((x0[0] - alpha,), (x0[0] + alpha,)) + 1.0
+        resc = RescaleSpec(alpha=alpha, x0=x0, t0=0.0, drift=drift, C_pert=c_pert)
         wave = SphericalWaveSpec(A=1.5, omega=1.7, B=0.55, R=1.0, m=2.0, d=1)
         assert wave.is_valid()
         cand = build_barrier(RescaledBarrierSpec(base=wave, rescale=resc))

@@ -88,6 +88,13 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(data), "verify-barriers")
         assert cfg["barriers"][0].spec.rescale.C_pert == 5.0
 
+    def test_default_c_pert_on_the_rescale_cylinder(self):
+        # |Phi''| = 6 |x| of Phi = x^3 reaches 120.6 on |x - 20| <= 0.1
+        data = rescaled_wave_config(x0=[20.0])
+        data["physics"]["potential"] = {"kind": "polynomial", "coefficients": [0, 0, 0, 1]}
+        cfg = parse_config(json.dumps(data), "verify-barriers")
+        assert cfg["barriers"][0].spec.rescale.C_pert == pytest.approx(121.6, rel=1e-12)
+
     @pytest.mark.parametrize("potential,overrides,message", [
         ({"kind": "zero"}, {"x0": [0.5]}, "x0 has 1 entries, but d = 2"),
         ({"kind": "zero"}, {"x0": [0.5, 0.0], "drift": [0.0]}, "drift has 1 entries, but d = 2"),
@@ -160,12 +167,8 @@ BAD_CONFIGS = {
         {"kind": "barenblatt", "tau": 1.0, "C": 0.5, "t": -2.0}), "initial"),
     "polynomial-no-coefficients": ("simulate", polynomial_config(coefficients=[]),
                                    "physics.potential.coefficients"),
-    "polynomial-min-point-number": ("simulate", polynomial_config(min_point=3),
+    "polynomial-declared-minimum": ("simulate", polynomial_config(min_point=[-0.05]),
                                     "physics.potential.min_point"),
-    "polynomial-min-point-two-entries": ("simulate", polynomial_config(
-        min_point=[0.0, 7.0]), "physics.potential"),
-    "polynomial-convexity-string": ("simulate", polynomial_config(strictly_convex="no"),
-                                    "physics.potential.strictly_convex"),
     "equilibrium-offset-zero-potential": ("simulate", {
         **with_initial({"kind": "equilibrium-offset", "mass": 0.2}),
         "physics": {"m": 2.0, "potential": {"kind": "zero"}}}, "initial"),
@@ -326,6 +329,27 @@ class TestEquilibriumCommand:
                          "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "a" / "equilibrium.csv").read_bytes() == \
                (tmp_path / "b" / "equilibrium.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("coefficients,code", [([0, 0, 1], 0), ([0, 0, -1, 0, 1], 2)],
+                             ids=["convex", "double-well"])
+    def test_convexity_is_computed(self, coefficients, code, tmp_path, capsys):
+        # x^2 needs no declaration; the double well x^4 - x^2 is refused
+        data = copy.deepcopy(CASES["equilibrium-1d"][1])
+        data["physics"]["potential"] = {"kind": "polynomial", "coefficients": coefficients}
+        out = tmp_path / "out"
+        assert main(["equilibrium", "--config", write_config(tmp_path, data),
+                     "--out", str(out)]) == code
+        if code == 0:  # the same potential as the golden case's a |x|^2 with a = 1
+            quad = tmp_path / "quad"
+            main(["equilibrium", "--config",
+                  write_config(tmp_path, CASES["equilibrium-1d"][1], "quad.json"),
+                  "--out", str(quad)])
+            assert (out / "equilibrium.csv").read_bytes() == \
+                   (quad / "equilibrium.csv").read_bytes()
+        else:
+            assert capsys.readouterr().err.startswith(
+                "pmed: error: UnsupportedPotentialError: ")
 
 
 class TestVerifyBarriersCommand:

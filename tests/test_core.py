@@ -8,6 +8,7 @@ from pmed.core import (
     Field,
     FieldVariable,
     Grid,
+    Potential,
     integrate,
     density_from_pressure,
     dot_last,
@@ -18,7 +19,8 @@ from pmed.core import (
     pressure_from_density,
     ring,
 )
-from pmed.errors import InvalidExponentError, InvalidInputError, InvalidParameterError
+from pmed.errors import (InvalidExponentError, InvalidInputError, InvalidParameterError,
+                         UnsupportedPotentialError)
 
 
 def field_1d(values, h=0.5, L=2.0, variable=FieldVariable.DENSITY, m=2.0):
@@ -276,7 +278,7 @@ class TestPotentials:
         assert pot.eval(np.zeros(2)) == 0.0
         np.testing.assert_array_equal(pot.grad(np.zeros(2)), 0.0)
         assert pot.strictly_convex
-        assert pot.hessian_bound == 4.0
+        assert pot.hessian_bound([-1.0, -1.0], [1.0, 1.0]) == 4.0
         assert pot.min_value() == 0.0
 
     def test_quadratic_invalid(self):
@@ -311,8 +313,123 @@ class TestPotentials:
 
     def test_polynomial(self):
         # Phi = 1 + x^2 + x^4
-        pot = make_polynomial_potential([1.0, 0.0, 1.0, 0.0, 1.0],
-                                        strictly_convex=True, min_point=(0.0,))
+        pot = make_polynomial_potential([1.0, 0.0, 1.0, 0.0, 1.0])
         x = np.array([[2.0], [0.0]])
         np.testing.assert_allclose(pot.eval(x), [21.0, 1.0])
         np.testing.assert_allclose(pot.grad(x)[:, 0], [2 * 2 + 4 * 8, 0.0])
+        assert pot.strictly_convex
+        assert pot.min_value() == 1.0
+
+    def test_one_representation(self):
+        assert make_quadratic_potential(1.0) == make_polynomial_potential([0, 0, 1])
+        assert make_zero_potential(2) == Potential((0.0,), 2)
+        with pytest.raises(InvalidParameterError):
+            make_polynomial_potential([])
+
+    @pytest.mark.parametrize("pot,convex", [
+        (make_polynomial_potential([0, 0, 0, 0, 1]), True),  # x^4
+        (make_polynomial_potential([1, -4, 6, -4, 1]), True),  # (x - 1)^4 expanded
+        (make_polynomial_potential([0, 0, 0.3]), True),
+        (make_quadratic_potential(0.3, dim=2), True),
+        (make_polynomial_potential([0, 0, -1, 0, 1]), False),  # double well x^4 - x^2
+        (make_polynomial_potential([0, 0, 0, 1]), False),  # x^3
+        (make_polynomial_potential([2.5]), False),
+        (make_polynomial_potential([1.0, 3.0]), False),
+        (make_zero_potential(2), False),
+        (make_polynomial_potential([0, 0, -1]), False),
+        (make_polynomial_potential([0, 0, 0, 0, -1]), False),
+    ])
+    def test_strictly_convex_table(self, pot, convex):
+        assert pot.strictly_convex is convex
+        if convex:
+            assert pot.min_value() == pytest.approx(0.0, abs=1e-15)
+        else:
+            with pytest.raises(UnsupportedPotentialError):
+                pot.min_value()
+
+
+# Reference closures of the potentials before they became coefficient
+# values, kept to pin eval and grad bit for bit.
+def _old_polynomial_eval(coeffs, x):
+    s = x[..., 0]
+    out = np.zeros_like(s)
+    for c in reversed(coeffs):
+        out = out * s + c
+    return out
+
+
+def _old_polynomial_grad(coeffs, x):
+    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
+    return _old_polynomial_eval(dcoeffs, x)[..., None]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _abs_poly(c, r):
+    """sum_k |c_k| r^k, the size of the terms of a polynomial at |x| <= r."""
+    return float(np.abs(c) @ r ** np.arange(len(c)))
+
+
+P = np.polynomial.polynomial
+# a -0.0 leading coefficient is the one input where the old Horner from +0.0
+# and Horner from the leading coefficient differ (in the sign of a zero)
+COEFFS = st.lists(st.floats(-3, 3).map(lambda v: v + 0.0), min_size=1, max_size=7)
+# kept out of the subnormal range, where a (x x) and (a x) x round apart
+COORDS = st.floats(-4, 4).filter(lambda v: v == 0 or abs(v) > 1e-100)
+
+
+class TestPotentialProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(COEFFS, st.lists(COORDS, min_size=1, max_size=30))
+    def test_polynomial_bit_for_bit(self, coeffs, xs):
+        pot = make_polynomial_potential(coeffs)
+        x = np.array(xs)[:, None]
+        assert _same_bits(pot.eval(x), _old_polynomial_eval(coeffs, x))
+        assert _same_bits(pot.grad(x), _old_polynomial_grad(coeffs, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), st.sampled_from([1, 2]),
+           st.lists(COORDS, min_size=2, max_size=30))
+    def test_quadratic_bit_for_bit(self, a, dim, xs):
+        pot = make_quadratic_potential(a, dim)
+        x = np.array(xs[: len(xs) // dim * dim]).reshape(-1, dim)
+        assert _same_bits(pot.eval(x), a * dot_last(x, x))
+        # equal as numbers; the old 2 a x kept the sign of x = -0.0
+        np.testing.assert_array_equal(pot.grad(x), 2.0 * a * x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(COEFFS, st.floats(-3, 3), st.floats(0, 3))
+    def test_hessian_bound_is_the_max_of_the_second_derivative(self, coeffs, lo, width):
+        hi = lo + width
+        d2 = P.polyder(coeffs, 2)
+        x = np.linspace(lo, hi, 4001)
+        sampled = float(np.abs(P.polyval(x, d2)).max())
+        r = max(abs(lo), abs(hi))
+        # |p''| between samples exceeds the nearest one by <= max|p''''| step^2 / 8
+        d4 = P.polyder(coeffs, 4)
+        gap = _abs_poly(d4, r) * (x[1] - x[0]) ** 2 / 8.0
+        rounding = 1e-12 * _abs_poly(d2, r)
+        bound = make_polynomial_potential(coeffs).hessian_bound([lo], [hi])
+        assert sampled - rounding <= bound <= sampled + gap + rounding
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.05, 3), st.floats(0, 2),
+           st.floats(-2, 2), st.sampled_from([1, 2]))
+    def test_min_value_is_the_sampled_minimum(self, c0, c1, a, d, e, dim):
+        # c0 + c1 x + a x^2 + d (x - e)^4, strictly convex for a > 0
+        coeffs = (c0 + d * e**4, c1 - 4 * d * e**3, a + 6 * d * e**2, -4 * d * e, d)
+        pot = Potential(coeffs, dim)
+        assert pot.strictly_convex
+        # the minimizer |x*| <= |c1| / (2 a) + 2 |e| + 1 < 35; a convex p has
+        # it within one step of the coarse argmin, so refine around that
+        x = np.linspace(-35.0, 35.0, 70001)
+        i = int(np.argmin(P.polyval(x, coeffs)))
+        fine = np.linspace(x[i - 1], x[i + 1], 2001)
+        sampled = dim * float(P.polyval(fine, coeffs).min())
+        r = max(abs(fine[0]), abs(fine[-1]))
+        gap = dim * _abs_poly(P.polyder(coeffs, 2), r) * (fine[1] - fine[0]) ** 2 / 8.0
+        rounding = 1e-12 * dim * _abs_poly(coeffs, r)
+        assert sampled - gap - rounding <= pot.min_value() <= sampled + rounding

@@ -246,14 +246,17 @@ class TestEquilibriumConstant:
                   for c in np.linspace(0.0, 2.0, 60)]
         assert all(b >= a for a, b in zip(masses, masses[1:]))
 
-    def test_recorded_minimum_above_the_grid_minimum(self):
-        # a wrong min_point must not start the bracket above a grid value of Phi
+    def test_computed_minimum_starts_the_bracket(self):
+        # Phi = x^2 has its minimum 0 between two cell centers, below every
+        # grid value; the bracket starts there with no declared minimum
         g = Grid(dim=1, h=0.01, extent=2.0)
-        wrong = make_polynomial_potential([0.0, 0.0, 1.0], True, (1.0,))
-        unknown = make_polynomial_potential([0.0, 0.0, 1.0], True)
-        c = equilibrium_constant(0.1, wrong, 2.0, g)
-        assert c == equilibrium_constant(0.1, unknown, 2.0, g)
-        assert c == pytest.approx(0.2823042452643625, rel=1e-12)
+        pot = make_polynomial_potential([0.0, 0.0, 1.0])
+        assert pot.min_value() == 0.0 < pot.eval(g.centers()).min()
+        c = equilibrium_constant(0.1, pot, 2.0, g)
+        assert c == equilibrium_constant(0.1, make_quadratic_potential(1.0, dim=1), 2.0, g)
+        # the quadratic's value, from the bracket at 0; from the grid minimum
+        # the bisection stops at 0.2823042452643625, as close to the mass
+        assert c == pytest.approx(0.2823042452801019, rel=1e-12)
 
     def test_nonconvex_rejected(self):
         g = Grid(dim=1, h=0.01, extent=2.0)

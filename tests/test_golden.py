@@ -25,8 +25,7 @@ CASES = {
     "simulate-1d": ("simulate", {
         "grid": {"dim": 1, "L": 2.0, "h": 0.05},
         "physics": {"m": 2.0, "potential": {
-            "kind": "polynomial", "coefficients": [0.0, 0.1, 1.0],
-            "strictly_convex": True, "min_point": [-0.05]}},
+            "kind": "polynomial", "coefficients": [0.0, 0.1, 1.0]}},
         "solver": {"t_end": 0.2, "snapshot_every": 0.1},
         "initial": {"kind": "barenblatt", "tau": 1.0, "C": 0.5},
         "output": BOTH,
