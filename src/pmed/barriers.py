@@ -369,8 +369,14 @@ def _derivatives(
     t: float,
     h_s: float,
     m: float,
+    shifted: np.ndarray,
 ):
-    """Centered differences of the candidate and drift terms at sample points."""
+    """Centered differences of the candidate and drift terms at sample points.
+
+    The shifted points pts +- h_s e_k go into ``shifted`` (shaped like pts),
+    refilled for each shift, so the candidate must not keep a view of its
+    input.
+    """
     dim = pts.shape[-1]
     u0 = np.asarray(candidate(pts, t), dtype=float)
     dt = h_s * h_s
@@ -378,14 +384,16 @@ def _derivatives(
     grad = np.empty(u0.shape + (dim,))
     lap = np.zeros_like(u0)
     lap_phi = np.zeros_like(u0)
+    column = shifted[..., 0]  # the shifted k-th coordinate, for grad Phi
     for k in range(dim):
         e = np.zeros(dim)
         e[k] = h_s
-        up = candidate(pts + e, t)
-        um = candidate(pts - e, t)
+        up = candidate(np.add(pts, e, out=shifted), t)
+        um = candidate(np.subtract(pts, e, out=shifted), t)
         grad[..., k] = (up - um) / (2.0 * h_s)
         lap += (up - 2.0 * u0 + um) / (h_s * h_s)
-        lap_phi += (pot.grad(pts[..., k] + h_s) - pot.grad(pts[..., k] - h_s)) / (2.0 * h_s)
+        lap_phi += (pot.grad(np.add(pts[..., k], h_s, out=column))
+                    - pot.grad(np.subtract(pts[..., k], h_s, out=column))) / (2.0 * h_s)
     transport = dot_last(grad, pot.grad(pts))  # grad u . grad Phi
     grad_sq = dot_last(grad, grad)
     r_int = u_t - (m - 1.0) * u0 * lap - grad_sq - transport - (m - 1.0) * u0 * lap_phi
@@ -422,13 +430,15 @@ def residual_pmed(
 
     int_res, bd_rate = [], []
     u_max = 0.0
+    shifted = np.empty_like(pts)  # for _derivatives: no lattice-sized temporaries per level
     for t in times:
-        u0, r_int, _, _ = _derivatives(candidate, pot, pts, float(t), h_s, m)
+        u0, r_int, _, _ = _derivatives(candidate, pot, pts, float(t), h_s, m, shifted)
         u_max = max(u_max, float(u0.max(initial=0.0)))
         int_res.append(r_int[u0 > floor])
         crossings = level_crossings(u0, axes, floor)
         if crossings.size:
-            _, _, rate, gn = _derivatives(candidate, pot, crossings, float(t), h_s, m)
+            _, _, rate, gn = _derivatives(candidate, pot, crossings, float(t), h_s, m,
+                                          np.empty_like(crossings))
             bd_rate.append(rate[gn > floor])
 
     interior = np.concatenate(int_res)

@@ -71,18 +71,29 @@ def extract_boundary(f: Field, eps_fb: float | None = None) -> np.ndarray:
     return level_crossings(f.values, (ax,) * f.grid.dim, eps_fb)
 
 
-def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of a (k, dim) and b (l, dim): (k, l)."""
-    return sum((a[:, None, k] - b[None, :, k]) ** 2 for k in range(a.shape[1]))
+_ROWS = 128  # rows per distance block: 128 x 1k points is 1 MB per temporary
+
+
+def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Squared distances between the rows of a (k, dim) and b (l, dim), as
+    (row slice of a, block of shape (rows, l)) over fixed row blocks, so
+    the whole (k, l) matrix is never held."""
+    for start in range(0, len(a), _ROWS):
+        rows = a[start:start + _ROWS]
+        yield slice(start, start + len(rows)), sum(
+            (rows[:, None, k] - b[None, :, k]) ** 2 for k in range(a.shape[1]))
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two nonempty (k, dim) point clouds."""
     if len(a) == 0 or len(b) == 0:
         raise EmptyBoundarySetError("hausdorff requires nonempty boundary sets")
-    d2 = _sq_distances(a, b)
+    a_to_b, b_to_a = 0.0, None  # largest row minimum; running column minima
+    for _, d2 in _sq_distance_blocks(a, b):
+        a_to_b = max(a_to_b, d2.min(axis=1).max())
+        b_to_a = d2.min(axis=0) if b_to_a is None else np.minimum(b_to_a, d2.min(axis=0))
     # sqrt is monotone and correctly rounded: one root at the end is exact
-    return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
+    return float(np.sqrt(max(a_to_b, b_to_a.max())))
 
 
 def _discrete_mass(c: float, phi: np.ndarray, m: float, vol: float, out=None) -> float:
@@ -208,7 +219,9 @@ def boundary_velocity(traj: Trajectory, eps_fb: float) -> list[VelocitySample]:
         cur = boundaries[k]
         dt_snap = snap.t - traj.snapshots[k - 1].t
         u = pressure_from_density(snap.field, cfg.m)
-        nearest = prev[np.argmin(_sq_distances(cur, prev), axis=1)]
+        nearest = np.empty_like(cur)
+        for rows, d2 in _sq_distance_blocks(cur, prev):
+            nearest[rows] = prev[np.argmin(d2, axis=1)]
         vels, resids = [], []
         for p, q in zip(cur, nearest):
             found = _interior_gradient(u, p, eps_fb)

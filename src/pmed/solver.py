@@ -147,18 +147,9 @@ def _drift_context(grid: Grid, potential: Potential) -> _DriftContext:
     return _DriftContext(grid, potential)
 
 
-def _support_margin_ok(v: np.ndarray, v_top: float) -> bool:
-    # "support" at machine scale: values above 1e-12 of the current max v_top
-    return not np.any(ring(v, 2) > 1e-12 * v_top)
-
-
-def _cfl_dt_values(
-    v: np.ndarray, v_top: float, grid: Grid, cfg: SolverConfig, ctx: _DriftContext
-) -> float:
-    """cfl_dt on raw values; ``v_top`` is ``v.max()``, which the caller
-    computes once per step and shares with ``_support_margin_ok``."""
+def _cfl_dt_values(v_top: float, v_max: float, grid: Grid, cfg: SolverConfig) -> float:
+    """cfl_dt from a field's max ``v_top`` and its support's max |grad Phi| ``v_max``."""
     d_max = cfg.m * v_top ** (cfg.m - 1.0) if v_top > 0.0 else 0.0
-    v_max = float(np.max(ctx.grad_norms, where=v > 0.0, initial=0.0))
     v_max = max(v_max, _TINY)
     dt_diff = grid.h**2 / (2.0 * grid.dim * d_max) if d_max > 0.0 else np.inf
     dt_adv = grid.h / (2.0 * grid.dim * v_max)
@@ -174,44 +165,122 @@ def cfl_dt(rho: Field, cfg: SolverConfig) -> float:
     (floored at machine-tiny so the empty field stays finite).
     """
     ctx = _drift_context(rho.grid, cfg.potential)
-    return _cfl_dt_values(rho.values, float(rho.values.max()), rho.grid, cfg, ctx)
+    v = rho.values
+    v_max = float(np.max(ctx.grad_norms, where=v > 0.0, initial=0.0))
+    return _cfl_dt_values(float(v.max()), v_max, rho.grid, cfg)
 
 
-def _flux_divergence(v: np.ndarray, grid: Grid, m: float, ctx: _DriftContext) -> np.ndarray:
-    """(F_{i+1/2} - F_{i-1/2}) / h per cell.
+def _flux_divergence(v: np.ndarray, h: float, m: float, g: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(F_{i+1/2} - F_{i-1/2}) / h per cell of a stack ``v`` of shape (B, *cells).
 
+    ``g`` holds the interface gradients of Phi along each axis of the cells.
     Interfaces touching the outermost cell ring carry zero flux, so the ring
     stays identically zero (the field invariant) and the effective no-flux
     wall sits one cell inside the box.  Mass still telescopes exactly.
     """
-    h = grid.h
     rm = np.power(v, m)
     every = (slice(None),) * v.ndim
     div = None
-    for a, g in enumerate(ctx.g):
+    for a, ga in enumerate(g, start=1):
         lo = every[:a] + (slice(None, -1),)
         hi = every[:a] + (slice(1, None),)
-        f = (rm[hi] - rm[lo]) / h + np.where(g > 0.0, v[hi], v[lo]) * g
-        for b in range(v.ndim):
+        f = (rm[hi] - rm[lo]) / h + np.where(ga > 0.0, v[hi], v[lo]) * ga
+        for b in range(1, v.ndim):
             f[every[:b] + (0,)] = 0.0
             f[every[:b] + (-1,)] = 0.0
         d = np.zeros_like(v)
-        d[every[:a] + (slice(1, -1),)] = np.diff(f, axis=a)
-        div = d if div is None else div + d  # axis 0 first, as a fixed order
+        np.subtract(f[hi], f[lo], out=d[every[:a] + (slice(1, -1),)])
+        div = d if div is None else div + d  # axis 1 first, as a fixed order
     return div / h
 
 
-def _step_values(
-    v: np.ndarray, v_top: float, grid: Grid, cfg: SolverConfig, ctx: _DriftContext, dt: float
-) -> tuple[np.ndarray, float]:
-    if not _support_margin_ok(v, v_top):
-        raise DomainOverflowError("support within two cells of the box edge")
-    new = v + dt * _flux_divergence(v, grid, cfg.m, ctx)
-    neg = new < 0.0
-    clipped = -grid.cell_volume * float(np.sum(new[neg])) if np.any(neg) else 0.0
-    if clipped > 0.0:
-        new = np.where(neg, 0.0, new)
-    return new, clipped
+class _Stack:
+    """B density fields on one grid, stepped in place with one shared dt.
+
+    A step reads and writes only the support window: the bounding box of
+    v > 0 over all members, grown by 2 cells and clipped to the grid.  The
+    3-point stencil moves the support by at most one cell per step (grow by
+    1), and those cells' stencils read one cell further (grow by 1 more).
+    Every cell outside the window has an all-zero stencil, so the full-grid
+    step would leave it at v + dt*0 = v; inside, the kernel's ring zeroing
+    either acts on the real box ring or zeroes interfaces that are already
+    +0.0.  Values, clipped masses and dt are those of stepping each member
+    on the whole grid, bit for bit.
+    """
+
+    def __init__(self, values: np.ndarray, grid: Grid, cfg: SolverConfig):
+        self.v = values  # (B, *grid.shape), owned
+        self.grid, self.cfg = grid, cfg
+        self.ctx = _drift_context(grid, cfg.potential)
+        self.clipped_cum = [0.0] * len(values)
+        self._spatial = tuple(range(1, values.ndim))
+        self._others = [tuple(b for b in range(grid.dim) if b != a) for a in range(grid.dim)]
+        self._win_box = None
+        full = tuple(slice(0, n) for n in grid.shape)
+        self._track(values, full, self.ctx.grad_norms)
+
+    def _track(self, w: np.ndarray, cells: tuple[slice, ...], gn: np.ndarray) -> None:
+        """Per-member max and max |grad Phi| over the support, and the
+        support's bounding box, from the values ``w`` at ``cells`` (which
+        hold every positive value) and the gradient norms ``gn`` there."""
+        pos = w > 0.0
+        self.tops = w.max(axis=self._spatial).tolist()
+        self.vmaxes = np.where(pos, gn, 0.0).max(axis=self._spatial).tolist()
+        anywhere = pos.any(axis=0)
+        box = []
+        for c, others in zip(cells, self._others):
+            idx = np.nonzero(anywhere.any(axis=others) if others else anywhere)[0]
+            if idx.size == 0:
+                self.box = None
+                return
+            box.append((c.start + int(idx[0]), c.start + int(idx[-1]) + 1))
+        self.box = tuple(box)  # per axis [first, last + 1) of the support
+
+    def _window(self) -> tuple[tuple[slice, ...], tuple[np.ndarray, ...], np.ndarray]:
+        """Window cells with the drift data sliced to match, cached per box."""
+        if self.box != self._win_box:
+            n = self.grid.n_cells
+            cells = tuple(slice(max(lo - 2, 0), min(hi + 2, n)) for lo, hi in self.box)
+            g = tuple(ga[cells[:a] + (slice(c.start, c.stop - 1),) + cells[a + 1:]]
+                      for a, (ga, c) in enumerate(zip(self.ctx.g, cells)))
+            self._win = (cells, g, self.ctx.grad_norms[cells])
+            self._win_box = self.box
+        return self._win
+
+    def margin_ok(self) -> bool:
+        """No member holds support within two cells of the box edge.
+
+        "Support" at machine scale: values above 1e-12 of the member's max.
+        The ring is scanned only when the box reaches into it; otherwise the
+        ring holds no positive value.
+        """
+        n = self.grid.n_cells
+        if self.box is None or all(lo >= 2 and hi <= n - 2 for lo, hi in self.box):
+            return True
+        return not any(np.any(ring(v, 2) > 1e-12 * top) for v, top in zip(self.v, self.tops))
+
+    def cfl_dt(self) -> float:
+        """The smallest member's cfl_dt."""
+        return min(_cfl_dt_values(top, v_max, self.grid, self.cfg)
+                   for top, v_max in zip(self.tops, self.vmaxes))
+
+    def step(self, dt: float) -> None:
+        """One explicit step of every member, adding to ``clipped_cum``."""
+        if not self.margin_ok():
+            raise DomainOverflowError("support within two cells of the box edge")
+        if self.box is None:  # all zero: a fixed point
+            return
+        cells, g, gn = self._window()
+        w = self.v[(slice(None),) + cells]
+        w += dt * _flux_divergence(w, self.grid.h, self.cfg.m, g)
+        neg = w < 0.0
+        if neg.any():
+            for b, (wb, negb) in enumerate(zip(w, neg)):
+                clipped = -self.grid.cell_volume * float(np.sum(wb[negb])) if negb.any() else 0.0
+                if clipped > 0.0:
+                    wb[negb] = 0.0
+                    self.clipped_cum[b] += clipped
+        self._track(w, cells, gn)
 
 
 def step_density_report(rho: Field, cfg: SolverConfig, dt: float) -> StepReport:
@@ -221,15 +290,48 @@ def step_density_report(rho: Field, cfg: SolverConfig, dt: float) -> StepReport:
     """
     if rho.variable is not FieldVariable.DENSITY:
         raise InvalidInputError("step_density_report expects a density field")
-    ctx = _drift_context(rho.grid, cfg.potential)
-    v_top = float(rho.values.max())
-    dt_max = _cfl_dt_values(rho.values, v_top, rho.grid, cfg, ctx)
+    stack = _Stack(rho.values[None].copy(), rho.grid, cfg)
+    dt_max = stack.cfl_dt()
     if dt > dt_max * (1.0 + 1e-9):
         raise StepTooLargeError(f"dt = {dt} exceeds stability limit {dt_max}")
-    new, clipped = _step_values(rho.values, v_top, rho.grid, cfg, ctx, dt)
-    return StepReport(
-        field=Field(rho.grid, new, FieldVariable.DENSITY, cfg.m), clipped_mass=clipped
-    )
+    stack.step(dt)
+    return StepReport(field=Field(rho.grid, stack.v[0], FieldVariable.DENSITY, cfg.m),
+                      clipped_mass=stack.clipped_cum[0])
+
+
+def _simulate_stack(fields: tuple[Field, ...], cfg: SolverConfig) -> list[Trajectory]:
+    """Step density fields of one grid together, with the smallest member's
+    cfl_dt as the shared step; one trajectory per field (see simulate)."""
+    if any(f.variable is not FieldVariable.DENSITY for f in fields):
+        raise InvalidInputError("simulate expects a density field")
+    grid = fields[0].grid
+    stack = _Stack(np.stack([f.values for f in fields]), grid, cfg)
+    if not stack.margin_ok():
+        raise DomainOverflowError("initial support within two cells of the box edge")
+    vol = grid.cell_volume
+    snaps = [[Snapshot(0.0, f, vol * float(np.sum(f.values)), 0.0)] for f in fields]
+    dt_max = 0.0
+    n_targets = int(np.floor(cfg.t_end / cfg.snapshot_every + 1e-9))
+    t = 0.0
+    for k in range(1, n_targets + 1):
+        target = k * cfg.snapshot_every
+        while t < target * (1.0 - 1e-14):
+            dt = min(stack.cfl_dt(), target - t)
+            if not dt > 0.0:
+                raise PmedError(f"stepping stalled at t = {t}")
+            try:
+                stack.step(dt)
+            except PmedError as exc:
+                raise type(exc)(f"{exc} (at t = {t:.9g})") from None
+            dt_max = max(dt_max, dt)
+            t += dt
+            if abs(t - target) <= 1e-12 * max(1.0, target):
+                t = target
+        t = target
+        for member, v, clipped in zip(snaps, stack.v, stack.clipped_cum):
+            field = Field(grid, v, FieldVariable.DENSITY, cfg.m)
+            member.append(Snapshot(t, field, vol * float(np.sum(v)), clipped))
+    return [Trajectory(tuple(s), cfg, dt_max) for s in snaps]
 
 
 def simulate(rho0: Field, cfg: SolverConfig) -> Trajectory:
@@ -239,40 +341,7 @@ def simulate(rho0: Field, cfg: SolverConfig) -> Trajectory:
     smaller than the cadence, no step is taken and only the initial snapshot
     is returned.
     """
-    if rho0.variable is not FieldVariable.DENSITY:
-        raise InvalidInputError("simulate expects a density field")
-    if not _support_margin_ok(rho0.values, float(rho0.values.max())):
-        raise DomainOverflowError("initial support within two cells of the box edge")
-    grid = rho0.grid
-    ctx = _drift_context(grid, cfg.potential)
-    vol = grid.cell_volume
-
-    v = rho0.values.copy()
-    snaps = [Snapshot(0.0, rho0, vol * float(np.sum(v)), 0.0)]
-    clipped_cum = 0.0
-    dt_max = 0.0
-    n_targets = int(np.floor(cfg.t_end / cfg.snapshot_every + 1e-9))
-    t = 0.0
-    for k in range(1, n_targets + 1):
-        target = k * cfg.snapshot_every
-        while t < target * (1.0 - 1e-14):
-            v_top = float(v.max())  # the one full-field max of this step
-            dt = min(_cfl_dt_values(v, v_top, grid, cfg, ctx), target - t)
-            if not dt > 0.0:
-                raise PmedError(f"stepping stalled at t = {t}")
-            try:
-                v, clipped = _step_values(v, v_top, grid, cfg, ctx, dt)
-            except PmedError as exc:
-                raise type(exc)(f"{exc} (at t = {t:.9g})") from None
-            clipped_cum += clipped
-            dt_max = max(dt_max, dt)
-            t += dt
-            if abs(t - target) <= 1e-12 * max(1.0, target):
-                t = target
-        t = target
-        field = Field(grid, v, FieldVariable.DENSITY, cfg.m)
-        snaps.append(Snapshot(t, field, vol * float(np.sum(v)), clipped_cum))
-    return Trajectory(tuple(snaps), cfg, dt_max)
+    return _simulate_stack((rho0,), cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -348,17 +417,17 @@ def comparison_harness(
 ) -> ComparisonReport:
     """Run both initial data and check that ordering is preserved.
 
-    The discrete scheme cannot reproduce the exact ordering theorem, so the
-    ordering tolerance scales with the discretization:
+    Both are stepped as one stack with a shared dt, the smaller of their
+    cfl_dt, so the monotone scheme orders them up to rounding.  The ordering
+    tolerance still scales with the discretization:
     tol_order = 10 (h + dt_max).
     """
     if rho0_lo.grid != rho0_hi.grid:
         raise InvalidInputError("comparison requires a common grid")
     if np.any(rho0_lo.values > rho0_hi.values):
         raise InvalidInputError("initial data not ordered: rho_lo > rho_hi somewhere")
-    traj_lo = simulate(rho0_lo, cfg)
-    traj_hi = simulate(rho0_hi, cfg)
-    tol = 10.0 * (rho0_lo.grid.h + max(traj_lo.dt_max, traj_hi.dt_max))
+    traj_lo, traj_hi = _simulate_stack((rho0_lo, rho0_hi), cfg)
+    tol = 10.0 * (rho0_lo.grid.h + traj_lo.dt_max)
     worst = -np.inf
     first_violation = None
     for lo, hi in zip(traj_lo.snapshots, traj_hi.snapshots):

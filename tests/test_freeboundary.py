@@ -139,7 +139,8 @@ def cloud_pairs(draw):
     def cloud():
         pts = draw(st.lists(rows, min_size=1, max_size=12))
         pts += pts[:draw(st.integers(0, len(pts)))]  # duplicated points
-        return scale * np.array(pts)
+        copies = draw(st.sampled_from([1, 1, 1, 30]))  # 30 span several row blocks
+        return scale * np.concatenate([np.array(pts) + 0.01 * i for i in range(copies)])
 
     return cloud(), cloud()
 

@@ -108,8 +108,8 @@ CASES = {
 
 # case -> (exit code, {output file: sha256 hex digest})
 DIGESTS = {
-    'compare-1d': (0, {'compare.csv': '76d2d33de55a10aa4ea637521ba59f9e01741ee455d1da6c665c98f2fc59cc8e'}),
-    'compare-2d': (0, {'compare.csv': 'f63b90bfe0a73380517254b17066bc763c89a7247472553a592a18782a56414d'}),
+    'compare-1d': (0, {'compare.csv': 'ed32e7cc99e68bba2f9653ba85331f182f42fba1d5afa35e1132a22219c5a551'}),
+    'compare-2d': (0, {'compare.csv': 'f1b876af861b9de11f69c75c729934816f604d6106a3f0ca37c51c22f95c04e0'}),
     'convergence-1d': (0, {'hausdorff.csv': '8308ca54a35109941dbf7e6750be841886fe4a5bd1e673d5b1e1abbc170f0872', 'summary.csv': '88bf4c20329376c113f82024a3705e87a814fb8bc47cff7f4b9505dc00513dc2'}),
     'convergence-2d': (0, {'hausdorff.csv': 'e636117c82ea386a60bff650271e737779921e862355cd8720d1f7878f49ae40', 'summary.csv': 'da4c5d3f938a2c80066e76cf4e2da62ba1410531be5959d37ebcaca32e92363a'}),
     'equilibrium-1d': (0, {'equilibrium.csv': 'cda9ca5b3e4b14614d2e5c6bc230e5cb891957f98b9390b2996b33c759bc036e'}),
