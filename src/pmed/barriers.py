@@ -366,19 +366,20 @@ def _derivatives(
     candidate: Evaluable,
     pot: Potential,
     pts: np.ndarray,
+    u0: np.ndarray,
     t: float,
     h_s: float,
     m: float,
     shifted: np.ndarray,
 ):
-    """Centered differences of the candidate and drift terms at sample points.
+    """Centered differences of the candidate and drift terms at sample points
+    pts, of shape (k, dim), where u0 = candidate(pts, t).
 
     The shifted points pts +- h_s e_k go into ``shifted`` (shaped like pts),
     refilled for each shift, so the candidate must not keep a view of its
     input.
     """
     dim = pts.shape[-1]
-    u0 = np.asarray(candidate(pts, t), dtype=float)
     dt = h_s * h_s
     u_t = (candidate(pts, t + dt) - candidate(pts, t - dt)) / (2.0 * dt)
     grad = np.empty(u0.shape + (dim,))
@@ -399,7 +400,21 @@ def _derivatives(
     r_int = u_t - (m - 1.0) * u0 * lap - grad_sq - transport - (m - 1.0) * u0 * lap_phi
     grad_norm = np.sqrt(grad_sq)
     rate = u_t - grad_norm**2 - transport
-    return u0, r_int, rate, grad_norm
+    return r_int, rate, grad_norm
+
+
+def _outward_faces(pts: np.ndarray, h_s: float) -> np.ndarray:
+    """The lattice's two faces across each axis k, shifted outward by h_s e_k,
+    as one (F, dim) array.  Each lattice line along axis k shifted by
+    +-h_s e_k stays on the segment between its two shifted end points, so on a
+    convex domain these points reach every shifted sample point."""
+    dim = pts.shape[-1]
+    faces = []
+    for k in range(dim):
+        e = np.zeros(dim)
+        e[k] = h_s
+        faces += [np.take(pts, 0, axis=k) - e, np.take(pts, -1, axis=k) + e]
+    return np.concatenate([f.reshape(-1, dim) for f in faces])
 
 
 def residual_pmed(
@@ -417,6 +432,16 @@ def residual_pmed(
     boundary residuals are evaluated at the floor-crossing points of each
     lattice line where |grad u| also exceeds 10 h_s.  The tolerance is
     50 (1 + max u) h_s.
+
+    At each time level the candidate is evaluated on the whole lattice and
+    on its faces shifted outward by h_s, which reach every shifted point
+    when the candidate's domain is convex (a rescaled barrier's ball), so a
+    box that leaves the domain raises as if every point were differenced.
+    Differences, at t +- h_s^2 and x +- h_s e_k, are taken only at interior
+    samples and crossings, always at t +- h_s^2 even when a level has no
+    interior sample.  The candidate must act on each point alone, as every
+    profile here does: the residuals are then bit for bit those of
+    differences over the whole lattice, restricted to the samples read.
     """
     if kind not in ("sub", "super"):
         raise InvalidParameterError(f"kind must be 'sub' or 'super', got {kind!r}")
@@ -427,18 +452,27 @@ def residual_pmed(
     axes = [_lattice(lo, hi, h_s) for lo, hi in zip(box.lo, box.hi)]
     times = _lattice(box.t_lo, box.t_hi, h_s)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    faces = _outward_faces(pts, h_s)
+    buffer = np.empty(pts.size)  # for _derivatives: one per call, viewed to each gather
 
     int_res, bd_rate = [], []
     u_max = 0.0
-    shifted = np.empty_like(pts)  # for _derivatives: no lattice-sized temporaries per level
     for t in times:
-        u0, r_int, _, _ = _derivatives(candidate, pot, pts, float(t), h_s, m, shifted)
+        t = float(t)
+        u0 = np.asarray(candidate(pts, t), dtype=float)
+        candidate(faces, t)  # raises where a shifted point leaves the domain
         u_max = max(u_max, float(u0.max(initial=0.0)))
-        int_res.append(r_int[u0 > floor])
+        inside = u0 > floor
+        # also on an empty gather, so that t +- h_s^2 is always checked
+        gathered = pts[inside]
+        r_int, _, _ = _derivatives(candidate, pot, gathered, u0[inside], t, h_s, m,
+                                   buffer[:gathered.size].reshape(gathered.shape))
+        int_res.append(r_int)
         crossings = level_crossings(u0, axes, floor)
         if crossings.size:
-            _, _, rate, gn = _derivatives(candidate, pot, crossings, float(t), h_s, m,
-                                          np.empty_like(crossings))
+            u_cross = np.asarray(candidate(crossings, t), dtype=float)
+            _, rate, gn = _derivatives(candidate, pot, crossings, u_cross, t, h_s, m,
+                                       np.empty_like(crossings))
             bd_rate.append(rate[gn > floor])
 
     interior = np.concatenate(int_res)

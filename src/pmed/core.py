@@ -316,11 +316,12 @@ class Potential:
         return self.dim * float(_extrema(self.coefficients, -_BIG, _BIG)[0].min())
 
     def hessian_bound(self, lo, hi) -> float:
-        """Sum over the axes of max |p''| on [lo_k, hi_k], each maximum exact
-        up to rounding: a bound on the Hessian norm on that box."""
+        """Largest over the axes of max |p''| on [lo_k, hi_k], each maximum
+        exact up to rounding: the Hessian of a separable Phi is diagonal, so
+        this is its largest norm on that box."""
         d2 = _derivative(_derivative(self.coefficients))
         lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (self.dim,)) for v in (lo, hi))
-        return float(sum(np.abs(_extrema(d2, a, b)[0]).max() for a, b in zip(lo, hi)))
+        return float(max(np.abs(_extrema(d2, a, b)[0]).max() for a, b in zip(lo, hi)))
 
 
 def make_quadratic_potential(a: float, dim: int = 1) -> Potential:

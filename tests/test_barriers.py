@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pmed.barriers import (
     BarenblattSpec,
+    RescaledBarrierSpec,
     RescaleSpec,
     SpaceTimeBox,
     SphericalWaveSpec,
@@ -17,7 +18,14 @@ from pmed.barriers import (
     sup_convolution,
     validate_wave_params,
 )
-from pmed.core import make_quadratic_potential, make_zero_potential
+from pmed.barriers import _lattice
+from pmed.core import (
+    dot_last,
+    level_crossings,
+    make_polynomial_potential,
+    make_quadratic_potential,
+    make_zero_potential,
+)
 from pmed.errors import InvalidParameterError, InvalidTimeError, OutOfCylinderError
 
 
@@ -369,3 +377,207 @@ class TestResidualPmed:
         box = SpaceTimeBox(lo=(0.0,), hi=(1.0,), t_lo=0.0, t_hi=0.1)
         with pytest.raises(InvalidParameterError):
             residual_pmed(u, make_zero_potential(1), "both", box, 0.01, 2.0)
+
+
+def reference_derivatives(candidate, pot, pts, t, h_s, m):
+    """The former full-lattice differences: every term at every point."""
+    dim = pts.shape[-1]
+    u0 = np.asarray(candidate(pts, t), dtype=float)
+    dt = h_s * h_s
+    u_t = (candidate(pts, t + dt) - candidate(pts, t - dt)) / (2.0 * dt)
+    grad = np.empty(u0.shape + (dim,))
+    lap = np.zeros_like(u0)
+    lap_phi = np.zeros_like(u0)
+    for k in range(dim):
+        e = np.zeros(dim)
+        e[k] = h_s
+        up = candidate(pts + e, t)
+        um = candidate(pts - e, t)
+        grad[..., k] = (up - um) / (2.0 * h_s)
+        lap += (up - 2.0 * u0 + um) / (h_s * h_s)
+        lap_phi += (pot.grad(pts[..., k] + h_s) - pot.grad(pts[..., k] - h_s)) / (2.0 * h_s)
+    transport = dot_last(grad, pot.grad(pts))
+    grad_sq = dot_last(grad, grad)
+    r_int = u_t - (m - 1.0) * u0 * lap - grad_sq - transport - (m - 1.0) * u0 * lap_phi
+    grad_norm = np.sqrt(grad_sq)
+    rate = u_t - grad_norm**2 - transport
+    return u0, r_int, rate, grad_norm
+
+
+def reference_residuals(candidate, pot, box, h_s, m):
+    """The former sampling: differences over the whole lattice, then masked.
+    Returns (interior, boundary rates, tol, interior count per level)."""
+    floor = 10.0 * h_s
+    axes = [_lattice(lo, hi, h_s) for lo, hi in zip(box.lo, box.hi)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    int_res, bd_rate, per_level = [], [], []
+    u_max = 0.0
+    for t in _lattice(box.t_lo, box.t_hi, h_s):
+        u0, r_int, _, _ = reference_derivatives(candidate, pot, pts, float(t), h_s, m)
+        u_max = max(u_max, float(u0.max(initial=0.0)))
+        int_res.append(r_int[u0 > floor])
+        per_level.append(int_res[-1].size)
+        crossings = level_crossings(u0, axes, floor)
+        if crossings.size:
+            _, _, rate, gn = reference_derivatives(candidate, pot, crossings, float(t), h_s, m)
+            bd_rate.append(rate[gn > floor])
+    rates = np.concatenate(bd_rate) if bd_rate else np.empty(0)
+    return np.concatenate(int_res), rates, 50.0 * (1.0 + u_max) * h_s, per_level
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def barrier_box(draw, centre, half, t_lo, t_hi, h_s, edge=lambda t: None):
+    """Up to six time levels in [t_lo, t_hi] and a box inside centre +- half
+    of 1-40 lattice cells per axis (1-400 in 1D).  Its midpoint lies within
+    1.2 edge(t) of the centre, t the box's first level, so that many boxes
+    meet the floor's level set at radius edge(t); anywhere when edge gives
+    None."""
+    ta = draw(st.floats(t_lo, t_hi))
+    tb = min(t_hi, ta + draw(st.integers(0, 5)) * h_s)
+    dim = len(centre)
+    reach = edge(ta)
+    if reach is None:
+        mid = [draw(st.floats(c - half, c + half)) for c in centre]
+    else:
+        direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        norm = np.sqrt(dot_last(direction, direction))
+        direction = direction / norm if norm > 0.0 else np.eye(dim)[0]
+        rho = draw(st.one_of(st.floats(0.0, 1.2), st.floats(0.9, 1.1)))
+        mid = np.asarray(centre) + rho * min(reach, half) * direction
+    w = draw(st.integers(1, 40 if dim == 2 else 400)) * h_s / 2.0
+    lo = tuple(max(x - w, c - half) for x, c in zip(mid, centre))
+    hi = tuple(max(min(x + w, c + half), a) for x, c, a in zip(mid, centre, lo))
+    return SpaceTimeBox(lo=lo, hi=hi, t_lo=ta, t_hi=tb)
+
+
+@st.composite
+def sampling_cases(draw):
+    """(candidate, potential, box, h_s, m): a Barenblatt, a validated wave or
+    a rescaled barrier under a 1D polynomial potential, on a random box; the
+    floor 10 h_s is drawn against the profile's size, now and then above it."""
+    family = draw(st.sampled_from(["barenblatt", "wave", "rescaled"]))
+    # 10 h_s over the scale of u
+    floor_share = draw(st.one_of(st.floats(0.01, 1.2), st.floats(0.05, 0.5)))
+    if family != "rescaled":
+        d = draw(st.sampled_from([1, 2]))
+        pot = draw(st.sampled_from([make_zero_potential(d), make_quadratic_potential(0.5, d)]))
+    if family == "barenblatt":
+        spec = BarenblattSpec(m=draw(st.floats(1.2, 3.0)), d=d,
+                              tau=draw(st.floats(0.3, 2.0)), C=draw(st.floats(0.1, 2.0)))
+        h_s = min(floor_share * spec.C / spec.tau / 10.0, 0.1)  # h_s^2 < tau
+        box = barrier_box(draw, (0.0,) * d, spec.support_radius(0.3) + 0.3, 0.0, 0.3, h_s,
+                          spec.support_radius)
+        return build_barrier(spec), pot, box, h_s, spec.m
+    if family == "wave":
+        m, R = draw(st.floats(1.2, 3.0)), 1.0
+        A, B = draw(st.floats(0.5, 2.0)), draw(st.floats(0.55, 0.9))
+        omega = A * (1.0 + 2.0 * (m - 1.0) * (d - 1) * (R - B) / R) * draw(st.floats(1.01, 2.0))
+        spec = SphericalWaveSpec(A=A, omega=omega, B=B, R=R, m=m, d=d)
+        assert spec.is_valid()
+        h_s = floor_share * A * (0.95 - B) / 10.0  # A (0.95 - B): u at |x| = 0.95, t = 0
+        box = barrier_box(draw, (0.0,) * d, 0.95, (B - R) / omega, 0.0, h_s,
+                          lambda t: B - omega * t + 10.0 * h_s / A)
+        return build_barrier(spec), pot, box, h_s, m
+    coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
+    pot = make_polynomial_potential(coeffs)
+    x0, alpha = draw(st.floats(-1.5, 1.5)), draw(st.floats(0.05, 0.2))
+    c_pert = pot.hessian_bound([x0 - alpha], [x0 + alpha]) + 1.0
+    assume(c_pert * alpha < 1.0)
+    if draw(st.booleans()):
+        base, scale = SphericalWaveSpec(A=1.5, omega=1.7, B=0.55, R=1.0, m=2.0, d=1), 0.5
+    else:
+        base = BarenblattSpec(m=draw(st.floats(1.2, 3.0)), d=1, tau=1.0,
+                              C=draw(st.floats(0.02, 0.12)))
+        scale = base.C
+    rescale = RescaleSpec(alpha=alpha, x0=(x0,), t0=0.0,
+                          drift=tuple(pot.grad(np.array([x0])).tolist()), C_pert=c_pert)
+    h_s = floor_share * scale * alpha / 10.0
+    # the box keeps its h_s-enlargement inside the cylinder
+    box = barrier_box(draw, (x0,), alpha - 1.01 * h_s, -0.5 * alpha, -2.0 * h_s * h_s, h_s)
+    return build_barrier(RescaledBarrierSpec(base=base, rescale=rescale)), pot, box, h_s, base.m
+
+
+# levels with and without interior samples: u = |x| + 2 t - 0.5 stays below
+# the floor 0.1 on the box (|x| < 0.76) while t <= -0.08, and exceeds it for
+# |x| > 0.6 at t = 0
+EMPTY_LEVELS = (
+    build_barrier(SphericalWaveSpec(A=1.0, omega=2.0, B=0.5, R=1.0, m=2.0, d=2)),
+    make_zero_potential(2),
+    SpaceTimeBox(lo=(0.5, -0.05), hi=(0.75, 0.05), t_lo=-0.15, t_hi=0.0),
+    0.01, 2.0,
+)
+
+# u equal to the floor 10 h_s on x < 0: those samples are not interior
+AT_THE_FLOOR = (
+    lambda x, t: np.where(x[..., 0] < 0.0, 1.0, 2.0) * (10.0 * 0.01),
+    make_zero_potential(1),
+    SpaceTimeBox(lo=(-0.2,), hi=(0.2,), t_lo=0.0, t_hi=0.02),
+    0.01, 2.0,
+)
+
+
+class TestSamplingReference:
+    @settings(max_examples=200, deadline=None)
+    @given(sampling_cases())
+    @example(EMPTY_LEVELS)
+    @example(AT_THE_FLOOR)
+    def test_matches_full_lattice_differences(self, case):
+        candidate, pot, box, h_s, m = case
+        interior, rates, tol, _ = reference_residuals(candidate, pot, box, h_s, m)
+        for kind in ("sub", "super"):
+            rep = residual_pmed(candidate, pot, kind, box, h_s, m)
+            assert_same_bits(rep.interior_residuals, interior)
+            assert_same_bits(rep.boundary_rate_residuals, rates)
+            assert rep.tol == tol
+            assert (rep.interior_count, rep.boundary_count) == (interior.size, rates.size)
+
+    def test_example_has_empty_and_filled_levels(self):
+        candidate, pot, box, h_s, m = EMPTY_LEVELS
+        per_level = reference_residuals(candidate, pot, box, h_s, m)[3]
+        assert per_level[0] == 0 and per_level[-1] > 0
+
+
+# a rescaled Barenblatt around x0 = 0 with alpha = 0.1: positive on
+# |x| < ~0.09, zero (below the floor) near the cylinder's edge |x| = 0.1
+SMALL_BUMP = RescaledBarrierSpec(
+    base=BarenblattSpec(m=2.0, d=1, tau=1.0, C=0.1),
+    rescale=RescaleSpec(alpha=0.1, x0=(0.0,), t0=0.0, drift=(0.0,), C_pert=1.0),
+)
+
+
+class TestCylinderContract:
+    h_s = 0.0005
+
+    def run_both(self, box):
+        candidate, pot = build_barrier(SMALL_BUMP), make_zero_potential(1)
+        return (lambda: reference_residuals(candidate, pot, box, self.h_s, 2.0),
+                lambda: residual_pmed(candidate, pot, "sub", box, self.h_s, 2.0))
+
+    def test_shift_out_of_the_ball_below_the_floor_raises(self):
+        # the lattice ends on |x| = alpha, where u = 0 <= 10 h_s: only the
+        # differences at those unread samples shift a point out of the ball
+        box = SpaceTimeBox(lo=(-0.1,), hi=(0.1,), t_lo=-0.005, t_hi=-0.004)
+        assert np.all(build_barrier(SMALL_BUMP)(np.array([[-0.1], [0.1]]), -0.005) == 0.0)
+        for run in self.run_both(box):
+            with pytest.raises(OutOfCylinderError, match="outside the ball"):
+                run()
+        inner = SpaceTimeBox(lo=(-0.1 + self.h_s,), hi=(0.1 - self.h_s,),
+                             t_lo=-0.005, t_hi=-0.004)
+        reference, sampled = (run() for run in self.run_both(inner))
+        assert sampled.interior_count > 0
+        assert_same_bits(sampled.interior_residuals, reference[0])
+
+    def test_time_shift_out_of_the_cylinder_with_no_interior_sample_raises(self):
+        # u = 0 on the whole box, so no level gathers a sample; t_hi = t0
+        # still puts t + h_s^2 past the cylinder's top
+        box = SpaceTimeBox(lo=(0.095,), hi=(0.099,), t_lo=-0.002, t_hi=0.0)
+        for run in self.run_both(box):
+            with pytest.raises(OutOfCylinderError, match="outside"):
+                run()
+        below = SpaceTimeBox(lo=(0.095,), hi=(0.099,), t_lo=-0.002, t_hi=-0.001)
+        reference, sampled = (run() for run in self.run_both(below))
+        assert reference[0].size == sampled.interior_count == 0

@@ -83,10 +83,12 @@ class TestParseConfig:
             parse_config(json.dumps(data), "simulate")
 
     def test_default_c_pert_follows_barrier_dimension(self):
-        # Hessian bound 2 a d + 1 of a |x|^2 with d = 2, with no grid block
+        # a |x|^2 with d = 2 and no grid block: the Hessian diag(2a, 2a) has
+        # norm 2a, so C_pert = 2a + 1; the drift 2a x0 has d entries
         data = barenblatt_2d_config({"kind": "quadratic", "a": 1.0}, x0=[0.5, 0.0])
         cfg = parse_config(json.dumps(data), "verify-barriers")
-        assert cfg["barriers"][0].spec.rescale.C_pert == 5.0
+        assert cfg["barriers"][0].spec.rescale.C_pert == 3.0
+        assert cfg["barriers"][0].spec.rescale.drift == (1.0, 0.0)
 
     def test_default_c_pert_on_the_rescale_cylinder(self):
         # |Phi''| = 6 |x| of Phi = x^3 reaches 120.6 on |x - 20| <= 0.1
@@ -423,6 +425,49 @@ class TestVerifyBarriersCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == ["pmed: error: config: barriers[0]: box.lo has 2 entries, but d = 1"]
         assert not out.exists()
+
+    def test_both_samples_each_job_once(self, tmp_path, monkeypatch):
+        # the kind only picks the side of the pass test, so one sampling
+        # serves both rows, and each row equals a separate call of its kind
+        import pmed.barriers as bar
+
+        calls = []
+        real = bar.residual_pmed
+
+        def spy(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(bar, "residual_pmed", spy)
+        command, data = CASES["verify-barriers-2d"]
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfgp, "--out", str(out)]) == 0
+        assert len(calls) == len(data["barriers"])
+        rows = [line.split(",") for line in (out / "residuals.csv").read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["sub", "super", "super"]
+        sub, sup = rows[0], rows[1]
+        assert sub[5:] == sup[5:]  # tol and both sample counts
+        job = parse_config(json.dumps(data), command)["barriers"][0]
+        for row in (sub, sup):
+            rep = real(bar.build_barrier(job.spec), job.pot, row[1], job.box, job.h_s, job.m)
+            assert row[3:] == [pmed.cli._fmt(v) for v in (
+                rep.worst_interior(), rep.worst_boundary(), rep.tol,
+                rep.interior_count, rep.boundary_count)]
+
+    def test_box_leaving_the_cylinder_exits_two(self, tmp_path, capsys):
+        # the box ends on |x - x0| = alpha, where u = 0; the shift by h_s
+        # out of the ball is still an error, though no residual reads it
+        data = barenblatt_2d_config({"kind": "zero"}, x0=[0.5, 0.0], C_pert=1.0)
+        data["barriers"][0]["box"] = {"lo": [0.4, 0.0], "hi": [0.6, 0.0],
+                                      "t_lo": -0.02, "t_hi": -0.01}
+        data["barriers"][0]["base"]["C"] = 0.05
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["verify-barriers", "--config", cfgp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pmed: error: OutOfCylinderError: points outside the ball")
+        assert list(out.iterdir()) == []
 
     def test_failing_barrier_exits_one(self, tmp_path):
         # a wave violating the slope criterion is not a supersolution

@@ -278,7 +278,8 @@ class TestPotentials:
         assert pot.eval(np.zeros(2)) == 0.0
         np.testing.assert_array_equal(pot.grad(np.zeros(2)), 0.0)
         assert pot.strictly_convex
-        assert pot.hessian_bound([-1.0, -1.0], [1.0, 1.0]) == 4.0
+        # Hessian diag(2, 2): its norm is the larger diagonal entry, not their sum
+        assert pot.hessian_bound([-1.0, -1.0], [1.0, 1.0]) == 2.0
         assert pot.min_value() == 0.0
 
     def test_quadratic_invalid(self):

@@ -31,8 +31,9 @@ import sys
 
 END_TO_END = ("wall_s", "wall_s_tail", "setup_s", "peak_rss_mb")
 ENVIRONMENT = ("git_commit", "source_sha256", "python", "numpy", "nproc", "cpu")
-LAYERS = ("barriers.residual_s", "barriers.samples_per_s", "cli.self_s",
-          "cli.write_mb_per_s", "core.pressure_s", "solver.simulate_s")
+LAYERS = ("barriers.residual_s", "barriers.samples_per_s", "barriers.candidate_points",
+          "barriers.samples", "cli.self_s", "cli.write_mb_per_s", "core.pressure_s",
+          "solver.simulate_s")
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
