@@ -311,6 +311,14 @@ class SpaceTimeBox:
         return len(self.lo)
 
 
+def _side(kind: str) -> float:
+    """+1 for the subsolution check (r <= tol), -1 for the supersolution
+    check (r >= -tol)."""
+    if kind not in ("sub", "super"):
+        raise InvalidParameterError(f"kind must be 'sub' or 'super', got {kind!r}")
+    return 1.0 if kind == "sub" else -1.0
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Sampled inequality residuals for one candidate profile.
@@ -321,12 +329,12 @@ class ResidualReport:
     Boundary residual (rate form, at floor-crossing points):
         r_bd  = u_t - |grad u|^2 - grad Phi . grad u,
     the free-boundary law u_t / |grad u| = |grad u| + grad Phi . grad u / |grad u|
-    multiplied through by |grad u|.  A subsolution check passes when the
-    worst residuals stay below +tol, a supersolution check when they stay
-    above -tol; a check with no interior or no boundary sample fails.
+    multiplied through by |grad u|.  Both checks read the same residuals: a
+    subsolution ("sub") check passes when the worst residuals stay below
+    +tol, a supersolution ("super") check when they stay above -tol; a
+    check with no interior or no boundary sample fails.
     """
 
-    kind: str
     tol: float
     interior_residuals: np.ndarray
     boundary_rate_residuals: np.ndarray
@@ -339,21 +347,16 @@ class ResidualReport:
     def boundary_count(self) -> int:
         return int(self.boundary_rate_residuals.size)
 
-    def _worst(self, vals: np.ndarray) -> float:
-        if vals.size == 0:
-            return 0.0
-        return float(vals.max() if self.kind == "sub" else vals.min())
+    def worst(self, kind: str) -> tuple[float, float]:
+        """The worst (interior, boundary) residuals of the ``kind`` check,
+        the largest for "sub" and the smallest for "super"; 0.0 where there
+        is no sample."""
+        pick = np.max if _side(kind) > 0 else np.min
+        return tuple(float(pick(v)) if v.size else 0.0
+                     for v in (self.interior_residuals, self.boundary_rate_residuals))
 
-    def worst_interior(self) -> float:
-        return self._worst(self.interior_residuals)
-
-    def worst_boundary(self) -> float:
-        return self._worst(self.boundary_rate_residuals)
-
-    @property
-    def passed(self) -> bool:
-        sign = 1.0 if self.kind == "sub" else -1.0  # sub: r <= tol, super: r >= -tol
-        worst = max(sign * self.worst_interior(), sign * self.worst_boundary())
+    def passed(self, kind: str) -> bool:
+        worst = max(_side(kind) * w for w in self.worst(kind))
         return self.interior_count > 0 and self.boundary_count > 0 and worst <= self.tol
 
 
@@ -370,12 +373,11 @@ def _derivatives(
     t: float,
     h_s: float,
     m: float,
-    shifted: np.ndarray,
 ):
     """Centered differences of the candidate and drift terms at sample points
     pts, of shape (k, dim), where u0 = candidate(pts, t).
 
-    The shifted points pts +- h_s e_k go into ``shifted`` (shaped like pts),
+    The shifted points pts +- h_s e_k go into one buffer shaped like pts,
     refilled for each shift, so the candidate must not keep a view of its
     input.
     """
@@ -385,6 +387,7 @@ def _derivatives(
     grad = np.empty(u0.shape + (dim,))
     lap = np.zeros_like(u0)
     lap_phi = np.zeros_like(u0)
+    shifted = np.empty_like(pts)
     column = shifted[..., 0]  # the shifted k-th coordinate, for grad Phi
     for k in range(dim):
         e = np.zeros(dim)
@@ -420,7 +423,6 @@ def _outward_faces(pts: np.ndarray, h_s: float) -> np.ndarray:
 def residual_pmed(
     candidate: Evaluable,
     pot: Potential,
-    kind: str,
     box: SpaceTimeBox,
     h_s: float,
     m: float,
@@ -437,14 +439,13 @@ def residual_pmed(
     on its faces shifted outward by h_s, which reach every shifted point
     when the candidate's domain is convex (a rescaled barrier's ball), so a
     box that leaves the domain raises as if every point were differenced.
-    Differences, at t +- h_s^2 and x +- h_s e_k, are taken only at interior
-    samples and crossings, always at t +- h_s^2 even when a level has no
-    interior sample.  The candidate must act on each point alone, as every
-    profile here does: the residuals are then bit for bit those of
-    differences over the whole lattice, restricted to the samples read.
+    Differences, at t +- h_s^2 and x +- h_s e_k, are taken in one pass over
+    the interior samples followed by the crossings, always at t +- h_s^2
+    even when a level has neither.  The candidate must act on each point
+    alone, as every profile here does: the residuals are then bit for bit
+    those of differences over the whole lattice, restricted to the samples
+    read.
     """
-    if kind not in ("sub", "super"):
-        raise InvalidParameterError(f"kind must be 'sub' or 'super', got {kind!r}")
     if not h_s > 0.0:
         raise InvalidParameterError(f"h_s must be > 0, got {h_s}")
     floor = 10.0 * h_s
@@ -453,7 +454,6 @@ def residual_pmed(
     times = _lattice(box.t_lo, box.t_hi, h_s)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     faces = _outward_faces(pts, h_s)
-    buffer = np.empty(pts.size)  # for _derivatives: one per call, viewed to each gather
 
     int_res, bd_rate = [], []
     u_max = 0.0
@@ -463,22 +463,17 @@ def residual_pmed(
         candidate(faces, t)  # raises where a shifted point leaves the domain
         u_max = max(u_max, float(u0.max(initial=0.0)))
         inside = u0 > floor
-        # also on an empty gather, so that t +- h_s^2 is always checked
-        gathered = pts[inside]
-        r_int, _, _ = _derivatives(candidate, pot, gathered, u0[inside], t, h_s, m,
-                                   buffer[:gathered.size].reshape(gathered.shape))
-        int_res.append(r_int)
         crossings = level_crossings(u0, axes, floor)
-        if crossings.size:
-            u_cross = np.asarray(candidate(crossings, t), dtype=float)
-            _, rate, gn = _derivatives(candidate, pot, crossings, u_cross, t, h_s, m,
-                                       np.empty_like(crossings))
-            bd_rate.append(rate[gn > floor])
+        n = np.count_nonzero(inside)
+        u_at = np.concatenate((u0[inside], np.asarray(candidate(crossings, t), dtype=float)))
+        r_int, rate, gn = _derivatives(candidate, pot, np.concatenate((pts[inside], crossings)),
+                                       u_at, t, h_s, m)
+        int_res.append(r_int[:n])
+        bd_rate.append(rate[n:][gn[n:] > floor])
 
     interior = np.concatenate(int_res)
-    rate_arr = np.concatenate(bd_rate) if bd_rate else np.empty(0)
+    rate_arr = np.concatenate(bd_rate)
     if not (np.all(np.isfinite(interior)) and np.all(np.isfinite(rate_arr))):
         raise InvalidInputError("candidate produced non-finite residuals")
     tol = 50.0 * (1.0 + u_max) * h_s
-    return ResidualReport(kind=kind, tol=tol, interior_residuals=interior,
-                          boundary_rate_residuals=rate_arr)
+    return ResidualReport(tol=tol, interior_residuals=interior, boundary_rate_residuals=rate_arr)

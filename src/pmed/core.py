@@ -107,16 +107,11 @@ class FieldVariable(enum.Enum):
 
 @dataclass(frozen=True)
 class Field:
-    """Nonnegative scalar per cell, compactly supported inside the box.
-
-    ``m`` is the nonlinearity exponent the field belongs to; it rides along
-    so that transforms and diagnostics agree on the same physics.
-    """
+    """Nonnegative scalar per cell, compactly supported inside the box."""
 
     grid: Grid
     values: np.ndarray
     variable: FieldVariable
-    m: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -126,8 +121,6 @@ class Field:
             )
         if np.any(v < 0.0):
             raise InvalidInputError("field values must be nonnegative")
-        if not self.m > 1.0:
-            raise InvalidExponentError(f"exponent m must be > 1, got {self.m}")
         if np.any(ring(v, 1) != 0.0):
             raise InvalidInputError("outermost cell ring must be zero (compact support)")
         v = v.copy()
@@ -135,7 +128,7 @@ class Field:
         object.__setattr__(self, "values", v)
 
     def with_values(self, values: np.ndarray, variable: FieldVariable | None = None) -> "Field":
-        return Field(self.grid, values, variable or self.variable, self.m)
+        return Field(self.grid, values, variable or self.variable)
 
     def max(self) -> float:
         return float(self.values.max())
@@ -197,7 +190,7 @@ def pressure_from_density(rho: Field, m: float) -> Field:
     if rho.variable is not FieldVariable.DENSITY:
         raise InvalidInputError("pressure_from_density expects a density field")
     u = (m / (m - 1.0)) * np.power(rho.values, m - 1.0)
-    return Field(rho.grid, u, FieldVariable.PRESSURE, m)
+    return Field(rho.grid, u, FieldVariable.PRESSURE)
 
 
 def density_from_pressure(u: Field, m: float) -> Field:
@@ -207,7 +200,7 @@ def density_from_pressure(u: Field, m: float) -> Field:
     if u.variable is not FieldVariable.PRESSURE:
         raise InvalidInputError("density_from_pressure expects a pressure field")
     rho = np.power(((m - 1.0) / m) * u.values, 1.0 / (m - 1.0))
-    return Field(u.grid, rho, FieldVariable.DENSITY, m)
+    return Field(u.grid, rho, FieldVariable.DENSITY)
 
 
 def integrate(f: Field) -> float:

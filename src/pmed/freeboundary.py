@@ -169,7 +169,7 @@ def equilibrium_profile(
     u = np.maximum(c - phi, 0.0)
     if np.any(ring(u, 1) > 0.0):
         raise DomainTooSmallError("equilibrium support reaches the box edge")
-    pressure = Field(grid, u, FieldVariable.PRESSURE, m)
+    pressure = Field(grid, u, FieldVariable.PRESSURE)
     return EquilibriumProfile(
         c_inf=c, pressure=pressure, boundary=extract_boundary(pressure, eps_fb)
     )

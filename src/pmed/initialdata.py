@@ -19,13 +19,11 @@ def barenblatt_density(grid: Grid, spec: BarenblattSpec, t: float = 0.0) -> Fiel
             f"support radius {spec.support_radius(t):.3g} does not fit in the box"
         )
     u = barenblatt(grid.centers(), t, spec)
-    pressure = Field(grid, u, FieldVariable.PRESSURE, spec.m)
+    pressure = Field(grid, u, FieldVariable.PRESSURE)
     return density_from_pressure(pressure, spec.m)
 
 
-def bump_density(
-    grid: Grid, m: float, amplitude: float, width: float, center=0.0
-) -> Field:
+def bump_density(grid: Grid, amplitude: float, width: float, center=0.0) -> Field:
     """Smooth compactly supported bump: amplitude * ((1 - |x-c|^2/w^2)_+)^2."""
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if c.ndim != 1 or c.size not in (1, grid.dim):
@@ -38,7 +36,7 @@ def bump_density(
     values = amplitude * prof * prof
     if np.any(ring(r2, 2) <= width**2):
         raise DomainTooSmallError("bump support reaches the box edge")
-    return Field(grid, values, FieldVariable.DENSITY, m)
+    return Field(grid, values, FieldVariable.DENSITY)
 
 
 def equilibrium_offset_density(

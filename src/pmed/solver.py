@@ -147,29 +147,6 @@ def _drift_context(grid: Grid, potential: Potential) -> _DriftContext:
     return _DriftContext(grid, potential)
 
 
-def _cfl_dt_values(v_top: float, v_max: float, grid: Grid, cfg: SolverConfig) -> float:
-    """cfl_dt from a field's max ``v_top`` and its support's max |grad Phi| ``v_max``."""
-    d_max = cfg.m * v_top ** (cfg.m - 1.0) if v_top > 0.0 else 0.0
-    v_max = max(v_max, _TINY)
-    dt_diff = grid.h**2 / (2.0 * grid.dim * d_max) if d_max > 0.0 else np.inf
-    dt_adv = grid.h / (2.0 * grid.dim * v_max)
-    dt = cfg.cfl_safety * min(dt_diff, dt_adv)
-    return float(min(dt, cfg.snapshot_every))
-
-
-def cfl_dt(rho: Field, cfg: SolverConfig) -> float:
-    """Largest stable explicit step, capped at the snapshot cadence.
-
-    dt = cfl_safety * min( h^2 / (2 dim D_max), h / (2 dim V_max) ) with
-    D_max = max m rho^(m-1) and V_max = max |grad Phi| over the support
-    (floored at machine-tiny so the empty field stays finite).
-    """
-    ctx = _drift_context(rho.grid, cfg.potential)
-    v = rho.values
-    v_max = float(np.max(ctx.grad_norms, where=v > 0.0, initial=0.0))
-    return _cfl_dt_values(float(v.max()), v_max, rho.grid, cfg)
-
-
 def _flux_divergence(v: np.ndarray, h: float, m: float, g: tuple[np.ndarray, ...]) -> np.ndarray:
     """(F_{i+1/2} - F_{i-1/2}) / h per cell of a stack ``v`` of shape (B, *cells).
 
@@ -209,7 +186,7 @@ class _Stack:
     """
 
     def __init__(self, values: np.ndarray, grid: Grid, cfg: SolverConfig):
-        self.v = values  # (B, *grid.shape), owned
+        self.v = values  # (B, *grid.shape)
         self.grid, self.cfg = grid, cfg
         self.ctx = _drift_context(grid, cfg.potential)
         self.clipped_cum = [0.0] * len(values)
@@ -260,9 +237,21 @@ class _Stack:
         return not any(np.any(ring(v, 2) > 1e-12 * top) for v, top in zip(self.v, self.tops))
 
     def cfl_dt(self) -> float:
-        """The smallest member's cfl_dt."""
-        return min(_cfl_dt_values(top, v_max, self.grid, self.cfg)
-                   for top, v_max in zip(self.tops, self.vmaxes))
+        """Largest stable explicit step of every member, capped at the
+        snapshot cadence: the smallest over the members of
+
+        dt = cfl_safety * min( h^2 / (2 dim D_max), h / (2 dim V_max) ) with
+        D_max = max m rho^(m-1) and V_max = max |grad Phi| over the support
+        (floored at machine-tiny so the empty field stays finite).
+        """
+        m, h, dim = self.cfg.m, self.grid.h, self.grid.dim
+        dt = self.cfg.snapshot_every
+        for top, v_max in zip(self.tops, self.vmaxes):
+            d_max = m * top ** (m - 1.0) if top > 0.0 else 0.0
+            dt_diff = h**2 / (2.0 * dim * d_max) if d_max > 0.0 else np.inf
+            dt_adv = h / (2.0 * dim * max(v_max, _TINY))
+            dt = min(dt, self.cfg.cfl_safety * min(dt_diff, dt_adv))
+        return float(dt)
 
     def step(self, dt: float) -> None:
         """One explicit step of every member, adding to ``clipped_cum``."""
@@ -283,6 +272,12 @@ class _Stack:
         self._track(w, cells, gn)
 
 
+def cfl_dt(rho: Field, cfg: SolverConfig) -> float:
+    """Largest stable explicit step for ``rho``, capped at the snapshot
+    cadence (see _Stack.cfl_dt)."""
+    return _Stack(rho.values[None], rho.grid, cfg).cfl_dt()
+
+
 def step_density_report(rho: Field, cfg: SolverConfig, dt: float) -> StepReport:
     """One explicit flux-form step of size dt (dt must respect cfl_dt).
 
@@ -295,7 +290,7 @@ def step_density_report(rho: Field, cfg: SolverConfig, dt: float) -> StepReport:
     if dt > dt_max * (1.0 + 1e-9):
         raise StepTooLargeError(f"dt = {dt} exceeds stability limit {dt_max}")
     stack.step(dt)
-    return StepReport(field=Field(rho.grid, stack.v[0], FieldVariable.DENSITY, cfg.m),
+    return StepReport(field=Field(rho.grid, stack.v[0], FieldVariable.DENSITY),
                       clipped_mass=stack.clipped_cum[0])
 
 
@@ -329,7 +324,7 @@ def _simulate_stack(fields: tuple[Field, ...], cfg: SolverConfig) -> list[Trajec
                 t = target
         t = target
         for member, v, clipped in zip(snaps, stack.v, stack.clipped_cum):
-            field = Field(grid, v, FieldVariable.DENSITY, cfg.m)
+            field = Field(grid, v, FieldVariable.DENSITY)
             member.append(Snapshot(t, field, vol * float(np.sum(v)), clipped))
     return [Trajectory(tuple(s), cfg, dt_max) for s in snaps]
 

@@ -7,6 +7,7 @@ from pmed.barriers import (
     BarenblattSpec,
     RescaledBarrierSpec,
     RescaleSpec,
+    ResidualReport,
     SpaceTimeBox,
     SphericalWaveSpec,
     barenblatt,
@@ -335,7 +336,7 @@ class TestResidualPmed:
         c = 1.0
         u = lambda x, t: np.maximum(c - pot.eval(x), 0.0)
         box = SpaceTimeBox(lo=(-0.7,), hi=(0.7,), t_lo=0.0, t_hi=0.1)
-        rep = residual_pmed(u, pot, "super", box, h_s=0.01, m=2.0)
+        rep = residual_pmed(u, pot, box, h_s=0.01, m=2.0)
         assert rep.interior_count > 0
         assert np.max(np.abs(rep.interior_residuals)) <= 1e-8
 
@@ -344,8 +345,8 @@ class TestResidualPmed:
         spec = BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0)
         pot = make_zero_potential(1)
         box = SpaceTimeBox(lo=(-3.0,), hi=(3.0,), t_lo=0.0, t_hi=0.2)
-        rep = residual_pmed(build_barrier(spec), pot, kind, box, h_s=0.02, m=2.0)
-        assert rep.passed
+        rep = residual_pmed(build_barrier(spec), pot, box, h_s=0.02, m=2.0)
+        assert rep.passed(kind)
         assert rep.interior_count > 0
         assert rep.boundary_count > 0
         assert np.max(np.abs(rep.interior_residuals)) <= 1e-5
@@ -355,28 +356,35 @@ class TestResidualPmed:
         # the floor 10 h_s = 1 is not below max u = C/tau = 1
         spec = BarenblattSpec(m=2.0, d=2, tau=1.0, C=1.0)
         box = SpaceTimeBox(lo=(-2.0, -2.0), hi=(2.0, 2.0), t_lo=0.0, t_hi=0.2)
-        rep = residual_pmed(build_barrier(spec), make_zero_potential(2), kind, box,
-                            h_s=0.1, m=2.0)
+        rep = residual_pmed(build_barrier(spec), make_zero_potential(2), box, h_s=0.1, m=2.0)
         assert rep.interior_count == 0 and rep.boundary_count == 0
-        assert not rep.passed
+        assert not rep.passed(kind)
+        assert rep.worst(kind) == (0.0, 0.0)
 
     def test_wave_super_under_pme(self):
         spec = SphericalWaveSpec(A=1.0, omega=2.0, B=0.6, R=1.0, m=2.0, d=2)
         assert spec.is_valid()
         pot = make_zero_potential(2)
         box = SpaceTimeBox(lo=(-0.7, -0.7), hi=(0.7, 0.7), t_lo=-0.2, t_hi=0.0)
-        rep = residual_pmed(build_barrier(spec), pot, "super", box, h_s=0.01, m=2.0)
-        assert rep.passed
+        rep = residual_pmed(build_barrier(spec), pot, box, h_s=0.01, m=2.0)
+        assert rep.passed("super")
         assert rep.interior_count > 0 and rep.boundary_count > 0
         # strict supersolution: worst signed values stay positive
-        assert rep.worst_interior() > 0
-        assert rep.worst_boundary() > 0
+        assert min(rep.worst("super")) > 0
+
+    def test_each_kind_reads_its_side(self):
+        rep = ResidualReport(tol=0.5, interior_residuals=np.array([-1.0, 0.2]),
+                             boundary_rate_residuals=np.array([0.3, -0.1]))
+        assert rep.worst("sub") == (0.2, 0.3) and rep.passed("sub")
+        assert rep.worst("super") == (-1.0, -0.1) and not rep.passed("super")
 
     def test_invalid_kind(self):
         u = lambda x, t: np.zeros(np.asarray(x).shape[:-1])
         box = SpaceTimeBox(lo=(0.0,), hi=(1.0,), t_lo=0.0, t_hi=0.1)
-        with pytest.raises(InvalidParameterError):
-            residual_pmed(u, make_zero_potential(1), "both", box, 0.01, 2.0)
+        rep = residual_pmed(u, make_zero_potential(1), box, 0.01, 2.0)
+        for ask in (rep.passed, rep.worst):
+            with pytest.raises(InvalidParameterError):
+                ask("both")
 
 
 def reference_derivatives(candidate, pot, pts, t, h_s, m):
@@ -519,26 +527,40 @@ AT_THE_FLOOR = (
     0.01, 2.0,
 )
 
+# u >= 0.98 > 0.1 = 10 h_s on the box: every level has interior samples and
+# no crossing, so the candidate also meets an empty (0, 2) array of points
+ABOVE_THE_FLOOR = (
+    build_barrier(BarenblattSpec(m=2.0, d=2, tau=1.0, C=1.0)),
+    make_zero_potential(2),
+    SpaceTimeBox(lo=(-0.2, -0.2), hi=(0.2, 0.2), t_lo=0.0, t_hi=0.02),
+    0.01, 2.0,
+)
+
 
 class TestSamplingReference:
     @settings(max_examples=200, deadline=None)
     @given(sampling_cases())
     @example(EMPTY_LEVELS)
     @example(AT_THE_FLOOR)
+    @example(ABOVE_THE_FLOOR)
     def test_matches_full_lattice_differences(self, case):
         candidate, pot, box, h_s, m = case
         interior, rates, tol, _ = reference_residuals(candidate, pot, box, h_s, m)
-        for kind in ("sub", "super"):
-            rep = residual_pmed(candidate, pot, kind, box, h_s, m)
-            assert_same_bits(rep.interior_residuals, interior)
-            assert_same_bits(rep.boundary_rate_residuals, rates)
-            assert rep.tol == tol
-            assert (rep.interior_count, rep.boundary_count) == (interior.size, rates.size)
+        rep = residual_pmed(candidate, pot, box, h_s, m)
+        assert_same_bits(rep.interior_residuals, interior)
+        assert_same_bits(rep.boundary_rate_residuals, rates)
+        assert rep.tol == tol
+        assert (rep.interior_count, rep.boundary_count) == (interior.size, rates.size)
 
     def test_example_has_empty_and_filled_levels(self):
         candidate, pot, box, h_s, m = EMPTY_LEVELS
         per_level = reference_residuals(candidate, pot, box, h_s, m)[3]
         assert per_level[0] == 0 and per_level[-1] > 0
+
+    def test_example_has_levels_without_crossings(self):
+        candidate, pot, box, h_s, m = ABOVE_THE_FLOOR
+        per_level = reference_residuals(candidate, pot, box, h_s, m)[3]
+        assert per_level == [41 * 41] * 3  # every sample of every level is interior
 
 
 # a rescaled Barenblatt around x0 = 0 with alpha = 0.1: positive on
@@ -555,7 +577,7 @@ class TestCylinderContract:
     def run_both(self, box):
         candidate, pot = build_barrier(SMALL_BUMP), make_zero_potential(1)
         return (lambda: reference_residuals(candidate, pot, box, self.h_s, 2.0),
-                lambda: residual_pmed(candidate, pot, "sub", box, self.h_s, 2.0))
+                lambda: residual_pmed(candidate, pot, box, self.h_s, 2.0))
 
     def test_shift_out_of_the_ball_below_the_floor_raises(self):
         # the lattice ends on |x| = alpha, where u = 0 <= 10 h_s: only the

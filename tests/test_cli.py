@@ -2,7 +2,6 @@ import copy
 import io
 import itertools
 import json
-import os
 import re
 from pathlib import Path
 
@@ -254,17 +253,29 @@ class TestSimulateCommand:
         assert len(snapshots) == 3
         assert len(calls) == 3
 
-    def test_runtime_error_leaves_no_files(self, tmp_path):
-        data = simulate_config()
+    @staticmethod
+    def overflowing_config():
         # support reaches the margin during the run: domain-overflow, exit 2
-        data["grid"] = {"dim": 1, "L": 3.0, "h": 0.05}
+        data = simulate_config(grid={"dim": 1, "L": 3.0, "h": 0.05},
+                               initial={"kind": "barenblatt", "tau": 1.0, "C": 1.0})
         data["physics"]["potential"] = {"kind": "zero"}
         data["solver"]["t_end"] = 2.0
-        data["initial"] = {"kind": "barenblatt", "tau": 1.0, "C": 1.0}
-        cfgp = write_config(tmp_path, data)
-        out = tmp_path / "out"
+        return data
+
+    def test_runtime_error_leaves_no_files(self, tmp_path):
+        cfgp = write_config(tmp_path, self.overflowing_config())
+        out = tmp_path / "runs" / "out"
         assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
-        assert os.listdir(out) == []
+        assert not (tmp_path / "runs").exists()
+
+    def test_failing_run_keeps_an_earlier_runs_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, simulate_config()),
+                     "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfgp = write_config(tmp_path, self.overflowing_config(), "failing.json")
+        assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def reference_rows(t, ax, rho, u):
@@ -427,32 +438,29 @@ class TestVerifyBarriersCommand:
         assert not out.exists()
 
     def test_both_samples_each_job_once(self, tmp_path, monkeypatch):
-        # the kind only picks the side of the pass test, so one sampling
-        # serves both rows, and each row equals a separate call of its kind
+        # sub and super read the same residuals in opposite directions, so one
+        # sampling serves both rows, and each row is that report asked per kind
         import pmed.barriers as bar
 
-        calls = []
+        reports = []
         real = bar.residual_pmed
 
         def spy(*args):
-            calls.append(args[2])
-            return real(*args)
+            reports.append(real(*args))
+            return reports[-1]
 
         monkeypatch.setattr(bar, "residual_pmed", spy)
         command, data = CASES["verify-barriers-2d"]
         cfgp = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert main([command, "--config", cfgp, "--out", str(out)]) == 0
-        assert len(calls) == len(data["barriers"])
+        assert len(reports) == len(data["barriers"])
         rows = [line.split(",") for line in (out / "residuals.csv").read_text().splitlines()[1:]]
         assert [row[1] for row in rows] == ["sub", "super", "super"]
-        sub, sup = rows[0], rows[1]
-        assert sub[5:] == sup[5:]  # tol and both sample counts
-        job = parse_config(json.dumps(data), command)["barriers"][0]
-        for row in (sub, sup):
-            rep = real(bar.build_barrier(job.spec), job.pot, row[1], job.box, job.h_s, job.m)
-            assert row[3:] == [pmed.cli._fmt(v) for v in (
-                rep.worst_interior(), rep.worst_boundary(), rep.tol,
+        for row, rep in zip(rows, [reports[0], *reports]):
+            kind = row[1]
+            assert row[2:] == [pmed.cli._fmt(v) for v in (
+                "pass" if rep.passed(kind) else "fail", *rep.worst(kind), rep.tol,
                 rep.interior_count, rep.boundary_count)]
 
     def test_box_leaving_the_cylinder_exits_two(self, tmp_path, capsys):
@@ -467,7 +475,7 @@ class TestVerifyBarriersCommand:
         assert main(["verify-barriers", "--config", cfgp, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("pmed: error: OutOfCylinderError: points outside the ball")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_failing_barrier_exits_one(self, tmp_path):
         # a wave violating the slope criterion is not a supersolution
@@ -552,7 +560,7 @@ class TestConvergenceCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == ["pmed: error: BoundaryGapError: "
                        "empty support boundary at t = 0, 0.1, 0.2"]
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_default_threshold_on_a_coarse_grid(self, tmp_path):
         # 20 cells per axis: 10 h max / L is the maximum itself, so only the

@@ -23,8 +23,8 @@ from pmed.errors import (InvalidExponentError, InvalidInputError, InvalidParamet
                          UnsupportedPotentialError)
 
 
-def field_1d(values, h=0.5, L=2.0, variable=FieldVariable.DENSITY, m=2.0):
-    return Field(Grid(dim=1, h=h, extent=L), np.asarray(values, float), variable, m)
+def field_1d(values, h=0.5, L=2.0, variable=FieldVariable.DENSITY):
+    return Field(Grid(dim=1, h=h, extent=L), np.asarray(values, float), variable)
 
 
 class TestGrid:
@@ -70,14 +70,10 @@ class TestField:
         with pytest.raises(InvalidInputError):
             field_1d(v)
 
-    def test_rejects_bad_exponent(self):
-        with pytest.raises(InvalidExponentError):
-            field_1d(np.zeros(8), m=1.0)
-
     def test_rejects_shape_mismatch(self):
         g = Grid(dim=1, h=0.5, extent=2.0)
         with pytest.raises(InvalidInputError):
-            Field(g, np.zeros(9), FieldVariable.DENSITY, 2.0)
+            Field(g, np.zeros(9), FieldVariable.DENSITY)
 
     def test_values_are_frozen(self):
         f = field_1d(np.zeros(8))
@@ -222,7 +218,7 @@ class TestTransforms:
         for m in (1.5, 2.0, 3.0):
             v = np.zeros(64)
             v[2:-2] = rng.random(60)
-            rho = field_1d(v, h=0.125, L=4.0, m=m)
+            rho = field_1d(v, h=0.125, L=4.0)
             back = density_from_pressure(pressure_from_density(rho, m), m)
             assert np.max(np.abs(back.values - v)) <= 1e-12 * np.max(v)
 
@@ -257,7 +253,7 @@ class TestIntegrate:
         # rho = (1 - x^2)_+^2, m = 2: int u = 2 * int rho = 2 * 16/15
         g = Grid(dim=1, h=0.05, extent=4.0)
         x = g.axis_centers()
-        rho = Field(g, np.maximum(1 - x * x, 0.0) ** 2, FieldVariable.DENSITY, 2.0)
+        rho = Field(g, np.maximum(1 - x * x, 0.0) ** 2, FieldVariable.DENSITY)
         got = integrate(pressure_from_density(rho, 2.0))
         assert abs(got - 32.0 / 15.0) <= 1e-3
 

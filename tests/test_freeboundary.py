@@ -38,7 +38,7 @@ from pmed.solver import SolverConfig, simulate
 class TestExtractBoundary:
     def test_zero_field_empty(self):
         g = Grid(dim=1, h=0.25, extent=1.0)
-        f = Field(g, np.zeros(8), FieldVariable.DENSITY, 2.0)
+        f = Field(g, np.zeros(8), FieldVariable.DENSITY)
         assert extract_boundary(f, 1e-6).shape == (0, 1)
 
     def test_barenblatt_endpoints(self):
@@ -46,7 +46,7 @@ class TestExtractBoundary:
         g = Grid(dim=1, h=0.05, extent=4.0)
         for t in (0.0, 0.5):
             u = Field(g, barenblatt(g.centers(), t, spec),
-                      FieldVariable.PRESSURE, 2.0)
+                      FieldVariable.PRESSURE)
             b = extract_boundary(u, 1e-8)
             r = spec.support_radius(t)
             assert len(b) == 2
@@ -56,7 +56,7 @@ class TestExtractBoundary:
         g = Grid(dim=2, h=0.05, extent=2.0)
         pot = make_quadratic_potential(1.0, dim=2)
         u = np.maximum(1.0 - pot.eval(g.centers()), 0.0)
-        f = Field(g, u, FieldVariable.PRESSURE, 2.0)
+        f = Field(g, u, FieldVariable.PRESSURE)
         b = extract_boundary(f, 1e-6)
         radii = np.sqrt(np.sum(b ** 2, axis=-1))
         assert len(b) > 50
@@ -68,7 +68,7 @@ class TestExtractBoundary:
         pot = make_quadratic_potential(1.0, dim=1)
         c = 1.0
         u = np.maximum(c - pot.eval(g.centers()), 0.0)
-        f = Field(g, u, FieldVariable.PRESSURE, 2.0)
+        f = Field(g, u, FieldVariable.PRESSURE)
         b = extract_boundary(f, 1e-9)
         lip = 2.0 * g.extent
         assert np.max(np.abs(pot.eval(b) - c)) <= 2.0 * lip * g.h
@@ -77,7 +77,7 @@ class TestExtractBoundary:
         g = Grid(dim=2, h=0.25, extent=1.0)
         v = np.zeros((8, 8))
         v[3:5, 3:5] = 1.0
-        f = Field(g, v, FieldVariable.DENSITY, 2.0)
+        f = Field(g, v, FieldVariable.DENSITY)
         b1 = extract_boundary(f, 0.5)
         b2 = extract_boundary(f, 0.5)
         np.testing.assert_array_equal(b1, b2)
@@ -92,7 +92,7 @@ class TestExtractBoundary:
     def test_default_threshold_on_a_fine_grid(self):
         g = Grid(dim=1, h=0.05, extent=4.0)
         u = Field(g, barenblatt(g.centers(), 0.0, BarenblattSpec(2.0, 1, 1.0, 1.0)),
-                  FieldVariable.PRESSURE, 2.0)
+                  FieldVariable.PRESSURE)
         assert default_support_threshold(u) == 10.0 * g.h * u.max() / g.extent
 
 
@@ -195,7 +195,7 @@ def gradient_cases(draw):
     coord = st.floats(-g.extent - g.h, g.extent + g.h)
     p = np.array([draw(coord), draw(coord)])
     eps_fb = draw(st.sampled_from([0.25, 0.75, 1.25]))
-    return Field(g, v, FieldVariable.PRESSURE, 2.0), p, eps_fb
+    return Field(g, v, FieldVariable.PRESSURE), p, eps_fb
 
 
 class TestInteriorGradientReference:
@@ -358,7 +358,7 @@ class TestBoundaryVelocity:
 
     def test_gap_error_lists_times(self):
         g = Grid(dim=1, h=0.05, extent=2.0)
-        rho = Field(g, np.zeros(g.shape), FieldVariable.DENSITY, 2.0)
+        rho = Field(g, np.zeros(g.shape), FieldVariable.DENSITY)
         cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0, 1),
                            t_end=0.3, snapshot_every=0.1)
         traj = simulate(rho, cfg)

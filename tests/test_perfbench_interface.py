@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pmed.barriers
 import pmed.cli
 import pmed.solver
 from pmed.core import (Field, FieldVariable, Grid, make_quadratic_potential,
@@ -42,7 +43,7 @@ def test_solver_replay_names():
     grid = Grid(dim=1, h=0.1, extent=1.0)
     values = np.zeros(grid.shape)
     values[8:12] = 0.5
-    rho = Field(grid, values, FieldVariable.DENSITY, 2.0)
+    rho = Field(grid, values, FieldVariable.DENSITY)
     cfg = pmed.solver.SolverConfig(m=2.0, potential=make_zero_potential(1),
                                    t_end=1.0, snapshot_every=1.0)
     rep = pmed.solver.step_density_report(rho, cfg, pmed.solver.cfl_dt(rho, cfg))
@@ -62,6 +63,19 @@ def test_trace_counts_read_real_results():
     assert counts("equilibrium_profile")((0.05, pot, 2.0, grid), prof) == {"points": l}
     assert counts("extract_boundary")((prof.pressure,), b) == {"points": k}
     assert counts("hausdorff")((b, prof.boundary), d) == {"pairs": k * l}
+
+
+def test_barrier_proxy_counts_samples():
+    # barriers.samples is read off the residual_pmed span
+    tracing = load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    proxy = tracing._barrier_proxy(tracer, pmed.barriers)
+    spec = pmed.barriers.BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0)
+    box = pmed.barriers.SpaceTimeBox(lo=(-3.0,), hi=(3.0,), t_lo=0.0, t_hi=0.04)
+    rep = proxy.residual_pmed(proxy.build_barrier(spec), make_zero_potential(1), box, 0.02, 2.0)
+    span = next(s for s in tracer.take() if s.name == "barriers.residual_pmed")
+    assert rep.interior_count > 0 and rep.boundary_count > 0
+    assert span.counts == {"samples": rep.interior_count + rep.boundary_count}
 
 
 WORKLOADS = load_perfbench("workloads")

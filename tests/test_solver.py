@@ -180,7 +180,7 @@ class TestWindowedStep:
     def test_bitwise_equal_to_full_grid_step(self, case):
         grid, cfg, members = case
         stack = _Stack(np.stack(members), grid, cfg)
-        dt = min(cfl_dt(Field(grid, v, FieldVariable.DENSITY, cfg.m), cfg) for v in members)
+        dt = min(cfl_dt(Field(grid, v, FieldVariable.DENSITY), cfg) for v in members)
         assert stack.cfl_dt() == dt
         stack.step(dt)
         for v, stepped, clipped in zip(members, stack.v, stack.clipped_cum):
@@ -207,8 +207,8 @@ class TestWindowedStep:
                                  if support[0].size else None)
 
 
-def empty_density(grid, m=2.0):
-    return Field(grid, np.zeros(grid.shape), FieldVariable.DENSITY, m)
+def empty_density(grid):
+    return Field(grid, np.zeros(grid.shape), FieldVariable.DENSITY)
 
 
 class TestCflDt:
@@ -222,7 +222,7 @@ class TestCflDt:
         g = Grid(dim=1, h=0.1, extent=1.0)
         v = np.zeros(20)
         v[8:12] = 1.0
-        rho = Field(g, v, FieldVariable.DENSITY, 2.0)
+        rho = Field(g, v, FieldVariable.DENSITY)
         cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
                            t_end=1.0, snapshot_every=10.0)
         # 0.4 * h^2 / (2 * dim * m * rho_max^(m-1)) = 0.4 * 0.01 / 4
@@ -233,7 +233,7 @@ class TestCflDt:
             g = Grid(dim=1, h=h, extent=2.0)
             v = np.zeros(g.n_cells)
             v[g.n_cells // 2] = 1.0
-            rho = Field(g, v, FieldVariable.DENSITY, 2.0)
+            rho = Field(g, v, FieldVariable.DENSITY)
             cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
                                t_end=1.0, snapshot_every=100.0)
             return cfl_dt(rho, cfg)
@@ -254,7 +254,7 @@ class TestStepDensity:
         g = Grid(dim=1, h=0.1, extent=1.0)
         v = np.zeros(20)
         v[9:11] = 1.0
-        rho = Field(g, v, FieldVariable.DENSITY, 2.0)
+        rho = Field(g, v, FieldVariable.DENSITY)
         cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
                            t_end=1.0, snapshot_every=1.0)
         with pytest.raises(StepTooLargeError):
@@ -264,7 +264,7 @@ class TestStepDensity:
         g = Grid(dim=1, h=0.1, extent=1.0)
         v = np.zeros(20)
         v[1:19] = 0.5  # support inside the ring but within the two-cell margin
-        rho = Field(g, v, FieldVariable.DENSITY, 2.0)
+        rho = Field(g, v, FieldVariable.DENSITY)
         cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
                            t_end=1.0, snapshot_every=1.0)
         with pytest.raises(DomainOverflowError):
@@ -272,7 +272,7 @@ class TestStepDensity:
 
     def test_mass_and_positivity(self):
         g = Grid(dim=2, h=0.1, extent=1.0)
-        rho = bump_density(g, 2.0, amplitude=0.8, width=0.5)
+        rho = bump_density(g, amplitude=0.8, width=0.5)
         cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0, 2),
                            t_end=1.0, snapshot_every=1.0)
         rep = step_density_report(rho, cfg, cfl_dt(rho, cfg))
@@ -316,7 +316,7 @@ class TestStepDensity:
 class TestSimulate:
     def test_horizon_smaller_than_cadence(self):
         g = Grid(dim=1, h=0.1, extent=1.0)
-        rho = bump_density(g, 2.0, amplitude=0.5, width=0.4)
+        rho = bump_density(g, amplitude=0.5, width=0.4)
         cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
                            t_end=0.05, snapshot_every=0.1)
         traj = simulate(rho, cfg)
@@ -325,7 +325,7 @@ class TestSimulate:
 
     def test_snapshot_times_and_mass(self):
         g = Grid(dim=1, h=0.05, extent=2.0)
-        rho = bump_density(g, 2.0, amplitude=0.5, width=0.6)
+        rho = bump_density(g, amplitude=0.5, width=0.6)
         cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0, 1),
                            t_end=0.5, snapshot_every=0.1)
         traj = simulate(rho, cfg)
@@ -364,7 +364,7 @@ class TestSimulate:
 
     def test_trajectory_invariants_enforced(self):
         g = Grid(dim=1, h=0.1, extent=1.0)
-        rho = bump_density(g, 2.0, amplitude=0.5, width=0.4)
+        rho = bump_density(g, amplitude=0.5, width=0.4)
         snap = lambda t, mass: type(
             "S", (), {"t": t, "field": rho, "mass": mass, "clipped_cum": 0.0}
         )()
@@ -379,7 +379,7 @@ class TestSimulate:
 class TestWeakResidual:
     def test_constant_test_function_is_mass_drift(self):
         g = Grid(dim=1, h=0.05, extent=2.0)
-        rho = bump_density(g, 2.0, amplitude=0.5, width=0.6)
+        rho = bump_density(g, amplitude=0.5, width=0.6)
         cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0, 1),
                            t_end=0.3, snapshot_every=0.1)
         traj = simulate(rho, cfg)
@@ -412,7 +412,7 @@ class TestComparisonHarness:
 
     def test_identical_data(self):
         g = Grid(dim=1, h=0.05, extent=2.0)
-        rho = bump_density(g, 2.0, amplitude=0.5, width=0.6)
+        rho = bump_density(g, amplitude=0.5, width=0.6)
         rep = comparison_harness(rho, rho, self.cfg())
         assert rep.ordered
         assert rep.max_violation <= rep.tol_order
@@ -429,15 +429,15 @@ class TestComparisonHarness:
 
     def test_bump_plus_offset(self):
         g = Grid(dim=1, h=0.05, extent=2.0)
-        lo = bump_density(g, 2.0, amplitude=0.4, width=0.6)
-        hi = bump_density(g, 2.0, amplitude=0.5, width=0.6)
+        lo = bump_density(g, amplitude=0.4, width=0.6)
+        hi = bump_density(g, amplitude=0.5, width=0.6)
         rep = comparison_harness(lo, hi, self.cfg())
         assert rep.ordered
 
     def test_unordered_input_rejected(self):
         g = Grid(dim=1, h=0.05, extent=2.0)
-        lo = bump_density(g, 2.0, amplitude=0.5, width=0.6)
-        hi = bump_density(g, 2.0, amplitude=0.4, width=0.6)
+        lo = bump_density(g, amplitude=0.5, width=0.6)
+        hi = bump_density(g, amplitude=0.4, width=0.6)
         with pytest.raises(InvalidInputError):
             comparison_harness(lo, hi, self.cfg())
 
@@ -469,7 +469,7 @@ def ordered_pairs(draw):
     m = draw(st.sampled_from([1.5, 2.0, 3.0]) | st.floats(1.1, 4.0))
     # snapshots every step or two: a violation has no time to heal unseen
     cfg = SolverConfig(m=m, potential=pot, t_end=0.004, snapshot_every=0.0005)
-    as_field = lambda v: Field(grid, v, FieldVariable.DENSITY, m)
+    as_field = lambda v: Field(grid, v, FieldVariable.DENSITY)
     return as_field(frac * hi), as_field(hi), cfg
 
 
