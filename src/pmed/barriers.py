@@ -4,8 +4,9 @@ The pressure equation under scrutiny is
 
     u_t = (m-1) u Lap(u) + |grad u|^2 + grad u . grad Phi + (m-1) u Lap(Phi)
 
-with free-boundary law  u_t = |grad u|^2 + grad Phi . grad u  on the edge of
-the positivity set.  Two explicit families act as comparison profiles:
+with free-boundary law  u_t = |grad u|^2 + grad Phi . grad u,  its limit as
+u -> 0, on the edge of the positivity set.  Two explicit families act as
+comparison profiles:
 
 * the self-similar Barenblatt pressure
       B(x, t) = (C (t+tau)^(2 lam) - K |x|^2)_+ / (t+tau),
@@ -21,8 +22,8 @@ followed by a velocity-preserving hyperbolic rescale turn these into local
 barriers for the full drift equation.  Both profiles are radial about the
 origin and monotone in |x|, so each convolution is exact: it evaluates w at
 the ball points nearest to and farthest from the origin.  ``residual_pmed``
-verifies the resulting inequalities by centered finite differences on a
-sample lattice.
+checks one pointwise residual of the pressure equation by centered finite
+differences, on a sample lattice and on the level set of a small floor.
 """
 
 from __future__ import annotations
@@ -323,13 +324,12 @@ def _side(kind: str) -> float:
 class ResidualReport:
     """Sampled inequality residuals for one candidate profile.
 
-    Interior residual (per sample point with u above the floor):
-        r_int = u_t - (m-1) u Lap(u) - |grad u|^2 - grad u . grad Phi
-                - (m-1) u Lap(Phi)
-    Boundary residual (rate form, at floor-crossing points):
-        r_bd  = u_t - |grad u|^2 - grad Phi . grad u,
-    the free-boundary law u_t / |grad u| = |grad u| + grad Phi . grad u / |grad u|
-    multiplied through by |grad u|.  Both checks read the same residuals: a
+    One residual of the pressure equation,
+        r = u_t - (m-1) u Lap(u) - |grad u|^2 - grad u . grad Phi
+            - (m-1) u Lap(Phi),
+    read at the interior samples (u above the floor) and at the boundary
+    samples (the floor's level set, where the free-boundary law is the
+    limit of r = 0 as u -> 0).  Both checks read the same residuals: a
     subsolution ("sub") check passes when the worst residuals stay below
     +tol, a supersolution ("super") check when they stay above -tol; a
     check with no interior or no boundary sample fails.
@@ -337,7 +337,7 @@ class ResidualReport:
 
     tol: float
     interior_residuals: np.ndarray
-    boundary_rate_residuals: np.ndarray
+    boundary_residuals: np.ndarray
 
     @property
     def interior_count(self) -> int:
@@ -345,7 +345,7 @@ class ResidualReport:
 
     @property
     def boundary_count(self) -> int:
-        return int(self.boundary_rate_residuals.size)
+        return int(self.boundary_residuals.size)
 
     def worst(self, kind: str) -> tuple[float, float]:
         """The worst (interior, boundary) residuals of the ``kind`` check,
@@ -353,7 +353,7 @@ class ResidualReport:
         is no sample."""
         pick = np.max if _side(kind) > 0 else np.min
         return tuple(float(pick(v)) if v.size else 0.0
-                     for v in (self.interior_residuals, self.boundary_rate_residuals))
+                     for v in (self.interior_residuals, self.boundary_residuals))
 
     def passed(self, kind: str) -> bool:
         worst = max(_side(kind) * w for w in self.worst(kind))
@@ -373,9 +373,9 @@ def _derivatives(
     t: float,
     h_s: float,
     m: float,
-):
-    """Centered differences of the candidate and drift terms at sample points
-    pts, of shape (k, dim), where u0 = candidate(pts, t).
+) -> np.ndarray:
+    """The residual r of the pressure equation by centered differences at
+    sample points pts, of shape (k, dim), where u0 = candidate(pts, t).
 
     The shifted points pts +- h_s e_k go into one buffer shaped like pts,
     refilled for each shift, so the candidate must not keep a view of its
@@ -399,11 +399,8 @@ def _derivatives(
         lap_phi += (pot.grad(np.add(pts[..., k], h_s, out=column))
                     - pot.grad(np.subtract(pts[..., k], h_s, out=column))) / (2.0 * h_s)
     transport = dot_last(grad, pot.grad(pts))  # grad u . grad Phi
-    grad_sq = dot_last(grad, grad)
-    r_int = u_t - (m - 1.0) * u0 * lap - grad_sq - transport - (m - 1.0) * u0 * lap_phi
-    grad_norm = np.sqrt(grad_sq)
-    rate = u_t - grad_norm**2 - transport
-    return r_int, rate, grad_norm
+    return (u_t - (m - 1.0) * u0 * lap - dot_last(grad, grad) - transport
+            - (m - 1.0) * u0 * lap_phi)
 
 
 def _outward_faces(pts: np.ndarray, h_s: float) -> np.ndarray:
@@ -430,10 +427,10 @@ def residual_pmed(
     """Sample the sub/supersolution inequalities of the pressure equation.
 
     The candidate must be evaluable on the box enlarged by h_s in space and
-    h_s^2 in time.  Interior points are those with u above the floor 10 h_s;
-    boundary residuals are evaluated at the floor-crossing points of each
-    lattice line where |grad u| also exceeds 10 h_s.  The tolerance is
-    50 (1 + max u) h_s.
+    h_s^2 in time.  One residual, that of ``ResidualReport``, is read at the
+    interior samples, the lattice points with u above the floor 10 h_s, and
+    at the boundary samples, every crossing of the floor by a lattice line.
+    The tolerance is 50 (1 + max u) h_s.
 
     At each time level the candidate is evaluated on the whole lattice and
     on its faces shifted outward by h_s, which reach every shifted point
@@ -455,7 +452,7 @@ def residual_pmed(
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     faces = _outward_faces(pts, h_s)
 
-    int_res, bd_rate = [], []
+    int_res, bd_res = [], []
     u_max = 0.0
     for t in times:
         t = float(t)
@@ -466,14 +463,12 @@ def residual_pmed(
         crossings = level_crossings(u0, axes, floor)
         n = np.count_nonzero(inside)
         u_at = np.concatenate((u0[inside], np.asarray(candidate(crossings, t), dtype=float)))
-        r_int, rate, gn = _derivatives(candidate, pot, np.concatenate((pts[inside], crossings)),
-                                       u_at, t, h_s, m)
-        int_res.append(r_int[:n])
-        bd_rate.append(rate[n:][gn[n:] > floor])
+        r = _derivatives(candidate, pot, np.concatenate((pts[inside], crossings)), u_at, t, h_s, m)
+        int_res.append(r[:n])
+        bd_res.append(r[n:])
 
-    interior = np.concatenate(int_res)
-    rate_arr = np.concatenate(bd_rate)
-    if not (np.all(np.isfinite(interior)) and np.all(np.isfinite(rate_arr))):
+    interior, boundary = np.concatenate(int_res), np.concatenate(bd_res)
+    if not (np.all(np.isfinite(interior)) and np.all(np.isfinite(boundary))):
         raise InvalidInputError("candidate produced non-finite residuals")
     tol = 50.0 * (1.0 + u_max) * h_s
-    return ResidualReport(tol=tol, interior_residuals=interior, boundary_rate_residuals=rate_arr)
+    return ResidualReport(tol=tol, interior_residuals=interior, boundary_residuals=boundary)

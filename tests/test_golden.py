@@ -116,8 +116,8 @@ DIGESTS = {
     'equilibrium-2d': (0, {'equilibrium.csv': '9e1c3fe6d3ee955d3e6352f277f7e1014a2b96b5559d25fae80767082652d37c'}),
     'simulate-1d': (0, {'mass.csv': '1d72fdd7b88d78ec7d584aaaaa9bc20bb8453d0f9fe1007515912c532c9eaee6', 'snapshots.csv': '2072274f85d25f1e4b67c904f35490592ee50e925a53c16b5792af6f40148b2e', 'snapshots.ndjson': '7c70dc9ce21d38b7dbc10c8c76303205dfe4fce6a0d98d9a3b5000db4c004538'}),
     'simulate-2d': (0, {'mass.csv': 'f710ff9a46ddcdbdd7bd780e2444ae0d1a6cdbbd7d4554278479191eaaeecb36', 'snapshots.csv': 'ca3c9edbb78fde4f26d0fdb3462754917a7d80ae1511c7d3f649857243395a3b', 'snapshots.ndjson': 'd6d661d85d05a68a5f072bb1640e61de4cf3b6cb250744179ea01a6f98d62f64'}),
-    'verify-barriers-1d': (1, {'residuals.csv': '15f04bbde86654c46c6f32a3851403c21ac9a79fe2c8208cf369ef61a81deac8'}),
-    'verify-barriers-2d': (0, {'residuals.csv': 'bc73f5a04015f1e2148b0e681ae881e5aa6f7b03b1267f7e167d926e7af8530e'}),
+    'verify-barriers-1d': (1, {'residuals.csv': '8ac64d90d73388425763dd73b038aad703845907bac31da93501ce173f5ded31'}),
+    'verify-barriers-2d': (0, {'residuals.csv': '96d114fa278e3238f78359f85e81acf9d4c6602a26c0b20a14169e723a7f4ec6'}),
 }
 
 

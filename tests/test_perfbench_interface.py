@@ -86,3 +86,14 @@ WORKLOADS = load_perfbench("workloads")
 def test_workload_configs_parse(name, tiny):
     config = WORKLOADS.generate(name, 0, tiny=tiny)
     pmed.cli.parse_config(json.dumps(config), WORKLOADS.WORKLOADS[name].command)
+
+
+@pytest.mark.parametrize("seed", [18, 31, 36, 38])
+def test_barrier_workload_seeds_pass(seed, tmp_path):
+    # the m = 3 Barenblatt's front gradient at the floor sits near 10 h_s at
+    # these seeds; every crossing is a boundary sample, so both checks pass
+    config = WORKLOADS.generate("verify-barriers-2d", seed)
+    path, out = tmp_path / "config.json", str(tmp_path / "out")
+    path.write_text(json.dumps(config))
+    assert pmed.cli.main([config["command"], "--config", str(path), "--out", out]) == 0
+    assert load_perfbench("checks").invariants(out, config) == []

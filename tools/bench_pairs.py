@@ -43,13 +43,20 @@ def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> 
             "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, capture_output=True, text=True, cwd=checkout)
-    if done.returncode != 0 and not done.stdout.strip():
-        raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: "
-                           f"{done.stderr.strip()[-500:]}")
+    path = os.path.join(checkout, ".perfbench-out", f"{workload}-seed{seed}-trace{trace}",
+                        "result.json")
+    if done.returncode != 0:
+        # run.py exits 1 when every call failed its check; result.json then
+        # says why, and a crash leaves only stderr
+        failures = []
+        if os.path.isfile(path):
+            with open(path) as fh:
+                failures = json.load(fh).get("failures", [])
+        why = "; ".join(failures[:3]) or done.stderr.strip()[-500:]
+        raise RuntimeError(f"{workload} seed {seed} trace {trace} in {checkout} "
+                           f"exited {done.returncode}: {why}")
     printed = json.loads(done.stdout.strip().splitlines()[-1])
-    run_dir = os.path.join(checkout, ".perfbench-out",
-                           f"{workload}-seed{seed}-trace{trace}")
-    with open(os.path.join(run_dir, "result.json")) as fh:
+    with open(path) as fh:
         result = json.load(fh)
     env = result.get("environment", {})
     out = {
