@@ -396,15 +396,40 @@ def _write_rows(path: str, header: list[str], rows):
 # command runners
 
 
-def _write_snapshot(fh, t: float, ax: list[str], rho: np.ndarray, u: np.ndarray):
-    """Rows ``t,x[,y],rho,u`` of one snapshot as _write_lines would write them,
-    from the formatted axis centers ``ax``; one write per line of cells."""
-    t = repr(float(t))
-    for pre, r_row, p_row in zip(itertools.product(ax, repeat=rho.ndim - 1),
-                                 rho.reshape(-1, len(ax)), u.reshape(-1, len(ax))):
-        head = ",".join((t, *pre))
-        fh.write("".join(f"{head},{x},{r!r},{p!r}\n"
-                         for x, r, p in zip(ax, r_row.tolist(), p_row.tolist())))
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> json
+
+
+def _reprs(v: np.ndarray) -> list[str]:
+    """``repr`` of each value of ``v`` in row-major order; every +0.0 cell
+    shares one "0.0" string, so only the support is formatted."""
+    flat = v.ravel()
+    out = ["0.0"] * flat.size
+    nz = np.flatnonzero((flat != 0.0) | np.signbit(flat))  # -0.0 keeps its sign
+    for i, s in zip(nz.tolist(), map(repr, flat[nz].tolist())):
+        out[i] = s
+    return out
+
+
+def _write_snapshot(csv, ndjson, t: float, ax: list[str], rho: np.ndarray, u: np.ndarray):
+    """One snapshot to either file handle (None skips it), from one list of
+    strings per field: rows ``t,x[,y],rho,u`` as _write_lines would write
+    them, from the formatted axis centers ``ax``, one write per line of
+    cells; and the ndjson record as ``json.dumps`` would write it."""
+    t, n = repr(float(t)), len(ax)
+    rs, us = _reprs(rho), _reprs(u)
+    if csv:
+        for k, pre in enumerate(itertools.product(ax, repeat=rho.ndim - 1)):
+            head = ",".join((t, *pre))
+            cells = zip(ax, rs[k * n:(k + 1) * n], us[k * n:(k + 1) * n])
+            csv.write("".join(f"{head},{x},{r},{p}\n" for x, r, p in cells))
+    if ndjson:
+        arrays = []
+        for s, v in ((rs, rho), (us, u)):
+            if not np.isfinite(v).all():
+                s = [_JSON_SPELLING.get(x, x) for x in s]
+            rows = ["[" + ", ".join(s[k:k + n]) + "]" for k in range(0, len(s), n)]
+            arrays.append(rows[0] if v.ndim == 1 else "[" + ", ".join(rows) + "]")
+        ndjson.write(f'{{"t": {t}, "rho": {arrays[0]}, "u": {arrays[1]}}}\n')
 
 
 def _run_simulate(cfg: dict, stage: _Stage) -> int:
@@ -419,13 +444,8 @@ def _run_simulate(cfg: dict, stage: _Stage) -> int:
         if "ndjson" in cfg["formats"]:
             ndjson = files.enter_context(open(stage.path("snapshots.ndjson"), "w"))
         for snap in traj.snapshots:  # both formats share one pressure field
-            rho = snap.field.values
             u = pressure_from_density(snap.field, traj.config.m).values
-            if csv:
-                _write_snapshot(csv, snap.t, ax, rho, u)
-            if ndjson:
-                ndjson.write(json.dumps({"t": snap.t, "rho": rho.tolist(),
-                                         "u": u.tolist()}) + "\n")
+            _write_snapshot(csv, ndjson, snap.t, ax, snap.field.values, u)
     _write_rows(
         stage.path("mass.csv"),
         ["t", "mass", "clipped_mass"],

@@ -1,0 +1,74 @@
+"""``tools/bench_pairs.py``'s summary on synthetic pairs: quartiles and the
+gain rule (ten pairs or more, better in 9 of 10, median gap above the
+parent's IQR).
+No perfbench run is started."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def pairs(parent, change, key="wall_s"):
+    return [{"workload": "w", "outputs_identical": True,
+             "parent": {"failed": 0, "metrics": {key: b}},
+             "change": {"failed": 0, "metrics": {key: a}}}
+            for b, a in zip(parent, change)]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+def entry(parent, change, key="wall_s"):
+    return bench_pairs.summary(pairs(parent, change, key), (key,))["w"][key]
+
+
+class TestSummary:
+    @pytest.fixture(autouse=True)
+    def no_subprocess(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("summary started a subprocess")
+        monkeypatch.setattr(bench_pairs.subprocess, "run", refuse)
+
+    def test_quartiles_of_each_side(self):
+        e = entry([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.0, 1.5, 2.0, 2.5])
+        assert e["parent_quartiles"] == [2.0, 4.0]
+        assert e["change_quartiles"] == [1.0, 2.0]
+        assert e["parent_median"] == 3.0 and e["change_median"] == 1.5
+        assert entry([2.0], [1.0])["parent_quartiles"] == [2.0, 2.0]
+
+    def test_clear_gain_is_shown(self):
+        e = entry(PARENT, [0.7 * x for x in PARENT])
+        assert e["change_lower_in"] == 10 and e["gain_shown"]
+
+    def test_nine_of_ten_is_enough_and_eight_is_not(self):
+        change = [0.7 * x for x in PARENT]
+        assert entry(PARENT, change[:9] + [1.5])["gain_shown"]
+        assert not entry(PARENT, change[:8] + [1.5, 1.5])["gain_shown"]
+
+    def test_fewer_than_ten_pairs_show_no_gain(self):
+        assert not entry(PARENT[:9], [0.7 * x for x in PARENT[:9]])["gain_shown"]
+
+    def test_ties_count_for_neither_side(self):
+        change = [0.7 * x for x in PARENT]
+        assert entry(PARENT, change[:9] + PARENT[9:])["gain_shown"]
+        assert not entry(PARENT, change[:8] + PARENT[8:])["gain_shown"]
+
+    def test_gap_within_the_parent_iqr_is_not_a_gain(self):
+        # lower in every pair, but by less than the parent's spread
+        e = entry(PARENT, [x - 0.005 for x in PARENT])
+        q1, q3 = e["parent_quartiles"]
+        assert e["change_lower_in"] == 10
+        assert 0 < e["parent_median"] - e["change_median"] < q3 - q1
+        assert not e["gain_shown"]
+
+    def test_higher_is_better_metrics(self):
+        key = "barriers.samples_per_s"
+        assert key in bench_pairs.HIGHER
+        assert entry(PARENT, [1.4 * x for x in PARENT], key)["gain_shown"]
+        assert not entry(PARENT, [0.7 * x for x in PARENT], key)["gain_shown"]

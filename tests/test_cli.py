@@ -2,6 +2,7 @@ import copy
 import io
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -284,12 +285,19 @@ def reference_rows(t, ax, rho, u):
         yield (t, *x, r, p)
 
 
+def reference_record(t, rho, u):
+    """The ndjson line of the earlier snapshot writer."""
+    return json.dumps({"t": t, "rho": rho.tolist(), "u": u.tolist()}) + "\n"
+
+
 # signed zeros, subnormals, and magnitudes 1e-300..1e300
-CSV_VALUES = st.one_of(
+FINITE_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e-310]),
     st.builds(lambda sign, mant, exp: sign * mant * 10.0**exp,
               st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-300, 299)),
 )
+# repr and json.dumps spell these differently: nan/NaN, inf/Infinity
+ALL_VALUES = st.one_of(FINITE_VALUES, st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 @st.composite
@@ -297,7 +305,8 @@ def snapshot_cases(draw):
     dim = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(1, 7))
     ax = np.array(draw(st.lists(st.floats(-1e3, 1e3, width=64), min_size=n, max_size=n)))
-    rho, u = (np.array(draw(st.lists(CSV_VALUES, min_size=n**dim, max_size=n**dim)))
+    values = draw(st.sampled_from([FINITE_VALUES, ALL_VALUES]))
+    rho, u = (np.array(draw(st.lists(values, min_size=n**dim, max_size=n**dim)))
               .reshape((n,) * dim) for _ in range(2))
     t = draw(st.floats(0.0, 1e6))
     return (np.float64(t) if draw(st.booleans()) else t), ax, rho, u
@@ -305,14 +314,18 @@ def snapshot_cases(draw):
 
 class TestSnapshotWriter:
     @settings(max_examples=300, deadline=None)
-    @given(snapshot_cases())
-    def test_matches_per_value_rows(self, case):
+    @given(snapshot_cases(), st.sampled_from([("csv", "ndjson"), ("csv",), ("ndjson",)]))
+    def test_matches_per_value_rows(self, case, formats):
         t, ax, rho, u = case
         want = io.StringIO()
         pmed.cli._write_lines(want, reference_rows(t, ax, rho, u))
-        got = io.StringIO()
-        pmed.cli._write_snapshot(got, t, list(map(repr, ax.tolist())), rho, u)
-        assert got.getvalue() == want.getvalue()
+        got = {name: io.StringIO() for name in formats}
+        pmed.cli._write_snapshot(got.get("csv"), got.get("ndjson"), t,
+                                 list(map(repr, ax.tolist())), rho, u)
+        if "csv" in got:
+            assert got["csv"].getvalue() == want.getvalue()
+        if "ndjson" in got:
+            assert got["ndjson"].getvalue() == reference_record(t, rho, u)
 
 
 class TestEquilibriumCommand:

@@ -15,8 +15,11 @@ tables: at the first of ``--seeds``, or at the seeds of their own range.
 
 The output file holds, per pair, the normalized metrics perfbench prints,
 the raw (unnormalized) medians, the output digests and the failure count of
-both sides; per workload, the medians of each end-to-end metric over its
-pairs, and of a few per-layer metrics over its traced pairs.  perfbench
+both sides; per workload, the medians and quartiles of each end-to-end
+metric over its pairs, and of a few per-layer metrics over its traced pairs.
+``gain_shown`` applies the gain rule: at least ten pairs, the change better
+in at least 9 of 10 of them (ties count for neither side), and its median
+better than the parent's by more than the parent's interquartile range.  perfbench
 itself is only run, never changed.
 """
 
@@ -34,6 +37,7 @@ ENVIRONMENT = ("git_commit", "source_sha256", "python", "numpy", "nproc", "cpu")
 LAYERS = ("barriers.residual_s", "barriers.samples_per_s", "barriers.candidate_points",
           "barriers.samples", "cli.self_s", "cli.write_mb_per_s", "core.pressure_s",
           "solver.simulate_s")
+HIGHER = ("barriers.samples", "barriers.samples_per_s", "cli.write_mb_per_s")  # better when higher
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -94,9 +98,18 @@ def seeds_of(spec: str, default: list[int]) -> tuple[str, list[int]]:
     return workload, list(range(int(first), int(last) + 1)) if span else default
 
 
+def quartiles(xs: list[float]) -> tuple[float, float]:
+    """First and third quartile, interpolated between the order statistics."""
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q3
+
+
 def summary(pairs: list[dict], keys: tuple[str, ...]) -> dict:
-    """Per workload: the median of each metric in ``keys`` on both sides,
-    their ratio, and in how many pairs the change was lower."""
+    """Per workload: the median and quartiles of each metric in ``keys`` on
+    both sides, their ratio, in how many pairs the change was lower, and
+    whether the pairs show a gain."""
     out = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         rows = [p for p in pairs if p["workload"] == workload]
@@ -107,11 +120,18 @@ def summary(pairs: list[dict], keys: tuple[str, ...]) -> dict:
             before = [p["parent"]["metrics"][key] for p in rows]
             after = [p["change"]["metrics"][key] for p in rows]
             b, a = statistics.median(before), statistics.median(after)
+            q1, q3 = quartiles(before)
+            sign = -1 if key in HIGHER else 1  # sign * (parent - change) > 0: change better
+            wins = sum(sign * (y - x) > 0 for x, y in zip(after, before))
             entry[key] = {
                 "parent_median": b,
                 "change_median": a,
+                "parent_quartiles": [q1, q3],
+                "change_quartiles": list(quartiles(after)),
                 "ratio": a / b if b else None,
                 "change_lower_in": sum(x < y for x, y in zip(after, before)),
+                "gain_shown": (len(rows) >= 10 and 10 * wins >= 9 * len(rows)
+                               and sign * (b - a) > q3 - q1),
             }
         out[workload] = entry
     return out
