@@ -25,6 +25,7 @@ All reductions are fixed-order, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -133,13 +134,26 @@ class StepReport:
 
 class _DriftContext:
     """Per-(grid, potential) precomputed drift data: interface gradients of
-    Phi along each axis and gradient norms at cell centers."""
+    Phi along each axis, and the squared derivative p'^2 of Phi's axis
+    polynomial at the axis's cell centers, from which |grad Phi| follows."""
 
     def __init__(self, grid: Grid, potential: Potential):
         phi = np.asarray(potential.eval(grid.centers()), dtype=float)
         self.g = tuple(np.diff(phi, axis=a) / grid.h for a in range(grid.dim))
-        grad = np.asarray(potential.grad(grid.centers()), dtype=float)
-        self.grad_norms = np.sqrt(dot_last(grad, grad))
+        dp = np.asarray(potential.grad(grid.axis_centers()), dtype=float)
+        self.dp2 = dp * dp
+
+    def norms(self, cells: tuple[slice, ...]) -> np.ndarray:
+        """|grad Phi| at ``cells`` (a slice per axis), bit for bit as
+        sqrt(dot_last(grad, grad)) of the gradient there gives it."""
+        sq = [self.dp2[c] for c in cells]
+        return np.sqrt((sq[0] if len(sq) == 1 else sq[0][:, None] + sq[1]) + 0.0)
+
+    def norm_bound(self, cells: tuple[slice, ...]) -> float:
+        """An upper bound of ``norms(cells)``: the same sum of the per-axis
+        maxima, since rounded +, * and sqrt are monotone."""
+        peaks = [float(self.dp2[c].max()) for c in cells]
+        return math.sqrt((peaks[0] if len(peaks) == 1 else peaks[0] + peaks[1]) + 0.0)
 
 
 @lru_cache(maxsize=32)
@@ -147,82 +161,124 @@ def _drift_context(grid: Grid, potential: Potential) -> _DriftContext:
     return _DriftContext(grid, potential)
 
 
-def _flux_divergence(v: np.ndarray, h: float, m: float, g: tuple[np.ndarray, ...]) -> np.ndarray:
-    """(F_{i+1/2} - F_{i-1/2}) / h per cell of a stack ``v`` of shape (B, *cells).
+class _Window:
+    """The views and buffers one step of a stack reads and writes, for one
+    support box: the window is the box grown by 2 cells and clipped to the
+    grid.  Built once per box, so a step makes no slice, and allocates only
+    the upwind pick of np.where.
 
-    ``g`` holds the interface gradients of Phi along each axis of the cells.
-    Interfaces touching the outermost cell ring carry zero flux, so the ring
-    stays identically zero (the field invariant) and the effective no-flux
-    wall sits one cell inside the box.  Mass still telescopes exactly.
+    Per axis a, interface i+1/2 joins window cells i and i+1; its flux goes
+    to ``f`` and the divergence (F_{i+1/2} - F_{i-1/2}) / h to ``div``.  The
+    interfaces at the grid edge carry zero flux (``edges``), so the outermost
+    cell ring stays zero and the no-flux wall sits one cell inside the grid.
+    Every other interface on the window's rim, and every border cell of
+    ``div``, joins cells outside the support, so it is +0.0 without zeroing.
+    The axes take turns with one flux buffer, and axis 2 differences its
+    fluxes in rho^m's buffer, which is free by then: three window-sized
+    buffers in all.
+
+    ``axes`` holds per axis: the values and rho^m on the low and high side
+    of each interface, the upwind mask g > 0 and g, the flux ``f``, its
+    ``edges`` and its two shifts, the divergence's inner slice along the
+    axis and, past axis 1, a view of that slice's shape on rho^m's buffer.
     """
-    rm = np.power(v, m)
-    every = (slice(None),) * v.ndim
-    div = None
-    for a, ga in enumerate(g, start=1):
-        lo = every[:a] + (slice(None, -1),)
-        hi = every[:a] + (slice(1, None),)
-        f = (rm[hi] - rm[lo]) / h + np.where(ga > 0.0, v[hi], v[lo]) * ga
-        for b in range(1, v.ndim):
-            f[every[:b] + (0,)] = 0.0
-            f[every[:b] + (-1,)] = 0.0
-        d = np.zeros_like(v)
-        np.subtract(f[hi], f[lo], out=d[every[:a] + (slice(1, -1),)])
-        div = d if div is None else div + d  # axis 1 first, as a fixed order
-    return div / h
+
+    def __init__(self, stack: "_Stack", box: tuple[tuple[int, int], ...]):
+        n = stack.n
+        self.box = box
+        self.cells = cells = tuple(slice(max(lo - 2, 0), min(hi + 2, n)) for lo, hi in box)
+        self.starts = tuple(c.start for c in cells)
+        self.w = w = stack.v[(slice(None),) + cells]
+        self.rm = rm = np.empty(w.shape)
+        self.div = div = np.zeros(w.shape)
+        flux = np.empty(w.size)
+        self.axes = []
+        for a, (ga, c) in enumerate(zip(stack.ctx.g, cells), start=1):
+            every = (slice(None),) * a
+            lo, hi = every + (slice(None, -1),), every + (slice(1, None),)
+            w_lo, div_in = w[lo], div[every + (slice(1, -1),)]
+            f = flux[:w_lo.size].reshape(w_lo.shape)
+            g = ga[cells[:a - 1] + (slice(c.start, c.stop - 1),) + cells[a:]]
+            edges = [f[every + (i,)] for i, wall in ((0, c.start == 0), (-1, c.stop == n)) if wall]
+            scratch = rm.reshape(-1)[:div_in.size].reshape(div_in.shape) if a > 1 else None
+            self.axes.append((w_lo, w[hi], rm[lo], rm[hi], g > 0.0, g,
+                              f, edges, f[lo], f[hi], div_in, scratch))
+
+    def divergence(self, h: float, m: float) -> np.ndarray:
+        """(F_{i+1/2} - F_{i-1/2}) / h per window cell and member, with
+
+            F_{i+1/2} = ((rho^m)_{i+1} - (rho^m)_i) / h + rho_up * g_{i+1/2}
+
+        written into ``div`` in the float order of one expression per axis;
+        the axes' differences are summed axis 1 first."""
+        np.power(self.w, m, out=self.rm)
+        for w_lo, w_hi, rm_lo, rm_hi, g_pos, g, f, edges, f_lo, f_hi, div_in, scratch in self.axes:
+            np.subtract(rm_hi, rm_lo, out=f)
+            f /= h
+            up = np.where(g_pos, w_hi, w_lo)
+            up *= g
+            f += up
+            for edge in edges:
+                edge.fill(0.0)
+            if scratch is None:
+                np.subtract(f_hi, f_lo, out=div_in)
+            else:
+                np.subtract(f_hi, f_lo, out=scratch)
+                div_in += scratch
+        self.div /= h
+        return self.div
 
 
 class _Stack:
     """B density fields on one grid, stepped in place with one shared dt.
 
-    A step reads and writes only the support window: the bounding box of
-    v > 0 over all members, grown by 2 cells and clipped to the grid.  The
-    3-point stencil moves the support by at most one cell per step (grow by
-    1), and those cells' stencils read one cell further (grow by 1 more).
-    Every cell outside the window has an all-zero stencil, so the full-grid
-    step would leave it at v + dt*0 = v; inside, the kernel's ring zeroing
-    either acts on the real box ring or zeroes interfaces that are already
-    +0.0.  Values, clipped masses and dt are those of stepping each member
-    on the whole grid, bit for bit.
+    A step reads and writes only the support window (see _Window): the
+    bounding box of v > 0 over all members, grown by 2 cells and clipped to
+    the grid.  The 3-point stencil moves the support by at most one cell per
+    step (grow by 1), and those cells' stencils read one cell further (grow
+    by 1 more).  Every cell outside the window has an all-zero stencil, so
+    the full-grid step would leave it at v + dt*0 = v.  Values, clipped
+    masses and dt are those of stepping each member on the whole grid, bit
+    for bit, for fields that hold no -0.0 (a step never makes one).
     """
 
     def __init__(self, values: np.ndarray, grid: Grid, cfg: SolverConfig):
         self.v = values  # (B, *grid.shape)
-        self.grid, self.cfg = grid, cfg
+        self.grid, self.cfg, self.n = grid, cfg, grid.n_cells
         self.ctx = _drift_context(grid, cfg.potential)
         self.clipped_cum = [0.0] * len(values)
         self._spatial = tuple(range(1, values.ndim))
-        self._others = [tuple(b for b in range(grid.dim) if b != a) for a in range(grid.dim)]
-        self._win_box = None
-        full = tuple(slice(0, n) for n in grid.shape)
-        self._track(values, full, self.ctx.grad_norms)
+        self._across = [(0,) + self._spatial[:a] + self._spatial[a + 1:] for a in range(grid.dim)]
+        self.box = self._win = None
+        self._bound = (None, 0.0)  # (box, bound of |grad Phi| over it)
+        self._track(values, (0,) * grid.dim)
 
-    def _track(self, w: np.ndarray, cells: tuple[slice, ...], gn: np.ndarray) -> None:
-        """Per-member max and max |grad Phi| over the support, and the
-        support's bounding box, from the values ``w`` at ``cells`` (which
-        hold every positive value) and the gradient norms ``gn`` there."""
+    def _track(self, w: np.ndarray, starts: tuple[int, ...]) -> None:
+        """Per-member max and the support's bounding box, from the values
+        ``w`` of the cells from ``starts`` on (which hold every positive
+        value)."""
+        self.tops = np.maximum.reduce(w, axis=self._spatial).tolist()
         pos = w > 0.0
-        self.tops = w.max(axis=self._spatial).tolist()
-        self.vmaxes = np.where(pos, gn, 0.0).max(axis=self._spatial).tolist()
-        anywhere = pos.any(axis=0)
         box = []
-        for c, others in zip(cells, self._others):
-            idx = np.nonzero(anywhere.any(axis=others) if others else anywhere)[0]
-            if idx.size == 0:
-                self.box = None
-                return
-            box.append((c.start + int(idx[0]), c.start + int(idx[-1]) + 1))
-        self.box = tuple(box)  # per axis [first, last + 1) of the support
+        for start, across in zip(starts, self._across):
+            seen = np.logical_or.reduce(pos, axis=across)
+            first = int(seen.argmax())
+            if not seen[first]:
+                box = None
+                break
+            box.append((start + first, start + seen.size - int(seen[::-1].argmax())))
+        self.box = box and tuple(box)  # per axis [first, last + 1) of the support
 
-    def _window(self) -> tuple[tuple[slice, ...], tuple[np.ndarray, ...], np.ndarray]:
-        """Window cells with the drift data sliced to match, cached per box."""
-        if self.box != self._win_box:
-            n = self.grid.n_cells
-            cells = tuple(slice(max(lo - 2, 0), min(hi + 2, n)) for lo, hi in self.box)
-            g = tuple(ga[cells[:a] + (slice(c.start, c.stop - 1),) + cells[a + 1:]]
-                      for a, (ga, c) in enumerate(zip(self.ctx.g, cells)))
-            self._win = (cells, g, self.ctx.grad_norms[cells])
-            self._win_box = self.box
-        return self._win
+    def _box_cells(self) -> tuple[slice, ...]:
+        return tuple(slice(lo, hi) for lo, hi in self.box)
+
+    def _v_maxes(self) -> list[float]:
+        """Per-member max |grad Phi| over its support, 0 where it is empty."""
+        if self.box is None:
+            return [0.0] * len(self.v)
+        cells = self._box_cells()
+        pos = self.v[(slice(None),) + cells] > 0.0
+        return np.where(pos, self.ctx.norms(cells), 0.0).max(axis=self._spatial).tolist()
 
     def margin_ok(self) -> bool:
         """No member holds support within two cells of the box edge.
@@ -231,7 +287,7 @@ class _Stack:
         The ring is scanned only when the box reaches into it; otherwise the
         ring holds no positive value.
         """
-        n = self.grid.n_cells
+        n = self.n
         if self.box is None or all(lo >= 2 and hi <= n - 2 for lo, hi in self.box):
             return True
         return not any(np.any(ring(v, 2) > 1e-12 * top) for v, top in zip(self.v, self.tops))
@@ -243,13 +299,26 @@ class _Stack:
         dt = cfl_safety * min( h^2 / (2 dim D_max), h / (2 dim V_max) ) with
         D_max = max m rho^(m-1) and V_max = max |grad Phi| over the support
         (floored at machine-tiny so the empty field stays finite).
+
+        h / (2 dim V) falls as V grows, so where a bound of |grad Phi| over
+        the box, made once per box, already gives an advective limit no
+        smaller than the diffusive one, the min is the diffusive limit and
+        V_max is not computed.
         """
         m, h, dim = self.cfg.m, self.grid.h, self.grid.dim
+        if self._bound[0] != self.box:
+            bound = self.ctx.norm_bound(self._box_cells()) if self.box is not None else 0.0
+            self._bound = (self.box, bound)
+        dt_bound = h / (2.0 * dim * max(self._bound[1], _TINY))
+        v_maxes = None
         dt = self.cfg.snapshot_every
-        for top, v_max in zip(self.tops, self.vmaxes):
+        for b, top in enumerate(self.tops):
             d_max = m * top ** (m - 1.0) if top > 0.0 else 0.0
             dt_diff = h**2 / (2.0 * dim * d_max) if d_max > 0.0 else np.inf
-            dt_adv = h / (2.0 * dim * max(v_max, _TINY))
+            dt_adv = dt_bound
+            if dt_adv < dt_diff:
+                v_maxes = v_maxes or self._v_maxes()
+                dt_adv = h / (2.0 * dim * max(v_maxes[b], _TINY))
             dt = min(dt, self.cfg.cfl_safety * min(dt_diff, dt_adv))
         return float(dt)
 
@@ -259,17 +328,22 @@ class _Stack:
             raise DomainOverflowError("support within two cells of the box edge")
         if self.box is None:  # all zero: a fixed point
             return
-        cells, g, gn = self._window()
-        w = self.v[(slice(None),) + cells]
-        w += dt * _flux_divergence(w, self.grid.h, self.cfg.m, g)
-        neg = w < 0.0
-        if neg.any():
-            for b, (wb, negb) in enumerate(zip(w, neg)):
+        if self._win is None or self._win.box != self.box:
+            self._win = None  # free the old window's buffers first
+            self._win = _Window(self, self.box)
+        win = self._win
+        div = win.divergence(self.grid.h, self.cfg.m)
+        div *= dt
+        w = win.w
+        w += div
+        if np.fmin.reduce(w, axis=None) < 0.0:  # fmin skips NaN, as w < 0.0 does
+            for b, wb in enumerate(w):
+                negb = wb < 0.0
                 clipped = -self.grid.cell_volume * float(np.sum(wb[negb])) if negb.any() else 0.0
                 if clipped > 0.0:
                     wb[negb] = 0.0
                     self.clipped_cum[b] += clipped
-        self._track(w, cells, gn)
+        self._track(w, win.starts)
 
 
 def cfl_dt(rho: Field, cfg: SolverConfig) -> float:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from pmed.barriers import BarenblattSpec
@@ -31,7 +31,7 @@ from pmed.solver import (
     step_density_report,
     weak_residual,
 )
-from pmed.solver import _drift_context, _flux_divergence, _simulate_stack, _Stack
+from pmed.solver import _drift_context, _simulate_stack, _Stack, _Window
 
 
 def loop_flux_divergence(values, grid, m, potential):
@@ -121,13 +121,21 @@ class TestFluxKernelReference:
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
     def test_bitwise_equal_to_per_dimension_code(self, case):
+        # fields reaching the ring's neighbors: windows touching the grid edge
         grid, pot, v, m = case
         ctx = _drift_context(grid, pot)
         g = reference_g(grid, pot)
         assert len(ctx.g) == len(g)
         assert all(same_bits(a, b) for a, b in zip(ctx.g, g))
-        assert same_bits(_flux_divergence(v[None], grid.h, m, ctx.g)[0],
-                         reference_flux_divergence(v, grid, m, g))
+        ref = reference_flux_divergence(v, grid, m, g)
+        stack = _Stack(v[None], grid, SolverConfig(m=m, potential=pot, t_end=1.0,
+                                                   snapshot_every=1.0))
+        outside = np.ones(grid.shape, dtype=bool)
+        if stack.box is not None:
+            win = _Window(stack, stack.box)
+            assert same_bits(win.divergence(grid.h, m)[0], ref[win.cells])
+            outside[win.cells] = False
+        assert same_bits(ref[outside], np.zeros(np.count_nonzero(outside)))
 
 
 def reference_step(v, grid, m, pot, dt):
@@ -141,15 +149,38 @@ def reference_step(v, grid, m, pot, dt):
     return new, clipped
 
 
+def reference_dt(members, grid, cfg):
+    """The shared step of cfl_dt for fields ``members``, with V_max the
+    exact max |grad Phi| over each member's support; and whether some
+    member's advective limit is the smaller."""
+    h, dim, m = grid.h, grid.dim, cfg.m
+    grad = np.asarray(cfg.potential.grad(grid.centers()), dtype=float)
+    norms = np.sqrt(np.sum(grad * grad, axis=-1))
+    dt, advective = cfg.snapshot_every, False
+    for v in members:
+        top = float(v.max())
+        d_max = m * top ** (m - 1.0) if top > 0.0 else 0.0
+        dt_diff = h**2 / (2.0 * dim * d_max) if d_max > 0.0 else np.inf
+        v_max = float(norms[v > 0.0].max()) if top > 0.0 else 0.0
+        dt_adv = h / (2.0 * dim * max(v_max, np.finfo(float).tiny))
+        advective |= dt_adv < dt_diff
+        dt = min(dt, cfg.cfl_safety * min(dt_diff, dt_adv))
+    return dt, advective
+
+
 @st.composite
 def stack_cases(draw):
     """B fields with supports anywhere off the two-cell margin, some with
-    values below 1e-12 of their max inside it, under a random polynomial."""
+    values below 1e-12 of their max inside it, under a random polynomial,
+    steep or not."""
     dim = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(8, 16))
     h = draw(st.sampled_from([0.05, 0.1, 0.25]))
     grid = Grid(dim=dim, h=h, extent=n * h / 2.0)
-    pot = Potential(tuple(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))), dim)
+    # steep: the advective limit binds on some or all steps
+    steep = draw(st.sampled_from([1.0, 40.0]))
+    pot = Potential(tuple(steep * c for c in draw(st.lists(st.floats(-3.0, 3.0),
+                                                          min_size=1, max_size=5))), dim)
     m = draw(st.sampled_from([1.5, 2.0, 3.0, 4.0]) | st.floats(1.01, 4.0))
     members = []
     for _ in range(draw(st.integers(1, 3))):
@@ -176,17 +207,47 @@ def stack_cases(draw):
 
 class TestWindowedStep:
     @settings(max_examples=300, deadline=None)
-    @given(stack_cases())
-    def test_bitwise_equal_to_full_grid_step(self, case):
+    @given(stack_cases(), st.sampled_from([1.0, 10.0]))
+    def test_bitwise_equal_to_full_grid_step(self, case, overshoot):
+        # overshoot 10 steps far past the CFL limit: values go negative and are clipped
         grid, cfg, members = case
         stack = _Stack(np.stack(members), grid, cfg)
         dt = min(cfl_dt(Field(grid, v, FieldVariable.DENSITY), cfg) for v in members)
         assert stack.cfl_dt() == dt
-        stack.step(dt)
+        stack.step(overshoot * dt)
         for v, stepped, clipped in zip(members, stack.v, stack.clipped_cum):
-            ref, ref_clipped = reference_step(v, grid, cfg.m, cfg.potential, dt)
+            ref, ref_clipped = reference_step(v, grid, cfg.m, cfg.potential, overshoot * dt)
             assert same_bits(stepped, ref)
             assert clipped == ref_clipped
+        if any(stack.clipped_cum):
+            event("clipped")
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack_cases())
+    def test_twenty_steps_bitwise_equal_to_full_grid_steps(self, case):
+        grid, cfg, members = case
+        stack = _Stack(np.stack(members), grid, cfg)
+        clipped_cum = [0.0] * len(members)
+        event(f"B = {len(members)}")
+        for _ in range(20):
+            if not stack.margin_ok():
+                break
+            dt, advective = reference_dt(members, grid, cfg)
+            assert stack.cfl_dt() == dt
+            if advective:
+                event("advective limit binds")
+            if stack.box is not None and any(lo <= 2 or hi >= grid.n_cells - 2
+                                             for lo, hi in stack.box):
+                event("window touches the grid edge")
+            box = stack.box
+            stack.step(dt)
+            if stack.box != box:
+                event("box changes")
+            for b, v in enumerate(members):
+                members[b], clipped = reference_step(v, grid, cfg.m, cfg.potential, dt)
+                clipped_cum[b] += clipped
+                assert same_bits(stack.v[b], members[b])
+            assert stack.clipped_cum == clipped_cum
 
     @settings(max_examples=100, deadline=None)
     @given(stack_cases())
@@ -461,20 +522,23 @@ def ordered_pairs(draw):
     inner = tuple(slice(c - 2, c + 3) for c in (n // 2 + draw(st.integers(-n // 5, n // 5))
                                                 for _ in range(dim)))
     size = 5**dim
-    hi = np.zeros(grid.shape)
+    hi, lo = np.zeros(grid.shape), np.zeros(grid.shape)
     hi[inner] = np.reshape(draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)),
                            (5,) * dim)
+    # lo is a cellwise fraction of hi, drawn only under hi's block: elsewhere
+    # every fraction gives frac * 0.0 = +0.0
     frac = np.reshape(draw(st.lists(st.sampled_from([0.0, 0.3, 0.9, 1.0]) | st.floats(0.0, 1.0),
-                                    min_size=n**dim, max_size=n**dim)), grid.shape)
+                                    min_size=size, max_size=size)), (5,) * dim)
+    lo[inner] = frac * hi[inner]
     m = draw(st.sampled_from([1.5, 2.0, 3.0]) | st.floats(1.1, 4.0))
     # snapshots every step or two: a violation has no time to heal unseen
     cfg = SolverConfig(m=m, potential=pot, t_end=0.004, snapshot_every=0.0005)
     as_field = lambda v: Field(grid, v, FieldVariable.DENSITY)
-    return as_field(frac * hi), as_field(hi), cfg
+    return as_field(lo), as_field(hi), cfg
 
 
 class TestSharpComparison:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, print_blob=True)
     @given(ordered_pairs())
     def test_order_kept_to_rounding(self, case):
         # with one shared dt the scheme is monotone: lo - hi is rounding only

@@ -36,7 +36,8 @@ END_TO_END = ("wall_s", "wall_s_tail", "setup_s", "peak_rss_mb")
 ENVIRONMENT = ("git_commit", "source_sha256", "python", "numpy", "nproc", "cpu")
 LAYERS = ("barriers.residual_s", "barriers.samples_per_s", "barriers.candidate_points",
           "barriers.samples", "cli.self_s", "cli.write_mb_per_s", "core.pressure_s",
-          "solver.simulate_s")
+          "solver.simulate_s", "solver.steps", "solver.step_us", "solver.cfl_dt_us",
+          "solver.step_report_us")
 HIGHER = ("barriers.samples", "barriers.samples_per_s", "cli.write_mb_per_s")  # better when higher
 
 
