@@ -135,25 +135,24 @@ class StepReport:
 class _DriftContext:
     """Per-(grid, potential) precomputed drift data: interface gradients of
     Phi along each axis, and the squared derivative p'^2 of Phi's axis
-    polynomial at the axis's cell centers, from which |grad Phi| follows."""
+    polynomial at the axis's cell centers, from which |grad Phi| is bounded."""
 
     def __init__(self, grid: Grid, potential: Potential):
-        phi = np.asarray(potential.eval(grid.centers()), dtype=float)
+        self.centers, self.potential = grid.centers(), potential
+        phi = np.asarray(potential.eval(self.centers), dtype=float)
         self.g = tuple(np.diff(phi, axis=a) / grid.h for a in range(grid.dim))
         dp = np.asarray(potential.grad(grid.axis_centers()), dtype=float)
         self.dp2 = dp * dp
 
     def norms(self, cells: tuple[slice, ...]) -> np.ndarray:
-        """|grad Phi| at ``cells`` (a slice per axis), bit for bit as
-        sqrt(dot_last(grad, grad)) of the gradient there gives it."""
-        sq = [self.dp2[c] for c in cells]
-        return np.sqrt((sq[0] if len(sq) == 1 else sq[0][:, None] + sq[1]) + 0.0)
+        """|grad Phi| at ``cells`` (a slice per axis)."""
+        grad = np.asarray(self.potential.grad(self.centers[cells]), dtype=float)
+        return np.sqrt(dot_last(grad, grad))
 
     def norm_bound(self, cells: tuple[slice, ...]) -> float:
-        """An upper bound of ``norms(cells)``: the same sum of the per-axis
-        maxima, since rounded +, * and sqrt are monotone."""
-        peaks = [float(self.dp2[c].max()) for c in cells]
-        return math.sqrt((peaks[0] if len(peaks) == 1 else peaks[0] + peaks[1]) + 0.0)
+        """An upper bound of ``norms(cells)``: the per-axis maxima of p'^2
+        summed, since rounded + and sqrt are monotone."""
+        return math.sqrt(sum(float(self.dp2[c].max()) for c in cells))
 
 
 @lru_cache(maxsize=32)
@@ -250,7 +249,8 @@ class _Stack:
         self._spatial = tuple(range(1, values.ndim))
         self._across = [(0,) + self._spatial[:a] + self._spatial[a + 1:] for a in range(grid.dim)]
         self.box = self._win = None
-        self._bound = (None, 0.0)  # (box, bound of |grad Phi| over it)
+        self._drift_box = self._norms = None  # |grad Phi| over _drift_box, once needed
+        self._bound = 0.0  # a bound of it
         self._track(values, (0,) * grid.dim)
 
     def _track(self, w: np.ndarray, starts: tuple[int, ...]) -> None:
@@ -277,8 +277,10 @@ class _Stack:
         if self.box is None:
             return [0.0] * len(self.v)
         cells = self._box_cells()
+        if self._norms is None:
+            self._norms = self.ctx.norms(cells)
         pos = self.v[(slice(None),) + cells] > 0.0
-        return np.where(pos, self.ctx.norms(cells), 0.0).max(axis=self._spatial).tolist()
+        return np.where(pos, self._norms, 0.0).max(axis=self._spatial).tolist()
 
     def margin_ok(self) -> bool:
         """No member holds support within two cells of the box edge.
@@ -306,10 +308,10 @@ class _Stack:
         V_max is not computed.
         """
         m, h, dim = self.cfg.m, self.grid.h, self.grid.dim
-        if self._bound[0] != self.box:
-            bound = self.ctx.norm_bound(self._box_cells()) if self.box is not None else 0.0
-            self._bound = (self.box, bound)
-        dt_bound = h / (2.0 * dim * max(self._bound[1], _TINY))
+        if self._drift_box != self.box:
+            self._drift_box, self._norms = self.box, None
+            self._bound = self.ctx.norm_bound(self._box_cells()) if self.box is not None else 0.0
+        dt_bound = h / (2.0 * dim * max(self._bound, _TINY))
         v_maxes = None
         dt = self.cfg.snapshot_every
         for b, top in enumerate(self.tops):
