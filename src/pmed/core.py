@@ -168,8 +168,22 @@ def level_crossings(
     whose endpoints fall on different sides of ``values > level``.  Returns
     the points, shape (k, ndim): axis-0 edges before axis-1 edges, each in
     row-major order of the edge's lower endpoint.
+
+    Only the bounding box of ``values > level``, grown by one sample and
+    clipped to the array, is searched: every edge with a crossing has an
+    endpoint above the level, so it lies in that box, and the points and
+    their order are those of the whole lattice.
     """
     above = values > level
+    box = ()
+    for a in range(above.ndim):
+        others = tuple(k for k in range(above.ndim) if k != a)
+        hit = np.flatnonzero(np.any(above[box], axis=others))
+        if len(hit) == 0:
+            return np.empty((0, above.ndim))
+        box += (slice(max(hit[0] - 1, 0), hit[-1] + 2),)
+    values, above = values[box], above[box]
+    axes = [x[s] for x, s in zip(axes, box)]
     found = []
     for a, x in enumerate(axes):
         lower = np.nonzero(np.diff(above, axis=a))

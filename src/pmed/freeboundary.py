@@ -72,6 +72,13 @@ def extract_boundary(f: Field, eps_fb: float | None = None) -> np.ndarray:
 
 
 _ROWS = 128  # rows per distance block: 128 x 1k points is 1 MB per temporary
+_BAND_ROWS = 64  # rows of the sorted cloud per banded block
+_BAND_POINTS = 16  # band half-width, in mean point spacings of the larger cloud
+
+
+def _sq_distances(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of (r, dim) and (l, dim) arrays, (r, l)."""
+    return sum((rows[:, None, k] - b[None, :, k]) ** 2 for k in range(b.shape[1]))
 
 
 def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
@@ -80,26 +87,128 @@ def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
     the whole (k, l) matrix is never held."""
     for start in range(0, len(a), _ROWS):
         rows = a[start:start + _ROWS]
-        yield slice(start, start + len(rows)), sum(
-            (rows[:, None, k] - b[None, :, k]) ** 2 for k in range(a.shape[1]))
+        yield slice(start, start + len(rows)), _sq_distances(rows, b)
+
+
+def _settle(mins: np.ndarray, bound: float, a: np.ndarray, b: np.ndarray) -> float:
+    """Largest of the exact nearest squared distances from the rows of a to b,
+    given ``mins``, banded minima that are exact where they are <= bound;
+    the rows above it are reduced over all of b."""
+    open_rows = np.flatnonzero(~(mins <= bound))
+    for rows, d2 in _sq_distance_blocks(a[open_rows], b):
+        mins[open_rows[rows]] = d2.min(axis=1)
+    return float(mins.max())
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two nonempty (k, dim) point clouds."""
+    """Symmetric Hausdorff distance between two nonempty (k, dim) point clouds.
+
+    Raises InvalidInputError if a coordinate is NaN or infinite.  Both
+    clouds are sorted along axis 0; each block of rows of a is reduced only
+    against the points of b whose axis-0 coordinate lies within delta of
+    the block's range, delta = 16 span / max(k, l) with span the largest
+    extent of the two clouds along any axis.  Every pair left out is at
+    least delta apart along axis 0, after rounding too, so a row or column
+    minimum of at most (delta/2)^2 is exact; the others are reduced over
+    the whole other cloud.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise EmptyBoundarySetError("hausdorff requires nonempty boundary sets")
-    a_to_b, b_to_a = 0.0, None  # largest row minimum; running column minima
-    for _, d2 in _sq_distance_blocks(a, b):
-        a_to_b = max(a_to_b, d2.min(axis=1).max())
-        b_to_a = d2.min(axis=0) if b_to_a is None else np.minimum(b_to_a, d2.min(axis=0))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidInputError("hausdorff requires finite coordinates")
+    a = a[np.argsort(a[:, 0], kind="stable")]
+    b = b[np.argsort(b[:, 0], kind="stable")]
+    span = float(np.max(np.maximum(a.max(axis=0), b.max(axis=0))
+                        - np.minimum(a.min(axis=0), b.min(axis=0))))
+    delta = _BAND_POINTS * span / max(len(a), len(b))
+    # band of each block: b[los[i]:his[i]]; a point of b left out lies below
+    # fl(first - delta) or above fl(last + delta), so at least delta away
+    starts = np.arange(0, len(a), _BAND_ROWS)
+    ends = np.minimum(starts + _BAND_ROWS, len(a))
+    los = np.searchsorted(b[:, 0], a[starts, 0] - delta, side="left")
+    his = np.searchsorted(b[:, 0], a[ends - 1, 0] + delta, side="right")
+    row_min = np.full(len(a), np.inf)
+    col_min = np.full(len(b), np.inf)  # running column minima over the bands
+    for start, end, lo, hi in zip(starts, ends, los, his):
+        if lo < hi:
+            d2 = _sq_distances(a[start:end], b[lo:hi])
+            row_min[start:end] = d2.min(axis=1)
+            np.minimum(col_min[lo:hi], d2.min(axis=0), out=col_min[lo:hi])
+    bound = (0.5 * delta) ** 2
     # sqrt is monotone and correctly rounded: one root at the end is exact
-    return float(np.sqrt(max(a_to_b, b_to_a.max())))
+    return float(np.sqrt(max(_settle(row_min, bound, a, b), _settle(col_min, bound, b, a))))
 
 
-def _discrete_mass(c: float, phi: np.ndarray, m: float, vol: float, out=None) -> float:
-    u = np.maximum(np.subtract(c, phi, out=out), 0.0, out=out)
-    rho = np.power(np.multiply((m - 1.0) / m, u, out=out), 1.0 / (m - 1.0), out=out)
-    return vol * float(np.sum(rho))
+class _BandedMass:
+    """The discrete mass map M(c) of phi, each density computed only on the
+    box of cells that holds every phi below a given ``top`` >= c.  Every
+    other cell has c - phi <= 0 and so density +0.0, which the one buffer
+    holds there; the sum runs over the whole buffer, so M(c) is the float
+    of the full-grid sum."""
+
+    def __init__(self, phi: np.ndarray, m: float, vol: float):
+        self.phi, self.m, self.vol = phi, m, vol
+        axes = range(phi.ndim)
+        # per axis, the least phi of each index along it
+        self.profiles = [phi.min(axis=tuple(k for k in axes if k != a)) for a in axes]
+        self.buf = np.zeros_like(phi)
+        self.box = (slice(0, 0),)
+
+    def __call__(self, c: float, top: float) -> float:
+        self.buf[self.box] = 0.0  # re-zero the previous box
+        box = ()
+        for least in self.profiles:
+            live = np.flatnonzero(~(least >= top))
+            if len(live) == 0:
+                self.box = (slice(0, 0),)
+                return self.vol * float(np.sum(self.buf))
+            box += (slice(live[0], live[-1] + 1),)
+        self.box = box
+        out = self.buf[box]
+        u = np.maximum(np.subtract(c, self.phi[box], out=out), 0.0, out=out)
+        m = self.m
+        np.power(np.multiply((m - 1.0) / m, u, out=out), 1.0 / (m - 1.0), out=out)
+        return self.vol * float(np.sum(self.buf))
+
+
+def _equilibrium_level(
+    target_mass: float, pot: Potential, m: float, grid: Grid
+) -> tuple[float, np.ndarray]:
+    """equilibrium_constant's level C, with Phi at the cell centers."""
+    if not target_mass > 0.0:
+        raise InvalidParameterError(f"target_mass must be > 0, got {target_mass}")
+    if not m > 1.0:
+        raise InvalidParameterError(f"m must be > 1, got {m}")
+    phi = np.asarray(pot.eval(grid.centers()), dtype=float)
+    phi_min = min(float(phi.min()), pot.min_value())
+    mass = _BandedMass(phi, m, grid.cell_volume)
+
+    # capacity check: the support {Phi < C} must stay off the boundary ring
+    c_cap = float(ring(phi, 1).min())
+    if mass(c_cap, c_cap) < target_mass:
+        raise DomainTooSmallError(
+            f"target mass {target_mass} needs a level beyond the box capacity"
+        )
+
+    lo, hi = phi_min, phi_min + 1.0
+    while mass(hi, hi) < target_mass:
+        lo = hi
+        hi = phi_min + 2.0 * (hi - phi_min)
+    hi = min(hi, c_cap)
+    tol = 1e-10 * target_mass
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        value = mass(mid, hi)
+        if abs(value - target_mass) <= tol:
+            return mid, phi
+        if value < target_mass:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= np.finfo(float).eps * max(1.0, abs(hi)):
+            break
+    raise PmedError("equilibrium bisection failed to meet the mass tolerance")
 
 
 def equilibrium_constant(
@@ -111,41 +220,22 @@ def equilibrium_constant(
     a fixed grid); the bracket is grown geometrically from the lower of the
     grid minimum of Phi and its computed minimum, where M vanishes.  Runs to
     |M(C) - target| <= 1e-10 target.  Raises UnsupportedPotentialError
-    unless Phi is strictly convex.
+    unless Phi is strictly convex.  Each M(C) is summed over the whole grid
+    but computed only on the box of cells where Phi falls below the
+    bracket's top.
     """
-    if not target_mass > 0.0:
-        raise InvalidParameterError(f"target_mass must be > 0, got {target_mass}")
-    if not m > 1.0:
-        raise InvalidParameterError(f"m must be > 1, got {m}")
-    phi = np.asarray(pot.eval(grid.centers()), dtype=float)
-    phi_min = min(float(phi.min()), pot.min_value())
-    buf = np.empty_like(phi)  # for _discrete_mass: no grid-sized temporaries per step
+    return _equilibrium_level(target_mass, pot, m, grid)[0]
 
-    # capacity check: the support {Phi < C} must stay off the boundary ring
-    c_cap = float(ring(phi, 1).min())
-    if _discrete_mass(c_cap, phi, m, grid.cell_volume, buf) < target_mass:
-        raise DomainTooSmallError(
-            f"target mass {target_mass} needs a level beyond the box capacity"
-        )
 
-    lo, hi = phi_min, phi_min + 1.0
-    while _discrete_mass(hi, phi, m, grid.cell_volume, buf) < target_mass:
-        lo = hi
-        hi = phi_min + 2.0 * (hi - phi_min)
-    hi = min(hi, c_cap)
-    tol = 1e-10 * target_mass
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        value = _discrete_mass(mid, phi, m, grid.cell_volume, buf)
-        if abs(value - target_mass) <= tol:
-            return mid
-        if value < target_mass:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= np.finfo(float).eps * max(1.0, abs(hi)):
-            break
-    raise PmedError("equilibrium bisection failed to meet the mass tolerance")
+def _equilibrium_pressure(
+    target_mass: float, pot: Potential, m: float, grid: Grid
+) -> tuple[float, Field]:
+    """C_inf and the pressure (C_inf - Phi)_+, from one evaluation of Phi."""
+    c, phi = _equilibrium_level(target_mass, pot, m, grid)
+    u = np.maximum(c - phi, 0.0)
+    if np.any(ring(u, 1) > 0.0):
+        raise DomainTooSmallError("equilibrium support reaches the box edge")
+    return c, Field(grid, u, FieldVariable.PRESSURE)
 
 
 @dataclass(frozen=True)
@@ -164,12 +254,7 @@ def equilibrium_profile(
     grid: Grid,
     eps_fb: float | None = None,
 ) -> EquilibriumProfile:
-    c = equilibrium_constant(target_mass, pot, m, grid)
-    phi = np.asarray(pot.eval(grid.centers()), dtype=float)
-    u = np.maximum(c - phi, 0.0)
-    if np.any(ring(u, 1) > 0.0):
-        raise DomainTooSmallError("equilibrium support reaches the box edge")
-    pressure = Field(grid, u, FieldVariable.PRESSURE)
+    c, pressure = _equilibrium_pressure(target_mass, pot, m, grid)
     return EquilibriumProfile(
         c_inf=c, pressure=pressure, boundary=extract_boundary(pressure, eps_fb)
     )

@@ -4,11 +4,13 @@ parent's IQR).
 No perfbench run is started."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
@@ -72,3 +74,12 @@ class TestSummary:
         assert key in bench_pairs.HIGHER
         assert entry(PARENT, [1.4 * x for x in PARENT], key)["gain_shown"]
         assert not entry(PARENT, [0.7 * x for x in PARENT], key)["gain_shown"]
+
+
+def test_layers_are_declared_per_layer_metrics():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = {metric["name"] for metric in declared}
+    assert set(bench_pairs.LAYERS) <= names
+    assert set(bench_pairs.HIGHER) <= set(bench_pairs.LAYERS)
+    assert all(metric["better"] == "higher" for metric in declared
+               if metric["name"] in bench_pairs.HIGHER)

@@ -136,6 +136,39 @@ class TestLevelCrossings:
             strict=True,
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_support_box_anywhere(self, data):
+        # the set above the level fills a random box: inside the array, at
+        # its edges and corners, all of it, or nothing
+        shape = tuple(data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=2)))
+        values = np.full(shape, -1.0)
+        box = []
+        for n in shape:
+            lo = data.draw(st.integers(0, n))
+            box.append(slice(lo, data.draw(st.integers(lo, n))))
+        inside = values[tuple(box)]
+        inside[...] = data.draw(arrays(float, inside.shape, elements=st.floats(-0.5, 2.0)))
+        axes = tuple(np.cumsum(data.draw(arrays(float, n, elements=st.floats(0.1, 3.0))))
+                     for n in shape)
+        got = level_crossings(values, axes, 0.0)
+        np.testing.assert_array_equal(got, loop_level_crossings(values, axes, 0.0),
+                                      strict=True)
+
+    @pytest.mark.parametrize("shape", [(9,), (7, 10)])
+    @pytest.mark.parametrize("fill", ["empty", "full", "edges"])
+    def test_empty_full_and_edge_touching_sets(self, shape, fill):
+        rng = np.random.default_rng(3)
+        values = rng.uniform(0.5, 1.0, shape) * (-1.0 if fill == "empty" else 1.0)
+        if fill == "edges":  # above the level only on the first and last index
+            values[(slice(1, -1),) * len(shape)] = -1.0
+        axes = tuple(np.arange(n, dtype=float) for n in shape)
+        got = level_crossings(values, axes, 0.0)
+        np.testing.assert_array_equal(got, loop_level_crossings(values, axes, 0.0),
+                                      strict=True)
+        assert got.shape[1] == len(shape) and got.dtype == float
+        assert (len(got) == 0) == (fill != "edges")
+
     def test_2d_order_axis0_edges_first(self):
         v = np.zeros((3, 3))
         v[1, 1] = 1.0

@@ -8,17 +8,20 @@ from pmed.core import (
     Field,
     FieldVariable,
     Grid,
+    Potential,
     integrate,
     density_from_pressure,
     make_polynomial_potential,
     make_quadratic_potential,
     make_zero_potential,
+    ring,
 )
 from pmed.errors import (
     BoundaryGapError,
     DomainTooSmallError,
     EmptyBoundarySetError,
     InvalidInputError,
+    PmedError,
     UnsupportedPotentialError,
 )
 from pmed.freeboundary import (
@@ -111,6 +114,17 @@ class TestHausdorff:
         with pytest.raises(EmptyBoundarySetError):
             hausdorff(np.empty((0, 1)), np.array([[0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_coordinate_raises(self, bad, side):
+        clouds = [np.array([[5.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 2.0]])]
+        clouds[side] = np.vstack([clouds[side], [[bad, 0.0]]])
+        with pytest.raises(InvalidInputError):
+            hausdorff(*clouds)
+        clouds[side][-1] = [0.0, bad]
+        with pytest.raises(InvalidInputError):
+            hausdorff(*clouds)
+
     def test_pseudometric_properties(self):
         rng = np.random.default_rng(17)
         sets = [rng.uniform(-1, 1, size=(rng.integers(1, 8), 2))
@@ -153,6 +167,83 @@ class TestHausdorffReference:
     def test_matches_broadcast_formula(self, pair):
         a, b = pair
         assert hausdorff(a, b) == reference_hausdorff(a, b)
+
+
+@st.composite
+def curve_pairs(draw):
+    # noisy circles or segments with enough points for the band to engage
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def curve():
+        k = draw(st.integers(200, 900))
+        t = np.sort(rng.uniform(0.0, 1.0, k))
+        if draw(st.booleans()):
+            r = draw(st.floats(0.5, 1.5))
+            pts = r * np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=-1)
+        else:
+            ends = rng.uniform(-1.0, 1.0, (2, 2))
+            pts = ends[0] + t[:, None] * (ends[1] - ends[0])
+        pts += draw(st.sampled_from([0.0, 1e-3, 2e-2])) * rng.standard_normal(pts.shape)
+        return scale * pts
+
+    return curve(), curve()
+
+
+@st.composite
+def fallback_pairs(draw):
+    # clouds that leave rows or columns outside the band
+    kind = draw(st.sampled_from(["one axis-0 value", "coincident", "singleton", "far apart",
+                                 "dense against sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, l = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    a, b = rng.uniform(-1.0, 1.0, (k, 2)), rng.uniform(-1.0, 1.0, (l, 2))
+    if kind == "one axis-0 value":
+        a[:, 0] = b[:, 0] = draw(st.floats(-1.0, 1.0))
+    elif kind == "coincident":
+        a = np.repeat(a[:1], k, axis=0)
+        b = np.concatenate([a[:1]] * l) if draw(st.booleans()) else b
+    elif kind == "singleton":
+        a = a[:1]
+    elif kind == "dense against sparse":  # most nearest points lie outside the band
+        t = np.linspace(0.0, 2 * np.pi, 30 * k)
+        a = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        b = b[:draw(st.integers(1, 12))]
+    else:
+        b += draw(st.sampled_from([[50.0, 0.0], [0.0, 50.0], [-3.0, 3.0]]))
+    return a, b
+
+
+class TestBandedHausdorff:
+    @settings(max_examples=60, deadline=None)
+    @given(curve_pairs())
+    def test_curves_match_reference(self, pair):
+        a, b = pair
+        assert hausdorff(a, b) == reference_hausdorff(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fallback_pairs())
+    def test_fallback_clouds_match_reference(self, pair):
+        a, b = pair
+        assert hausdorff(a, b) == reference_hausdorff(a, b)
+        assert hausdorff(b, a) == reference_hausdorff(a, b)
+
+    def test_concentric_circles_settle_in_the_band(self, monkeypatch):
+        import pmed.freeboundary as fb
+        dense = []
+        real = fb._sq_distance_blocks
+
+        def counting(a, b):
+            dense.append(len(a))
+            return real(a, b)
+
+        monkeypatch.setattr(fb, "_sq_distance_blocks", counting)
+        t = 2 * np.pi * np.arange(800) / 800
+        circle = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        a, b = circle, 1.01 * np.roll(circle, 7, axis=0)
+        assert hausdorff(a, b) == reference_hausdorff(a, b)
+        assert sum(dense) == 0
 
 
 def reference_gradient_2d(u, p, eps_fb):
@@ -211,6 +302,38 @@ class TestInteriorGradientReference:
             np.testing.assert_array_equal(got[1], want[1])
 
 
+def full_grid_equilibrium_constant(target_mass, pot, m, grid):
+    """The bisection of equilibrium_constant with each M(C) over every cell."""
+    phi = np.asarray(pot.eval(grid.centers()), dtype=float)
+    phi_min = min(float(phi.min()), pot.min_value())
+    vol = grid.cell_volume
+
+    def mass(c):
+        u = np.maximum(c - phi, 0.0)
+        return vol * float(np.sum(np.power((m - 1.0) / m * u, 1.0 / (m - 1.0))))
+
+    c_cap = float(ring(phi, 1).min())
+    if mass(c_cap) < target_mass:
+        raise DomainTooSmallError("beyond the box capacity")
+    lo, hi = phi_min, phi_min + 1.0
+    while mass(hi) < target_mass:
+        lo = hi
+        hi = phi_min + 2.0 * (hi - phi_min)
+    hi = min(hi, c_cap)
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        value = mass(mid)
+        if abs(value - target_mass) <= 1e-10 * target_mass:
+            return mid
+        if value < target_mass:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= np.finfo(float).eps * max(1.0, abs(hi)):
+            break
+    raise PmedError("no level meets the mass tolerance")
+
+
 class TestEquilibriumConstant:
     def test_analytic_oracle(self):
         # m=2, Phi=x^2: mass(C) = (2/3) C^(3/2), so mass 2/3 gives C = 1
@@ -239,13 +362,52 @@ class TestEquilibriumConstant:
         assert all(a < b for a, b in zip(cs, cs[1:]))
 
     def test_discrete_mass_map_nondecreasing(self):
-        from pmed.freeboundary import _discrete_mass
+        from pmed.freeboundary import _BandedMass
         g = Grid(dim=1, h=0.01, extent=2.0)
         pot = make_quadratic_potential(1.0, dim=1)
         phi = pot.eval(g.centers())
-        masses = [_discrete_mass(c, phi, 2.0, g.cell_volume)
-                  for c in np.linspace(0.0, 2.0, 60)]
+        mass = _BandedMass(phi, 2.0, g.cell_volume)
+        masses = [mass(c, c) for c in np.linspace(0.0, 2.0, 60)]
         assert all(b >= a for a, b in zip(masses, masses[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_banded_bisection_matches_full_grid(self, data):
+        dim = data.draw(st.sampled_from([1, 2]))
+        n = data.draw(st.integers(8, 200 if dim == 1 else 48))
+        g = Grid(dim=dim, h=4.0 / n, extent=2.0)
+        # p = c0 + c1 x + a2 x^2 + a4 x^4: p'' = 2 a2 + 12 a4 x^2 > 0
+        a2 = data.draw(st.floats(0.1, 4.0))
+        a4 = data.draw(st.sampled_from([0.0, 0.0, 0.3, 1.0]))
+        c1 = data.draw(st.floats(-1.0, 1.0))
+        pot = Potential((data.draw(st.floats(-2.0, 2.0)), c1, a2, 0.0, a4), dim)
+        m = data.draw(st.sampled_from([1.5, 2.0, 3.0]))
+        mass = 10.0 ** data.draw(st.floats(-4.0, 0.5))
+
+        def outcome(solve):
+            try:
+                return solve(mass, pot, m, g)
+            except PmedError as exc:
+                return type(exc)
+
+        assert outcome(equilibrium_constant) == outcome(full_grid_equilibrium_constant)
+
+    def test_profile_evaluates_phi_once(self, monkeypatch):
+        import pmed.core as core
+        calls = []
+        real = core.Potential.eval
+
+        def counting(self, x):
+            calls.append(np.shape(x))
+            return real(self, x)
+
+        monkeypatch.setattr(core.Potential, "eval", counting)
+        g = Grid(dim=2, h=0.1, extent=2.0)
+        equilibrium_profile(0.5, make_quadratic_potential(1.0, dim=2), 2.0, g)
+        assert calls == [g.shape + (2,)]
+        calls.clear()
+        equilibrium_offset_density(g, 2.0, make_quadratic_potential(1.0, dim=2), 0.5, 0.9)
+        assert calls == [g.shape + (2,)]
 
     def test_computed_minimum_starts_the_bracket(self):
         # Phi = x^2 has its minimum 0 between two cell centers, below every

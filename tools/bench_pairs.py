@@ -37,7 +37,8 @@ ENVIRONMENT = ("git_commit", "source_sha256", "python", "numpy", "nproc", "cpu")
 LAYERS = ("barriers.residual_s", "barriers.samples_per_s", "barriers.candidate_points",
           "barriers.samples", "cli.self_s", "cli.write_mb_per_s", "core.pressure_s",
           "solver.simulate_s", "solver.steps", "solver.step_us", "solver.cfl_dt_us",
-          "solver.step_report_us")
+          "solver.step_report_us", "freeboundary.hausdorff_s", "freeboundary.extract_s",
+          "freeboundary.equilibrium_s", "initialdata.build_s")
 HIGHER = ("barriers.samples", "barriers.samples_per_s", "cli.write_mb_per_s")  # better when higher
 
 
