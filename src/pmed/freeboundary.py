@@ -157,16 +157,10 @@ class _BandedMass:
 
     def __call__(self, c: float, top: float) -> float:
         self.buf[self.box] = 0.0  # re-zero the previous box
-        box = ()
-        for least in self.profiles:
-            live = np.flatnonzero(~(least >= top))
-            if len(live) == 0:
-                self.box = (slice(0, 0),)
-                return self.vol * float(np.sum(self.buf))
-            box += (slice(live[0], live[-1] + 1),)
-        self.box = box
-        out = self.buf[box]
-        u = np.maximum(np.subtract(c, self.phi[box], out=out), 0.0, out=out)
+        live = [np.flatnonzero(~(least >= top)) for least in self.profiles]
+        self.box = tuple(slice(i[0], i[-1] + 1) if len(i) else slice(0, 0) for i in live)
+        out = self.buf[self.box]
+        u = np.maximum(np.subtract(c, self.phi[self.box], out=out), 0.0, out=out)
         m = self.m
         np.power(np.multiply((m - 1.0) / m, u, out=out), 1.0 / (m - 1.0), out=out)
         return self.vol * float(np.sum(self.buf))
