@@ -91,23 +91,23 @@ class BarenblattSpec:
     def K(self) -> float:
         return 0.5 * self.lam
 
-    def support_radius(self, t: float) -> float:
+    def _s(self, t: float) -> float:
+        """The profile's own time s = t + tau; raises unless it is > 0."""
         s = t + self.tau
         if s <= 0.0:
             raise InvalidTimeError(f"t + tau must be > 0, got {s}")
-        return float(np.sqrt(self.C / self.K) * s**self.lam)
+        return s
+
+    def support_radius(self, t: float) -> float:
+        return float(np.sqrt(self.C / self.K) * self._s(t)**self.lam)
 
     def boundary_speed(self, t: float) -> float:
         """d/dt of the support radius (hand-differentiated closed form)."""
-        s = t + self.tau
-        if s <= 0.0:
-            raise InvalidTimeError(f"t + tau must be > 0, got {s}")
-        return float(self.lam * np.sqrt(self.C / self.K) * s ** (self.lam - 1.0))
+        return float(self.lam * np.sqrt(self.C / self.K) * self._s(t) ** (self.lam - 1.0))
 
     def boundary_gradient(self, t: float) -> float:
         """|grad u| on the support boundary: 2 K r(t) / (t + tau)."""
-        s = t + self.tau
-        return float(2.0 * self.K * self.support_radius(t) / s)
+        return float(2.0 * self.K * self.support_radius(t) / self._s(t))
 
 
 @dataclass(frozen=True)
@@ -180,9 +180,7 @@ def _radii(x: np.ndarray) -> np.ndarray:
 
 def barenblatt(x: np.ndarray, t: float, spec: BarenblattSpec) -> np.ndarray:
     """Evaluate the self-similar pressure profile at points x, time t."""
-    s = t + spec.tau
-    if s <= 0.0:
-        raise InvalidTimeError(f"t + tau must be > 0, got {s}")
+    s = spec._s(t)
     x = np.asarray(x, dtype=float)
     r2 = dot_last(x, x)
     return np.maximum(spec.C * s ** (2.0 * spec.lam) - spec.K * r2, 0.0) / s

@@ -315,12 +315,9 @@ class Potential:
         return bool(np.all(v >= -8.0 * np.finfo(float).eps * size))
 
     def min_value(self) -> float:
-        """Global minimum dim * min p, taken at a real root of p'."""
-        if not self.strictly_convex:
-            raise UnsupportedPotentialError(
-                f"needs a strictly convex potential, got coefficients {self.coefficients}"
-            )
-        return self.dim * float(_extrema(self.coefficients, -_BIG, _BIG)[0].min())
+        """Global minimum dim * min p, taken at a real root of p'; computed
+        once per potential value."""
+        return _min_value(self)
 
     def hessian_bound(self, lo, hi) -> float:
         """Largest over the axes of max |p''| on [lo_k, hi_k], each maximum
@@ -329,6 +326,15 @@ class Potential:
         d2 = _derivative(_derivative(self.coefficients))
         lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (self.dim,)) for v in (lo, hi))
         return float(max(np.abs(_extrema(d2, a, b)[0]).max() for a, b in zip(lo, hi)))
+
+
+@lru_cache(maxsize=64)
+def _min_value(pot: Potential) -> float:
+    if not pot.strictly_convex:
+        raise UnsupportedPotentialError(
+            f"needs a strictly convex potential, got coefficients {pot.coefficients}"
+        )
+    return pot.dim * float(_extrema(pot.coefficients, -_BIG, _BIG)[0].min())
 
 
 def make_quadratic_potential(a: float, dim: int = 1) -> Potential:

@@ -166,10 +166,11 @@ class _BandedMass:
         return self.vol * float(np.sum(self.buf))
 
 
-def _equilibrium_level(
+def _equilibrium(
     target_mass: float, pot: Potential, m: float, grid: Grid
-) -> tuple[float, np.ndarray]:
-    """equilibrium_constant's level C, with Phi at the cell centers."""
+) -> tuple[float, Field]:
+    """equilibrium_constant's level C and the pressure (C - Phi)_+, from one
+    evaluation of Phi."""
     if not target_mass > 0.0:
         raise InvalidParameterError(f"target_mass must be > 0, got {target_mass}")
     if not m > 1.0:
@@ -178,7 +179,7 @@ def _equilibrium_level(
     phi_min = min(float(phi.min()), pot.min_value())
     mass = _BandedMass(phi, m, grid.cell_volume)
 
-    # capacity check: the support {Phi < C} must stay off the boundary ring
+    # capacity check; C stays <= c_cap, the least Phi on the outer ring, so (C - Phi)_+ is 0 there
     c_cap = float(ring(phi, 1).min())
     if mass(c_cap, c_cap) < target_mass:
         raise DomainTooSmallError(
@@ -195,7 +196,8 @@ def _equilibrium_level(
         mid = 0.5 * (lo + hi)
         value = mass(mid, hi)
         if abs(value - target_mass) <= tol:
-            return mid, phi
+            del mass  # its grid-sized buffer would add to the pressure's two at the peak
+            return mid, Field(grid, np.maximum(mid - phi, 0.0), FieldVariable.PRESSURE)
         if value < target_mass:
             lo = mid
         else:
@@ -218,18 +220,7 @@ def equilibrium_constant(
     but computed only on the box of cells where Phi falls below the
     bracket's top.
     """
-    return _equilibrium_level(target_mass, pot, m, grid)[0]
-
-
-def _equilibrium_pressure(
-    target_mass: float, pot: Potential, m: float, grid: Grid
-) -> tuple[float, Field]:
-    """C_inf and the pressure (C_inf - Phi)_+, from one evaluation of Phi."""
-    c, phi = _equilibrium_level(target_mass, pot, m, grid)
-    u = np.maximum(c - phi, 0.0)
-    if np.any(ring(u, 1) > 0.0):
-        raise DomainTooSmallError("equilibrium support reaches the box edge")
-    return c, Field(grid, u, FieldVariable.PRESSURE)
+    return _equilibrium(target_mass, pot, m, grid)[0]
 
 
 @dataclass(frozen=True)
@@ -248,7 +239,7 @@ def equilibrium_profile(
     grid: Grid,
     eps_fb: float | None = None,
 ) -> EquilibriumProfile:
-    c, pressure = _equilibrium_pressure(target_mass, pot, m, grid)
+    c, pressure = _equilibrium(target_mass, pot, m, grid)
     return EquilibriumProfile(
         c_inf=c, pressure=pressure, boundary=extract_boundary(pressure, eps_fb)
     )

@@ -7,7 +7,7 @@ import numpy as np
 from .barriers import BarenblattSpec, barenblatt
 from .core import Field, FieldVariable, Grid, Potential, density_from_pressure, dot_last, ring
 from .errors import DomainTooSmallError, InvalidInputError
-from .freeboundary import _equilibrium_pressure
+from .freeboundary import _equilibrium
 
 __all__ = ["barenblatt_density", "bump_density", "equilibrium_offset_density"]
 
@@ -47,5 +47,5 @@ def equilibrium_offset_density(
     With scale < 1 this gives data strictly below the stationary profile;
     with scale = 1 it is the (grid-sampled) stationary state itself.
     """
-    rho = density_from_pressure(_equilibrium_pressure(mass, pot, m, grid)[1], m)
+    rho = density_from_pressure(_equilibrium(mass, pot, m, grid)[1], m)
     return rho.with_values(scale * rho.values)

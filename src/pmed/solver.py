@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -133,26 +133,16 @@ class StepReport:
 
 
 class _DriftContext:
-    """Per-(grid, potential) precomputed drift data: interface gradients of
-    Phi along each axis, and the squared derivative p'^2 of Phi's axis
-    polynomial at the axis's cell centers, from which |grad Phi| is bounded."""
+    """Per-(grid, potential) drift data: interface gradients ``g`` of Phi
+    along each axis, and the squared derivative ``dp2`` = p'^2 of Phi's axis
+    polynomial at the axis's cell centers.  What depends on the support box
+    is made from these by that box's _Window."""
 
     def __init__(self, grid: Grid, potential: Potential):
-        self.centers, self.potential = grid.centers(), potential
-        phi = np.asarray(potential.eval(self.centers), dtype=float)
+        phi = np.asarray(potential.eval(grid.centers()), dtype=float)
         self.g = tuple(np.diff(phi, axis=a) / grid.h for a in range(grid.dim))
         dp = np.asarray(potential.grad(grid.axis_centers()), dtype=float)
         self.dp2 = dp * dp
-
-    def norms(self, cells: tuple[slice, ...]) -> np.ndarray:
-        """|grad Phi| at ``cells`` (a slice per axis)."""
-        grad = np.asarray(self.potential.grad(self.centers[cells]), dtype=float)
-        return np.sqrt(dot_last(grad, grad))
-
-    def norm_bound(self, cells: tuple[slice, ...]) -> float:
-        """An upper bound of ``norms(cells)``: the per-axis maxima of p'^2
-        summed, since rounded + and sqrt are monotone."""
-        return math.sqrt(sum(float(self.dp2[c].max()) for c in cells))
 
 
 @lru_cache(maxsize=32)
@@ -161,10 +151,16 @@ def _drift_context(grid: Grid, potential: Potential) -> _DriftContext:
 
 
 class _Window:
-    """The views and buffers one step of a stack reads and writes, for one
-    support box: the window is the box grown by 2 cells and clipped to the
-    grid.  Built once per box, so a step makes no slice, and allocates only
-    the upwind pick of np.where.
+    """Everything a stack keeps per support box: the views and buffers one
+    step reads and writes, and the drift data cfl_dt reads.  The window is
+    the box grown by 2 cells and clipped to the grid.  Built once per box,
+    so a step makes no slice, and allocates only the upwind pick of
+    np.where.
+
+    ``v_bound`` bounds |grad Phi| over the box: the per-axis maxima of
+    ``dp2`` (p'^2 over the box) summed, since rounded + and sqrt are
+    monotone.  ``v_maxes`` gives the exact maxima, from |grad Phi| over the
+    box, made on first use.
 
     Per axis a, interface i+1/2 joins window cells i and i+1; its flux goes
     to ``f`` and the divergence (F_{i+1/2} - F_{i-1/2}) / h to ``div``.  The
@@ -185,6 +181,9 @@ class _Window:
     def __init__(self, stack: "_Stack", box: tuple[tuple[int, int], ...]):
         n = stack.n
         self.box = box
+        self.dp2 = [stack.ctx.dp2[lo:hi] for lo, hi in box]
+        self.v_bound = math.sqrt(sum(float(d.max()) for d in self.dp2))
+        self._speeds = None
         self.cells = cells = tuple(slice(max(lo - 2, 0), min(hi + 2, n)) for lo, hi in box)
         self.starts = tuple(c.start for c in cells)
         self.w = w = stack.v[(slice(None),) + cells]
@@ -202,6 +201,15 @@ class _Window:
             scratch = rm.reshape(-1)[:div_in.size].reshape(div_in.shape) if a > 1 else None
             self.axes.append((w_lo, w[hi], rm[lo], rm[hi], g > 0.0, g,
                               f, edges, f[lo], f[hi], div_in, scratch))
+
+    def v_maxes(self, v: np.ndarray) -> list[float]:
+        """Per member of the stack values ``v``, max |grad Phi| over its
+        support, 0 where it is empty.  Phi is separable, so |grad Phi|^2 is
+        the outer sum of the axes' p'^2, added in dot_last's float order."""
+        if self._speeds is None:
+            self._speeds = np.sqrt(reduce(np.add.outer, self.dp2) + 0.0)
+        pos = v[(slice(None),) + tuple(slice(lo, hi) for lo, hi in self.box)] > 0.0
+        return np.where(pos, self._speeds, 0.0).max(axis=tuple(range(1, v.ndim))).tolist()
 
     def divergence(self, h: float, m: float) -> np.ndarray:
         """(F_{i+1/2} - F_{i-1/2}) / h per window cell and member, with
@@ -249,8 +257,6 @@ class _Stack:
         self._spatial = tuple(range(1, values.ndim))
         self._across = [(0,) + self._spatial[:a] + self._spatial[a + 1:] for a in range(grid.dim)]
         self.box = self._win = None
-        self._drift_box = self._norms = None  # |grad Phi| over _drift_box, once needed
-        self._bound = 0.0  # a bound of it
         self._track(values, (0,) * grid.dim)
 
     def _track(self, w: np.ndarray, starts: tuple[int, ...]) -> None:
@@ -269,18 +275,12 @@ class _Stack:
             box.append((start + first, start + seen.size - int(seen[::-1].argmax())))
         self.box = box and tuple(box)  # per axis [first, last + 1) of the support
 
-    def _box_cells(self) -> tuple[slice, ...]:
-        return tuple(slice(lo, hi) for lo, hi in self.box)
-
-    def _v_maxes(self) -> list[float]:
-        """Per-member max |grad Phi| over its support, 0 where it is empty."""
-        if self.box is None:
-            return [0.0] * len(self.v)
-        cells = self._box_cells()
-        if self._norms is None:
-            self._norms = self.ctx.norms(cells)
-        pos = self.v[(slice(None),) + cells] > 0.0
-        return np.where(pos, self._norms, 0.0).max(axis=self._spatial).tolist()
+    def _window(self) -> _Window:
+        """The window of the current box, which must be nonempty."""
+        if self._win is None or self._win.box != self.box:
+            self._win = None  # free the old window's buffers first
+            self._win = _Window(self, self.box)
+        return self._win
 
     def margin_ok(self) -> bool:
         """No member holds support within two cells of the box edge.
@@ -302,24 +302,22 @@ class _Stack:
         D_max = max m rho^(m-1) and V_max = max |grad Phi| over the support
         (floored at machine-tiny so the empty field stays finite).
 
-        h / (2 dim V) falls as V grows, so where a bound of |grad Phi| over
-        the box, made once per box, already gives an advective limit no
-        smaller than the diffusive one, the min is the diffusive limit and
-        V_max is not computed.
+        h / (2 dim V) falls as V grows, so where the window's bound of
+        |grad Phi| over the box already gives an advective limit no smaller
+        than the diffusive one, the min is the diffusive limit and V_max is
+        not computed.  An empty box's bound, 0, is exact.
         """
         m, h, dim = self.cfg.m, self.grid.h, self.grid.dim
-        if self._drift_box != self.box:
-            self._drift_box, self._norms = self.box, None
-            self._bound = self.ctx.norm_bound(self._box_cells()) if self.box is not None else 0.0
-        dt_bound = h / (2.0 * dim * max(self._bound, _TINY))
+        win = self._window() if self.box is not None else None
+        dt_bound = h / (2.0 * dim * max(win.v_bound if win else 0.0, _TINY))
         v_maxes = None
         dt = self.cfg.snapshot_every
         for b, top in enumerate(self.tops):
             d_max = m * top ** (m - 1.0) if top > 0.0 else 0.0
             dt_diff = h**2 / (2.0 * dim * d_max) if d_max > 0.0 else np.inf
             dt_adv = dt_bound
-            if dt_adv < dt_diff:
-                v_maxes = v_maxes or self._v_maxes()
+            if win and dt_adv < dt_diff:
+                v_maxes = v_maxes or win.v_maxes(self.v)
                 dt_adv = h / (2.0 * dim * max(v_maxes[b], _TINY))
             dt = min(dt, self.cfg.cfl_safety * min(dt_diff, dt_adv))
         return float(dt)
@@ -330,10 +328,7 @@ class _Stack:
             raise DomainOverflowError("support within two cells of the box edge")
         if self.box is None:  # all zero: a fixed point
             return
-        if self._win is None or self._win.box != self.box:
-            self._win = None  # free the old window's buffers first
-            self._win = _Window(self, self.box)
-        win = self._win
+        win = self._window()
         div = win.divergence(self.grid.h, self.cfg.m)
         div *= dt
         w = win.w

@@ -63,6 +63,14 @@ class TestBarenblatt:
         with pytest.raises(InvalidTimeError):
             barenblatt(pt(0.0), -1.0, spec)
 
+    @pytest.mark.parametrize("t", [-1.0, -1.5, -np.inf])
+    def test_every_time_dependent_value_checks_t_plus_tau(self, t):
+        spec = BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0)
+        for value in (lambda: barenblatt(pt(0.0), t, spec), lambda: spec.support_radius(t),
+                      lambda: spec.boundary_speed(t), lambda: spec.boundary_gradient(t)):
+            with pytest.raises(InvalidTimeError, match=f"t \\+ tau must be > 0, got {t + 1.0}"):
+                value()
+
     def test_invalid_params(self):
         with pytest.raises(InvalidParameterError):
             BarenblattSpec(m=1.0, d=1, tau=1.0, C=1.0)

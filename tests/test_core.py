@@ -377,6 +377,29 @@ class TestPotentials:
             with pytest.raises(UnsupportedPotentialError):
                 pot.min_value()
 
+    def test_min_value_is_computed_once_per_potential_value(self, monkeypatch):
+        import pmed.core as core
+        calls = []
+        real = core._roots
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(core, "_roots", counting)
+        core._min_value.cache_clear()
+        first = make_quadratic_potential(1.7, dim=2).min_value()
+        assert calls
+        calls.clear()
+        assert Potential((0.0, 0.0, 1.7), 2).min_value() == first
+        assert calls == []
+
+    def test_non_convex_min_value_raises_on_every_call(self):
+        pot = make_polynomial_potential([0, 0, -1, 0, 1])
+        for _ in range(3):
+            with pytest.raises(UnsupportedPotentialError):
+                pot.min_value()
+
 
 # Reference closures of the potentials before they became coefficient
 # values, kept to pin eval and grad bit for bit.

@@ -249,6 +249,24 @@ class TestWindowedStep:
                 assert same_bits(stack.v[b], members[b])
             assert stack.clipped_cum == clipped_cum
 
+    @settings(max_examples=200, deadline=None)
+    @given(stack_cases())
+    def test_window_drift_data(self, case):
+        # the bound is above every exact max, which is that of np.sum bit for bit
+        grid, cfg, members = case
+        stack = _Stack(np.stack(members), grid, cfg)
+        if stack.box is None:
+            reject()
+        win = stack._window()
+        grad = np.asarray(cfg.potential.grad(grid.centers()), dtype=float)
+        norms = np.sqrt(np.sum(grad * grad, axis=-1))
+        maxes = win.v_maxes(stack.v)
+        assert win.v_bound >= max(maxes)
+        want = [float(norms[v > 0.0].max()) if v.max() > 0.0 else 0.0 for v in members]
+        assert same_bits(np.array(maxes), np.array(want))
+        stack.cfl_dt()
+        assert stack._window() is win  # one window per box serves cfl_dt and step
+
     @settings(max_examples=100, deadline=None)
     @given(stack_cases())
     def test_cells_outside_box_plus_one_never_change(self, case):
