@@ -39,6 +39,7 @@ from .errors import (
     InvalidParameterError,
     InvalidTimeError,
     OutOfCylinderError,
+    require,
 )
 
 __all__ = [
@@ -74,14 +75,11 @@ class BarenblattSpec:
     C: float
 
     def __post_init__(self):
-        if not self.m > 1.0:
-            raise InvalidParameterError(f"m must be > 1, got {self.m}")
+        require("m", self.m, 1.0)
         if self.d not in (1, 2):
             raise InvalidParameterError(f"d must be 1 or 2, got {self.d}")
-        if not self.tau > 0.0:
-            raise InvalidParameterError(f"tau must be > 0, got {self.tau}")
-        if not self.C > 0.0:
-            raise InvalidParameterError(f"C must be > 0, got {self.C}")
+        require("tau", self.tau, 0.0)
+        require("C", self.C, 0.0)
 
     @property
     def lam(self) -> float:
@@ -122,14 +120,10 @@ class SphericalWaveSpec:
     d: int
 
     def __post_init__(self):
-        if not self.A > 0.0:
-            raise InvalidParameterError(f"A must be > 0, got {self.A}")
-        if not self.omega > 0.0:
-            raise InvalidParameterError(f"omega must be > 0, got {self.omega}")
-        if not self.R > 0.0:
-            raise InvalidParameterError(f"R must be > 0, got {self.R}")
-        if not self.m > 1.0:
-            raise InvalidParameterError(f"m must be > 1, got {self.m}")
+        require("A", self.A, 0.0)
+        require("omega", self.omega, 0.0)
+        require("R", self.R, 0.0)
+        require("m", self.m, 1.0)
         if self.d not in (1, 2):
             raise InvalidParameterError(f"d must be 1 or 2, got {self.d}")
 
@@ -154,12 +148,10 @@ class RescaleSpec:
     def __post_init__(self):
         # alpha = 1 is the identity rescale; convolution strengths must still
         # land strictly inside (0, 1)
-        if not 0.0 < self.alpha <= 1.0:
-            raise InvalidParameterError(f"alpha must be in (0, 1], got {self.alpha}")
+        require("alpha", self.alpha, 0.0, 1.0)
         if len(self.x0) != len(self.drift):
             raise InvalidParameterError("x0 and drift must have the same dimension")
-        if not self.C_pert > 0.0:
-            raise InvalidParameterError(f"C_pert must be > 0, got {self.C_pert}")
+        require("C_pert", self.C_pert, 0.0)
 
 
 @dataclass(frozen=True)
@@ -196,10 +188,8 @@ def validate_wave_params(
     A: float, omega: float, B: float, R: float, m: float, n: int
 ) -> bool:
     """True iff the wave parameters satisfy the supersolution criterion."""
-    if not R > 0.0:
-        raise InvalidParameterError(f"R must be > 0, got {R}")
-    if not A > 0.0:
-        raise InvalidParameterError(f"A must be > 0, got {A}")
+    require("R", R, 0.0)
+    require("A", A, 0.0)
     in_range = R / 2.0 < B < R
     slope_ok = omega / A > 1.0 + 2.0 * (m - 1.0) * (n - 1) * (R - B) / R
     return bool(in_range and slope_ok)
@@ -441,8 +431,8 @@ def residual_pmed(
     those of differences over the whole lattice, restricted to the samples
     read.
     """
-    if not h_s > 0.0:
-        raise InvalidParameterError(f"h_s must be > 0, got {h_s}")
+    require("h_s", h_s, 0.0)
+    require("m", m, 1.0)
     floor = 10.0 * h_s
 
     axes = [_lattice(lo, hi, h_s) for lo, hi in zip(box.lo, box.hi)]

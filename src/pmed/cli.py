@@ -396,9 +396,6 @@ def _write_rows(path: str, header: list[str], rows):
 # command runners
 
 
-_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> json
-
-
 def _reprs(v: np.ndarray) -> list[str]:
     """``repr`` of each value of ``v`` in row-major order; every +0.0 cell
     shares one "0.0" string, so only the support is formatted."""
@@ -414,7 +411,8 @@ def _write_snapshot(csv, ndjson, t: float, ax: list[str], rho: np.ndarray, u: np
     """One snapshot to either file handle (None skips it), from one list of
     strings per field: rows ``t,x[,y],rho,u`` as _write_lines would write
     them, from the formatted axis centers ``ax``, one write per line of
-    cells; and the ndjson record as ``json.dumps`` would write it."""
+    cells; and the ndjson record as ``json.dumps`` would write it (a
+    Field's values are finite, so no NaN or Infinity spelling is needed)."""
     t, n = repr(float(t)), len(ax)
     rs, us = _reprs(rho), _reprs(u)
     if csv:
@@ -424,11 +422,9 @@ def _write_snapshot(csv, ndjson, t: float, ax: list[str], rho: np.ndarray, u: np
             csv.write("".join(f"{head},{x},{r},{p}\n" for x, r, p in cells))
     if ndjson:
         arrays = []
-        for s, v in ((rs, rho), (us, u)):
-            if not np.isfinite(v).all():
-                s = [_JSON_SPELLING.get(x, x) for x in s]
+        for s in (rs, us):
             rows = ["[" + ", ".join(s[k:k + n]) + "]" for k in range(0, len(s), n)]
-            arrays.append(rows[0] if v.ndim == 1 else "[" + ", ".join(rows) + "]")
+            arrays.append(rows[0] if rho.ndim == 1 else "[" + ", ".join(rows) + "]")
         ndjson.write(f'{{"t": {t}, "rho": {arrays[0]}, "u": {arrays[1]}}}\n')
 
 

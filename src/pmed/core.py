@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (InvalidExponentError, InvalidInputError, InvalidParameterError,
-                     UnsupportedPotentialError)
+from .errors import (InvalidInputError, InvalidParameterError, UnsupportedPotentialError,
+                     require)
 
 __all__ = [
     "Grid",
@@ -51,10 +51,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise InvalidParameterError(f"dim must be 1 or 2, got {self.dim}")
-        if not self.h > 0:
-            raise InvalidParameterError(f"spacing h must be > 0, got {self.h}")
-        if not self.extent > 0:
-            raise InvalidParameterError(f"extent must be > 0, got {self.extent}")
+        require("spacing h", self.h, 0.0)
+        require("extent", self.extent, 0.0)
         n = round(2.0 * self.extent / self.h)
         if abs(n * self.h - 2.0 * self.extent) > 1e-9 * self.extent:
             raise InvalidParameterError(
@@ -119,8 +117,8 @@ class Field:
             raise InvalidInputError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}"
             )
-        if np.any(v < 0.0):
-            raise InvalidInputError("field values must be nonnegative")
+        if not (v.min() >= 0.0 and v.max() < np.inf):  # NaN fails both
+            raise InvalidInputError("field values must be finite and nonnegative")
         if np.any(ring(v, 1) != 0.0):
             raise InvalidInputError("outermost cell ring must be zero (compact support)")
         v = v.copy()
@@ -199,8 +197,7 @@ def level_crossings(
 
 def pressure_from_density(rho: Field, m: float) -> Field:
     """u = m/(m-1) rho^(m-1), cellwise.  Support is unchanged."""
-    if not m > 1.0:
-        raise InvalidExponentError(f"exponent m must be > 1, got {m}")
+    require("exponent m", m, 1.0)
     if rho.variable is not FieldVariable.DENSITY:
         raise InvalidInputError("pressure_from_density expects a density field")
     u = (m / (m - 1.0)) * np.power(rho.values, m - 1.0)
@@ -209,8 +206,7 @@ def pressure_from_density(rho: Field, m: float) -> Field:
 
 def density_from_pressure(u: Field, m: float) -> Field:
     """rho = ((m-1)/m u)^(1/(m-1)), the inverse of pressure_from_density."""
-    if not m > 1.0:
-        raise InvalidExponentError(f"exponent m must be > 1, got {m}")
+    require("exponent m", m, 1.0)
     if u.variable is not FieldVariable.PRESSURE:
         raise InvalidInputError("density_from_pressure expects a pressure field")
     rho = np.power(((m - 1.0) / m) * u.values, 1.0 / (m - 1.0))
@@ -339,8 +335,7 @@ def _min_value(pot: Potential) -> float:
 
 def make_quadratic_potential(a: float, dim: int = 1) -> Potential:
     """Phi(x) = a |x|^2, so p = a x^2; strictly convex, minimum at 0."""
-    if not a > 0:
-        raise InvalidParameterError(f"quadratic coefficient must be > 0, got {a}")
+    require("quadratic coefficient", a, 0.0)
     return Potential((0.0, 0.0, a), dim)
 
 

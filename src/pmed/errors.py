@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scalar range check."""
 
 
 class PmedError(Exception):
@@ -9,8 +9,11 @@ class InvalidParameterError(PmedError, ValueError):
     """A scalar parameter is outside its admissible range."""
 
 
-class InvalidExponentError(InvalidParameterError):
-    """Nonlinearity exponent m must be > 1."""
+def require(name: str, value: float, lo: float, hi: float | None = None) -> None:
+    """Raise InvalidParameterError unless lo < value (<= hi), so NaN fails."""
+    if not (lo < value if hi is None else lo < value <= hi):
+        bound = f"> {lo:g}" if hi is None else f"in ({lo:g}, {hi:g}]"
+        raise InvalidParameterError(f"{name} must be {bound}, got {value}")
 
 
 class InvalidTimeError(InvalidParameterError):

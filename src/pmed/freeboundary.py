@@ -29,7 +29,7 @@ from .errors import (
     EmptyBoundarySetError,
     InvalidInputError,
     InvalidParameterError,
-    PmedError,
+    require,
 )
 from .solver import Trajectory
 
@@ -65,8 +65,7 @@ def extract_boundary(f: Field, eps_fb: float | None = None) -> np.ndarray:
         if f.max() == 0.0:
             return np.empty((0, f.grid.dim))
         eps_fb = default_support_threshold(f)
-    if not eps_fb > 0.0:
-        raise InvalidParameterError(f"eps_fb must be > 0, got {eps_fb}")
+    require("eps_fb", eps_fb, 0.0)
     ax = f.grid.axis_centers()
     return level_crossings(f.values, (ax,) * f.grid.dim, eps_fb)
 
@@ -171,10 +170,8 @@ def _equilibrium(
 ) -> tuple[float, Field]:
     """equilibrium_constant's level C and the pressure (C - Phi)_+, from one
     evaluation of Phi."""
-    if not target_mass > 0.0:
-        raise InvalidParameterError(f"target_mass must be > 0, got {target_mass}")
-    if not m > 1.0:
-        raise InvalidParameterError(f"m must be > 1, got {m}")
+    require("target_mass", target_mass, 0.0)
+    require("m", m, 1.0)
     phi = np.asarray(pot.eval(grid.centers()), dtype=float)
     phi_min = min(float(phi.min()), pot.min_value())
     mass = _BandedMass(phi, m, grid.cell_volume)
@@ -196,15 +193,22 @@ def _equilibrium(
         mid = 0.5 * (lo + hi)
         value = mass(mid, hi)
         if abs(value - target_mass) <= tol:
-            del mass  # its grid-sized buffer would add to the pressure's two at the peak
-            return mid, Field(grid, np.maximum(mid - phi, 0.0), FieldVariable.PRESSURE)
+            break
         if value < target_mass:
             lo = mid
         else:
             hi = mid
         if hi - lo <= np.finfo(float).eps * max(1.0, abs(hi)):
+            # no midpoint met the target; M may meet it only at hi (c_cap, say)
+            mid, value = hi, mass(hi, hi)
             break
-    raise PmedError("equilibrium bisection failed to meet the mass tolerance")
+    if abs(value - target_mass) > tol:
+        raise InvalidParameterError(
+            f"no level meets target mass {target_mass} to 1e-10: "
+            f"M(lo) = {mass(lo, hi)}, M(hi) = {mass(hi, hi)}"
+        )
+    del mass  # its grid-sized buffer would add to the pressure's two at the peak
+    return mid, Field(grid, np.maximum(mid - phi, 0.0), FieldVariable.PRESSURE)
 
 
 def equilibrium_constant(
@@ -215,7 +219,9 @@ def equilibrium_constant(
     Bisection on the discrete mass map M(C) (continuous and nondecreasing on
     a fixed grid); the bracket is grown geometrically from the lower of the
     grid minimum of Phi and its computed minimum, where M vanishes.  Runs to
-    |M(C) - target| <= 1e-10 target.  Raises UnsupportedPotentialError
+    |M(C) - target| <= 1e-10 target; a target that no float C meets (for
+    m > 2, M jumps by about (ulp of Phi)^(1/(m-1)) where C passes a cell's
+    Phi) raises InvalidParameterError.  Raises UnsupportedPotentialError
     unless Phi is strictly convex.  Each M(C) is summed over the whole grid
     but computed only on the box of cells where Phi falls below the
     bracket's top.

@@ -36,9 +36,9 @@ from .core import Field, FieldVariable, Grid, Potential, dot_last, ring
 from .errors import (
     DomainOverflowError,
     InvalidInputError,
-    InvalidParameterError,
     PmedError,
     StepTooLargeError,
+    require,
 )
 
 __all__ = [
@@ -69,18 +69,10 @@ class SolverConfig:
     cfl_safety: float = 0.4
 
     def __post_init__(self):
-        if not self.m > 1.0:
-            raise InvalidParameterError(f"m must be > 1, got {self.m}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise InvalidParameterError(
-                f"cfl_safety must be in (0, 1], got {self.cfl_safety}"
-            )
-        if not self.t_end > 0.0:
-            raise InvalidParameterError(f"t_end must be > 0, got {self.t_end}")
-        if not self.snapshot_every > 0.0:
-            raise InvalidParameterError(
-                f"snapshot_every must be > 0, got {self.snapshot_every}"
-            )
+        require("m", self.m, 1.0)
+        require("cfl_safety", self.cfl_safety, 0.0, 1.0)
+        require("t_end", self.t_end, 0.0)
+        require("snapshot_every", self.snapshot_every, 0.0)
 
 
 @dataclass(frozen=True)

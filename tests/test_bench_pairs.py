@@ -71,15 +71,35 @@ class TestSummary:
 
     def test_higher_is_better_metrics(self):
         key = "barriers.samples_per_s"
-        assert key in bench_pairs.HIGHER
+        assert bench_pairs.BETTER[key] == "higher"
         assert entry(PARENT, [1.4 * x for x in PARENT], key)["gain_shown"]
         assert not entry(PARENT, [0.7 * x for x in PARENT], key)["gain_shown"]
 
 
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def test_layers_are_declared_per_layer_metrics():
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    names = {metric["name"] for metric in declared}
+    names = {metric["name"] for metric in BENCHMARK["per_layer"]}
     assert set(bench_pairs.LAYERS) <= names
-    assert set(bench_pairs.HIGHER) <= set(bench_pairs.LAYERS)
-    assert all(metric["better"] == "higher" for metric in declared
-               if metric["name"] in bench_pairs.HIGHER)
+
+
+def test_main_defaults_to_the_declared_workloads_and_metrics(tmp_path, monkeypatch):
+    end_to_end = [metric["name"] for metric in BENCHMARK["end_to_end"]]
+    seen = []
+
+    def fake_pair(dirs, workload, seed, seconds, trace, index):
+        seen.append(workload)
+        side = lambda: {"environment": {}, "failed": 0,
+                        "metrics": {k: 1.0 for k in end_to_end}}
+        return {"workload": workload, "outputs_identical": True,
+                "parent": side(), "change": side()}
+
+    monkeypatch.setattr(bench_pairs, "pair", fake_pair)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "a", "--change", "b", "--out", str(out),
+                             "--seeds", "0"]) == 0
+    assert seen == [w["name"] for w in BENCHMARK["workloads"]]
+    summary = json.loads(out.read_text())["summary"]
+    assert list(summary) == seen
+    assert all(set(end_to_end) <= set(entry) for entry in summary.values())

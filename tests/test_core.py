@@ -19,8 +19,7 @@ from pmed.core import (
     pressure_from_density,
     ring,
 )
-from pmed.errors import (InvalidExponentError, InvalidInputError, InvalidParameterError,
-                         UnsupportedPotentialError)
+from pmed.errors import InvalidInputError, InvalidParameterError, UnsupportedPotentialError
 
 
 def field_1d(values, h=0.5, L=2.0, variable=FieldVariable.DENSITY):
@@ -63,6 +62,16 @@ class TestField:
         v[3] = -1e-3
         with pytest.raises(InvalidInputError):
             field_1d(v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("variable", list(FieldVariable))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rejects_non_finite_values(self, bad, variable, dim):
+        g = Grid(dim=dim, h=0.5, extent=2.0)
+        v = np.zeros(g.shape)
+        v[(3,) * dim] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            Field(g, v, variable)
 
     def test_rejects_nonzero_ring(self):
         v = np.zeros(8)
@@ -264,7 +273,7 @@ class TestTransforms:
     @pytest.mark.parametrize("m", [1.0, 0.5, -2.0])
     def test_invalid_exponent(self, m):
         f = field_1d(np.zeros(8))
-        with pytest.raises(InvalidExponentError):
+        with pytest.raises(InvalidParameterError, match="^exponent m must be > 1"):
             pressure_from_density(f, m)
 
     def test_variable_tag_enforced(self):

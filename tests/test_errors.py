@@ -1,0 +1,129 @@
+"""Every scalar range check goes through ``errors.require``: the bound itself
+and NaN raise InvalidParameterError with "<name> must be ...", the nearest
+float inside passes, and so does a closed upper end."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pmed.barriers import (
+    BarenblattSpec,
+    RescaleSpec,
+    SpaceTimeBox,
+    SphericalWaveSpec,
+    build_barrier,
+    residual_pmed,
+    validate_wave_params,
+)
+from pmed.core import (
+    Field,
+    FieldVariable,
+    Grid,
+    density_from_pressure,
+    make_quadratic_potential,
+    make_zero_potential,
+    pressure_from_density,
+)
+from pmed.errors import InvalidParameterError, PmedError, require
+from pmed.freeboundary import equilibrium_constant, extract_boundary
+from pmed.solver import SolverConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pmed"
+GRID = Grid(dim=1, h=0.5, extent=2.0)
+ZEROS = {var: Field(GRID, np.zeros(8), var) for var in FieldVariable}
+POINT = SpaceTimeBox((0.25,), (0.25,), 0.0, 0.0)  # one sample
+BARENBLATT = build_barrier(BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0))
+
+
+def solver(**kw):
+    return SolverConfig(**{"m": 2.0, "potential": make_zero_potential(1), "t_end": 1.0,
+                           "snapshot_every": 0.1, **kw})
+
+
+def barenblatt(**kw):
+    return BarenblattSpec(**{"m": 2.0, "d": 1, "tau": 1.0, "C": 1.0, **kw})
+
+
+def wave(**kw):
+    return SphericalWaveSpec(**{"A": 1.0, "omega": 10.0, "B": 0.75, "R": 1.0, "m": 2.0,
+                                "d": 2, **kw})
+
+
+def rescale(**kw):
+    return RescaleSpec(**{"alpha": 0.5, "x0": (0.0,), "t0": 0.0, "drift": (0.0,),
+                          "C_pert": 1.0, **kw})
+
+
+# (name in the message, lower bound, closed upper bound or None, call with the value)
+SITES = [
+    ("m", 1.0, None, lambda v: solver(m=v)),
+    ("cfl_safety", 0.0, 1.0, lambda v: solver(cfl_safety=v)),
+    ("t_end", 0.0, None, lambda v: solver(t_end=v)),
+    ("snapshot_every", 0.0, None, lambda v: solver(snapshot_every=v)),
+    ("spacing h", 0.0, None, lambda v: Grid(dim=1, h=v, extent=4.0 * v)),
+    ("extent", 0.0, None, lambda v: Grid(dim=1, h=0.5, extent=v)),
+    ("exponent m", 1.0, None, lambda v: pressure_from_density(ZEROS[FieldVariable.DENSITY], v)),
+    ("exponent m", 1.0, None, lambda v: density_from_pressure(ZEROS[FieldVariable.PRESSURE], v)),
+    ("quadratic coefficient", 0.0, None, lambda v: make_quadratic_potential(v)),
+    ("m", 1.0, None, lambda v: barenblatt(m=v)),
+    ("tau", 0.0, None, lambda v: barenblatt(tau=v)),
+    ("C", 0.0, None, lambda v: barenblatt(C=v)),
+    ("A", 0.0, None, lambda v: wave(A=v)),
+    ("omega", 0.0, None, lambda v: wave(omega=v)),
+    ("R", 0.0, None, lambda v: wave(R=v)),
+    ("m", 1.0, None, lambda v: wave(m=v)),
+    ("alpha", 0.0, 1.0, lambda v: rescale(alpha=v)),
+    ("C_pert", 0.0, None, lambda v: rescale(C_pert=v)),
+    ("R", 0.0, None, lambda v: validate_wave_params(1.0, 10.0, 0.75, v, 2.0, 2)),
+    ("A", 0.0, None, lambda v: validate_wave_params(v, 10.0, 0.75, 1.0, 2.0, 2)),
+    ("h_s", 0.0, None,
+     lambda v: residual_pmed(BARENBLATT, make_zero_potential(1), POINT, v, 2.0)),
+    ("m", 1.0, None,
+     lambda v: residual_pmed(BARENBLATT, make_zero_potential(1), POINT, 0.05, v)),
+    ("eps_fb", 0.0, None, lambda v: extract_boundary(ZEROS[FieldVariable.DENSITY], v)),
+    ("target_mass", 0.0, None,
+     lambda v: equilibrium_constant(v, make_quadratic_potential(1.0), 2.0, GRID)),
+    ("m", 1.0, None,
+     lambda v: equilibrium_constant(0.5, make_quadratic_potential(1.0), v, GRID)),
+]
+
+
+def passes(name, call, value):
+    """``call(value)`` gets past the range check of ``name``; what it checks
+    next may still reject the value (a grid of extent 5e-324 has no cells)."""
+    try:
+        with np.errstate(all="ignore"):
+            call(value)
+    except PmedError as exc:
+        assert not str(exc).startswith(f"{name} must be"), exc
+
+
+@pytest.mark.parametrize("name, lo, hi, call", SITES,
+                         ids=[f"{k}-{s[0]}" for k, s in enumerate(SITES)])
+def test_range_check(name, lo, hi, call):
+    outside = [lo, np.nan] + ([np.nextafter(hi, np.inf)] if hi is not None else [])
+    for value in outside:
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(name)} must be "):
+            call(value)
+    passes(name, call, np.nextafter(lo, np.inf))
+    if hi is not None:
+        passes(name, call, hi)
+
+
+def test_every_require_call_is_listed():
+    calls = sum(len(re.findall(r"\brequire\(", p.read_text())) for p in SRC.glob("*.py"))
+    assert calls - 1 == len(SITES)  # less the definition
+
+
+@pytest.mark.parametrize("lo, hi, value, message", [
+    (0.0, None, 0.0, "x must be > 0, got 0.0"),
+    (1.0, None, 0.5, "x must be > 1, got 0.5"),
+    (0.0, 1.0, 1.5, "x must be in (0, 1], got 1.5"),
+    (0.0, 1.0, float("nan"), "x must be in (0, 1], got nan"),
+])
+def test_require_message(lo, hi, value, message):
+    with pytest.raises(InvalidParameterError) as info:
+        require("x", value, lo, hi)
+    assert str(info.value) == message

@@ -21,6 +21,7 @@ from pmed.errors import (
     DomainTooSmallError,
     EmptyBoundarySetError,
     InvalidInputError,
+    InvalidParameterError,
     PmedError,
     UnsupportedPotentialError,
 )
@@ -331,7 +332,9 @@ def full_grid_equilibrium_constant(target_mass, pot, m, grid):
             hi = mid
         if hi - lo <= np.finfo(float).eps * max(1.0, abs(hi)):
             break
-    raise PmedError("no level meets the mass tolerance")
+    if abs(mass(hi) - target_mass) <= 1e-10 * target_mass:
+        return hi
+    raise InvalidParameterError("no level meets the mass tolerance")
 
 
 class TestEquilibriumConstant:
@@ -414,10 +417,25 @@ class TestEquilibriumConstant:
         except PmedError as exc:
             # for m > 2 the mass map jumps where C passes a cell's Phi, by about
             # (ulp of Phi)^(1/(m-1)); a target inside such a jump is not met
-            assert type(exc) is PmedError and m > 2.0
+            assert type(exc) is InvalidParameterError and m > 2.0
             event("mass tolerance not met")
             return
         assert np.all(ring(profile.pressure.values, 1) == 0.0)
+
+    def test_target_at_the_top_of_a_jump_and_inside_it(self):
+        # an interior cell's Phi, 0.13125, lies one ulp below the ring's least Phi
+        # c_cap, and M jumps there by about 3.7e-9 of the mass (m = 3): M(c_cap), the
+        # capacity, is met only at c_cap, which no midpoint reaches
+        g = Grid(dim=1, h=0.5, extent=2.0)
+        pot = Potential((0.0, 0.1, 0.1))
+        capacity = 0.5744266579147964
+        profile = equilibrium_profile(capacity, pot, 3.0, g)
+        assert profile.c_inf == 0.13125000000000003
+        assert np.all(ring(profile.pressure.values, 1) == 0.0)
+        assert full_grid_equilibrium_constant(capacity, pot, 3.0, g) == profile.c_inf
+        for solve in (equilibrium_constant, full_grid_equilibrium_constant):
+            with pytest.raises(InvalidParameterError):
+                solve(capacity * (1.0 - 1e-9), pot, 3.0, g)
 
     def test_profile_evaluates_phi_once(self, monkeypatch):
         import pmed.core as core

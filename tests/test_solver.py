@@ -441,6 +441,20 @@ class TestSimulate:
         with pytest.raises(DomainOverflowError, match="at t ="):
             simulate(rho0, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_density_raises_before_a_step(self, bad, monkeypatch):
+        # a NaN cell once passed: the diffusive CFL limit was skipped and the mass was NaN
+        steps = []
+        monkeypatch.setattr(_Stack, "step", lambda self, dt: steps.append(dt))
+        g = Grid(dim=1, h=0.1, extent=1.0)
+        v = bump_density(g, amplitude=0.5, width=0.4).values.copy()
+        v[10] = bad
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+                           t_end=0.5, snapshot_every=0.1)
+        with pytest.raises(InvalidInputError):
+            simulate(Field(g, v, FieldVariable.DENSITY), cfg)
+        assert steps == []
+
     def test_trajectory_invariants_enforced(self):
         g = Grid(dim=1, h=0.1, extent=1.0)
         rho = bump_density(g, amplitude=0.5, width=0.4)

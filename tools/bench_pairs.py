@@ -4,7 +4,9 @@
         [--workloads NAME[:FIRST-LAST] ...] [--seeds 0 1 2] [--seconds 12]
         [--trace-workloads NAME[:FIRST-LAST] ...] [--trace-seconds 12]
 
-Each checkout is measured by its own ``perfbench/run.py`` (the program under
+The workloads, the end-to-end metrics and which way each metric is better
+are read from the ``BENCHMARK.json`` beside this tool's directory.  Each
+checkout is measured by its own ``perfbench/run.py`` (the program under
 ``DIR/src``).  For every workload and seed one pair of ``--trace 0`` runs is
 made, parent and change back to back; which of the two runs first alternates
 from pair to pair, so that a slow phase of a shared host does not always
@@ -32,14 +34,22 @@ import statistics
 import subprocess
 import sys
 
-END_TO_END = ("wall_s", "wall_s_tail", "setup_s", "peak_rss_mb")
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "BENCHMARK.json")) as _fh:
+    BENCHMARK = json.load(_fh)  # the workloads and metrics, each named there once
+BETTER = {metric["name"]: metric["better"]
+          for kind in ("end_to_end", "per_layer") for metric in BENCHMARK[kind]}
 ENVIRONMENT = ("git_commit", "source_sha256", "python", "numpy", "nproc", "cpu")
 LAYERS = ("barriers.residual_s", "barriers.samples_per_s", "barriers.candidate_points",
           "barriers.samples", "cli.self_s", "cli.write_mb_per_s", "core.pressure_s",
           "solver.simulate_s", "solver.steps", "solver.step_us", "solver.cfl_dt_us",
           "solver.step_report_us", "freeboundary.hausdorff_s", "freeboundary.extract_s",
           "freeboundary.equilibrium_s", "initialdata.build_s")
-HIGHER = ("barriers.samples", "barriers.samples_per_s", "cli.write_mb_per_s")  # better when higher
+
+
+def names(kind: str) -> tuple[str, ...]:
+    """The names of BENCHMARK.json's ``workloads`` or ``end_to_end`` metrics."""
+    return tuple(entry["name"] for entry in BENCHMARK[kind])
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -87,7 +97,7 @@ def pair(dirs: dict, workload: str, seed: int, seconds: float, trace: int,
         row[side] = run(dirs[side], workload, seed, seconds, trace)
         print(f"{workload} seed {seed} trace {trace} {side}: "
               + ", ".join(f"{k} {row[side]['metrics'].get(k, float('nan')):.4g}"
-                          for k in (END_TO_END if not trace else LAYERS)),
+                          for k in (names("end_to_end") if not trace else LAYERS)),
               file=sys.stderr, flush=True)
     row["outputs_identical"] = row["parent"]["outputs"] == row["change"]["outputs"]
     return row
@@ -123,7 +133,7 @@ def summary(pairs: list[dict], keys: tuple[str, ...]) -> dict:
             after = [p["change"]["metrics"][key] for p in rows]
             b, a = statistics.median(before), statistics.median(after)
             q1, q3 = quartiles(before)
-            sign = -1 if key in HIGHER else 1  # sign * (parent - change) > 0: change better
+            sign = -1 if BETTER.get(key) == "higher" else 1  # sign * (parent - change) > 0: better
             wins = sum(sign * (y - x) > 0 for x, y in zip(after, before))
             entry[key] = {
                 "parent_median": b,
@@ -144,8 +154,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--workloads", nargs="+", default=[
-        "simulate-2d-output", "converge-2d-fine", "compare-1d-long", "verify-barriers-2d"])
+    parser.add_argument("--workloads", nargs="+", default=list(names("workloads")))
     parser.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2])
     parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--trace-workloads", nargs="*", default=[])
@@ -172,7 +181,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "seconds": args.seconds,
         "trace_seconds": args.trace_seconds,
-        "summary": summary(pairs, END_TO_END),
+        "summary": summary(pairs, names("end_to_end")),
         "trace_summary": summary(traced, LAYERS),
         "pairs": pairs,
         "trace_pairs": traced,
