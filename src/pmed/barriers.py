@@ -295,10 +295,6 @@ class SpaceTimeBox:
         if self.t_lo > self.t_hi:
             raise InvalidParameterError("box must satisfy t_lo <= t_hi")
 
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
 
 def _side(kind: str) -> float:
     """+1 for the subsolution check (r <= tol), -1 for the supersolution

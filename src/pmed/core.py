@@ -53,11 +53,10 @@ class Grid:
             raise InvalidParameterError(f"dim must be 1 or 2, got {self.dim}")
         require("spacing h", self.h, 0.0)
         require("extent", self.extent, 0.0)
-        n = round(2.0 * self.extent / self.h)
+        cells = 2.0 * self.extent / self.h
+        n = round(cells) if cells < np.inf else 0  # h far below extent overflows
         if abs(n * self.h - 2.0 * self.extent) > 1e-9 * self.extent:
-            raise InvalidParameterError(
-                f"2*extent/h = {2.0 * self.extent / self.h} is not an integer cell count"
-            )
+            raise InvalidParameterError(f"2*extent/h = {cells} is not an integer cell count")
         if n < 8:
             raise InvalidParameterError(f"need at least 8 cells per axis, got {n}")
 

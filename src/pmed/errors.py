@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the scalar range check."""
 
+import math
+
 
 class PmedError(Exception):
     """Base class for all package errors."""
@@ -10,8 +12,9 @@ class InvalidParameterError(PmedError, ValueError):
 
 
 def require(name: str, value: float, lo: float, hi: float | None = None) -> None:
-    """Raise InvalidParameterError unless lo < value (<= hi), so NaN fails."""
-    if not (lo < value if hi is None else lo < value <= hi):
+    """Raise InvalidParameterError unless lo < value < inf (or lo < value <=
+    hi), so NaN and +-inf fail."""
+    if not (lo < value < math.inf if hi is None else lo < value <= hi):
         bound = f"> {lo:g}" if hi is None else f"in ({lo:g}, {hi:g}]"
         raise InvalidParameterError(f"{name} must be {bound}, got {value}")
 

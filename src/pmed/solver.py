@@ -10,7 +10,9 @@ interface flux is
     F_{i+1/2} = ( (rho^m)_{i+1} - (rho^m)_i ) / h  +  rho_up * g_{i+1/2},
 
 with g_{i+1/2} = (Phi_{i+1} - Phi_i)/h and rho_up taken from the cell the
-drift flows out of (the drift velocity is -g).  The update
+drift flows out of (the drift velocity is -g).  Phi is a sum of one
+polynomial p per axis, so along axis a g_{i+1/2} = (p(x_{i+1}) - p(x_i))/h,
+the same on every grid line: one vector per grid.  The update
 
     rho'_i = rho_i + dt/h * (F_{i+1/2} - F_{i-1/2})
 
@@ -32,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Field, FieldVariable, Grid, Potential, dot_last, ring
+from .core import Field, FieldVariable, Grid, Potential, dot_last, integrate, ring
 from .errors import (
     DomainOverflowError,
     InvalidInputError,
@@ -124,22 +126,15 @@ class StepReport:
     clipped_mass: float
 
 
-class _DriftContext:
-    """Per-(grid, potential) drift data: interface gradients ``g`` of Phi
-    along each axis, and the squared derivative ``dp2`` = p'^2 of Phi's axis
-    polynomial at the axis's cell centers.  What depends on the support box
-    is made from these by that box's _Window."""
-
-    def __init__(self, grid: Grid, potential: Potential):
-        phi = np.asarray(potential.eval(grid.centers()), dtype=float)
-        self.g = tuple(np.diff(phi, axis=a) / grid.h for a in range(grid.dim))
-        dp = np.asarray(potential.grad(grid.axis_centers()), dtype=float)
-        self.dp2 = dp * dp
-
-
 @lru_cache(maxsize=32)
-def _drift_context(grid: Grid, potential: Potential) -> _DriftContext:
-    return _DriftContext(grid, potential)
+def _drift(grid: Grid, potential: Potential) -> tuple[np.ndarray, np.ndarray]:
+    """Drift data of every axis, from Phi's axis polynomial p at the axis's
+    cell centers x: the interface gradients g = diff(p(x)) / h and the
+    squared derivative dp2 = p'(x)^2.  What depends on the support box is
+    made from these by that box's _Window."""
+    x = grid.axis_centers()
+    dp = potential.grad(x)
+    return np.diff(potential.eval(x[:, None])) / grid.h, dp * dp
 
 
 class _Window:
@@ -165,7 +160,8 @@ class _Window:
     buffers in all.
 
     ``axes`` holds per axis: the values and rho^m on the low and high side
-    of each interface, the upwind mask g > 0 and g, the flux ``f``, its
+    of each interface, g over the window and its upwind mask g > 0 (vectors
+    shaped to broadcast along the axis), the flux ``f``, its
     ``edges`` and its two shifts, the divergence's inner slice along the
     axis and, past axis 1, a view of that slice's shape on rho^m's buffer.
     """
@@ -173,7 +169,7 @@ class _Window:
     def __init__(self, stack: "_Stack", box: tuple[tuple[int, int], ...]):
         n = stack.n
         self.box = box
-        self.dp2 = [stack.ctx.dp2[lo:hi] for lo, hi in box]
+        self.dp2 = [stack.dp2[lo:hi] for lo, hi in box]
         self.v_bound = math.sqrt(sum(float(d.max()) for d in self.dp2))
         self._speeds = None
         self.cells = cells = tuple(slice(max(lo - 2, 0), min(hi + 2, n)) for lo, hi in box)
@@ -183,12 +179,12 @@ class _Window:
         self.div = div = np.zeros(w.shape)
         flux = np.empty(w.size)
         self.axes = []
-        for a, (ga, c) in enumerate(zip(stack.ctx.g, cells), start=1):
+        for a, c in enumerate(cells, start=1):
             every = (slice(None),) * a
             lo, hi = every + (slice(None, -1),), every + (slice(1, None),)
             w_lo, div_in = w[lo], div[every + (slice(1, -1),)]
             f = flux[:w_lo.size].reshape(w_lo.shape)
-            g = ga[cells[:a - 1] + (slice(c.start, c.stop - 1),) + cells[a:]]
+            g = stack.g[c.start:c.stop - 1].reshape((-1,) + (1,) * (len(cells) - a))
             edges = [f[every + (i,)] for i, wall in ((0, c.start == 0), (-1, c.stop == n)) if wall]
             scratch = rm.reshape(-1)[:div_in.size].reshape(div_in.shape) if a > 1 else None
             self.axes.append((w_lo, w[hi], rm[lo], rm[hi], g > 0.0, g,
@@ -244,7 +240,7 @@ class _Stack:
     def __init__(self, values: np.ndarray, grid: Grid, cfg: SolverConfig):
         self.v = values  # (B, *grid.shape)
         self.grid, self.cfg, self.n = grid, cfg, grid.n_cells
-        self.ctx = _drift_context(grid, cfg.potential)
+        self.g, self.dp2 = _drift(grid, cfg.potential)
         self.clipped_cum = [0.0] * len(values)
         self._spatial = tuple(range(1, values.ndim))
         self._across = [(0,) + self._spatial[:a] + self._spatial[a + 1:] for a in range(grid.dim)]
@@ -328,10 +324,9 @@ class _Stack:
         if np.fmin.reduce(w, axis=None) < 0.0:  # fmin skips NaN, as w < 0.0 does
             for b, wb in enumerate(w):
                 negb = wb < 0.0
-                clipped = -self.grid.cell_volume * float(np.sum(wb[negb])) if negb.any() else 0.0
-                if clipped > 0.0:
+                if negb.any():  # even where their mass rounds to 0.0
+                    self.clipped_cum[b] += -self.grid.cell_volume * float(np.sum(wb[negb]))
                     wb[negb] = 0.0
-                    self.clipped_cum[b] += clipped
         self._track(w, win.starts)
 
 
@@ -366,8 +361,7 @@ def _simulate_stack(fields: tuple[Field, ...], cfg: SolverConfig) -> list[Trajec
     stack = _Stack(np.stack([f.values for f in fields]), grid, cfg)
     if not stack.margin_ok():
         raise DomainOverflowError("initial support within two cells of the box edge")
-    vol = grid.cell_volume
-    snaps = [[Snapshot(0.0, f, vol * float(np.sum(f.values)), 0.0)] for f in fields]
+    snaps = [[Snapshot(0.0, f, integrate(f), 0.0)] for f in fields]
     dt_max = 0.0
     n_targets = int(np.floor(cfg.t_end / cfg.snapshot_every + 1e-9))
     t = 0.0
@@ -388,7 +382,7 @@ def _simulate_stack(fields: tuple[Field, ...], cfg: SolverConfig) -> list[Trajec
         t = target
         for member, v, clipped in zip(snaps, stack.v, stack.clipped_cum):
             field = Field(grid, v, FieldVariable.DENSITY)
-            member.append(Snapshot(t, field, vol * float(np.sum(v)), clipped))
+            member.append(Snapshot(t, field, integrate(field), clipped))
     return [Trajectory(tuple(s), cfg, dt_max) for s in snaps]
 
 

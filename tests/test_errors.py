@@ -1,6 +1,7 @@
-"""Every scalar range check goes through ``errors.require``: the bound itself
-and NaN raise InvalidParameterError with "<name> must be ...", the nearest
-float inside passes, and so does a closed upper end."""
+"""Every scalar range check goes through ``errors.require``: the bound itself,
+NaN and +inf (or the float past a closed upper end) raise
+InvalidParameterError with "<name> must be ...", the nearest float inside
+passes, and so does a closed upper end."""
 
 import re
 from pathlib import Path
@@ -103,7 +104,7 @@ def passes(name, call, value):
 @pytest.mark.parametrize("name, lo, hi, call", SITES,
                          ids=[f"{k}-{s[0]}" for k, s in enumerate(SITES)])
 def test_range_check(name, lo, hi, call):
-    outside = [lo, np.nan] + ([np.nextafter(hi, np.inf)] if hi is not None else [])
+    outside = [lo, np.nan, np.nextafter(hi, np.inf) if hi is not None else np.inf]
     for value in outside:
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(name)} must be "):
             call(value)
@@ -122,8 +123,16 @@ def test_every_require_call_is_listed():
     (1.0, None, 0.5, "x must be > 1, got 0.5"),
     (0.0, 1.0, 1.5, "x must be in (0, 1], got 1.5"),
     (0.0, 1.0, float("nan"), "x must be in (0, 1], got nan"),
+    (0.0, None, float("inf"), "x must be > 0, got inf"),
+    (0.0, None, float("-inf"), "x must be > 0, got -inf"),
+    (0.0, 1.0, float("inf"), "x must be in (0, 1], got inf"),
 ])
 def test_require_message(lo, hi, value, message):
     with pytest.raises(InvalidParameterError) as info:
         require("x", value, lo, hi)
     assert str(info.value) == message
+
+
+def test_cell_count_that_overflows():
+    with pytest.raises(InvalidParameterError, match="is not an integer cell count"):
+        Grid(dim=1, h=5e-324, extent=2.0)

@@ -111,11 +111,11 @@ DIGESTS = {
     'compare-1d': (0, {'compare.csv': 'ed32e7cc99e68bba2f9653ba85331f182f42fba1d5afa35e1132a22219c5a551'}),
     'compare-2d': (0, {'compare.csv': 'f1b876af861b9de11f69c75c729934816f604d6106a3f0ca37c51c22f95c04e0'}),
     'convergence-1d': (0, {'hausdorff.csv': '8308ca54a35109941dbf7e6750be841886fe4a5bd1e673d5b1e1abbc170f0872', 'summary.csv': '88bf4c20329376c113f82024a3705e87a814fb8bc47cff7f4b9505dc00513dc2'}),
-    'convergence-2d': (0, {'hausdorff.csv': 'e636117c82ea386a60bff650271e737779921e862355cd8720d1f7878f49ae40', 'summary.csv': 'da4c5d3f938a2c80066e76cf4e2da62ba1410531be5959d37ebcaca32e92363a'}),
+    'convergence-2d': (0, {'hausdorff.csv': '7dfd00812be1785c13f5413959641d16dd8ddf61e043c18215eeaa4a3b3caf50', 'summary.csv': '0be2006a57a3f1914279ea92d1f203e4d33ba91b3fb2c70cd418562ad96a7a86'}),
     'equilibrium-1d': (0, {'equilibrium.csv': 'cda9ca5b3e4b14614d2e5c6bc230e5cb891957f98b9390b2996b33c759bc036e'}),
     'equilibrium-2d': (0, {'equilibrium.csv': '9e1c3fe6d3ee955d3e6352f277f7e1014a2b96b5559d25fae80767082652d37c'}),
     'simulate-1d': (0, {'mass.csv': '1d72fdd7b88d78ec7d584aaaaa9bc20bb8453d0f9fe1007515912c532c9eaee6', 'snapshots.csv': '2072274f85d25f1e4b67c904f35490592ee50e925a53c16b5792af6f40148b2e', 'snapshots.ndjson': '7c70dc9ce21d38b7dbc10c8c76303205dfe4fce6a0d98d9a3b5000db4c004538'}),
-    'simulate-2d': (0, {'mass.csv': 'f710ff9a46ddcdbdd7bd780e2444ae0d1a6cdbbd7d4554278479191eaaeecb36', 'snapshots.csv': 'ca3c9edbb78fde4f26d0fdb3462754917a7d80ae1511c7d3f649857243395a3b', 'snapshots.ndjson': 'd6d661d85d05a68a5f072bb1640e61de4cf3b6cb250744179ea01a6f98d62f64'}),
+    'simulate-2d': (0, {'mass.csv': 'f710ff9a46ddcdbdd7bd780e2444ae0d1a6cdbbd7d4554278479191eaaeecb36', 'snapshots.csv': '72e947cd0b0c908dd22234d0d69de37ae7e2698312496af73e6b09374357db5a', 'snapshots.ndjson': '5ddfd8fa31439434ef1dc2e942c7110d931333f6692ab40b67cdc0e21dce6bea'}),
     'verify-barriers-1d': (1, {'residuals.csv': '8ac64d90d73388425763dd73b038aad703845907bac31da93501ce173f5ded31'}),
     'verify-barriers-2d': (0, {'residuals.csv': '96d114fa278e3238f78359f85e81acf9d4c6602a26c0b20a14169e723a7f4ec6'}),
 }

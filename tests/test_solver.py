@@ -31,7 +31,7 @@ from pmed.solver import (
     step_density_report,
     weak_residual,
 )
-from pmed.solver import _drift_context, _simulate_stack, _Stack, _Window
+from pmed.solver import _drift, _simulate_stack, _Stack, _Window
 
 
 def loop_flux_divergence(values, grid, m, potential):
@@ -51,15 +51,15 @@ def loop_flux_divergence(values, grid, m, potential):
 
 
 def reference_g(grid, potential):
-    """Interface gradients of Phi as the solver once wrote them, per dimension."""
-    phi = np.asarray(potential.eval(grid.centers()), dtype=float)
-    h = grid.h
+    """Interface gradients of Phi = sum_k p(x_k) along each axis, in the
+    full-grid shapes the solver once kept: (p(x_{i+1}) - p(x_i)) / h from p
+    at each axis center on its own, the same on every grid line."""
+    p = np.array([float(potential.eval(np.array([x]))) for x in grid.axis_centers()])
+    g = (p[1:] - p[:-1]) / grid.h
     if grid.dim == 1:
-        return ((phi[1:] - phi[:-1]) / h,)
-    return (
-        (phi[1:, :] - phi[:-1, :]) / h,
-        (phi[:, 1:] - phi[:, :-1]) / h,
-    )
+        return (g,)
+    n = grid.n_cells
+    return (np.broadcast_to(g[:, None], (n - 1, n)), np.broadcast_to(g[None, :], (n, n - 1)))
 
 
 def reference_flux_divergence(v, grid, m, g):
@@ -123,10 +123,12 @@ class TestFluxKernelReference:
     def test_bitwise_equal_to_per_dimension_code(self, case):
         # fields reaching the ring's neighbors: windows touching the grid edge
         grid, pot, v, m = case
-        ctx = _drift_context(grid, pot)
+        cached, _ = _drift(grid, pot)
         g = reference_g(grid, pot)
-        assert len(ctx.g) == len(g)
-        assert all(same_bits(a, b) for a, b in zip(ctx.g, g))
+        assert len(g) == grid.dim
+        for a, ga in enumerate(g):  # the cached vector, along axis a
+            along = cached.reshape((-1,) + (1,) * (grid.dim - 1 - a))
+            assert same_bits(np.broadcast_to(along, ga.shape), ga)
         ref = reference_flux_divergence(v, grid, m, g)
         stack = _Stack(v[None], grid, SolverConfig(m=m, potential=pot, t_end=1.0,
                                                    snapshot_every=1.0))
@@ -137,16 +139,21 @@ class TestFluxKernelReference:
             outside[win.cells] = False
         assert same_bits(ref[outside], np.zeros(np.count_nonzero(outside)))
 
+    def test_drift_data_is_one_vector_per_grid(self):
+        grid = Grid(dim=2, h=0.01, extent=2.0)
+        g, dp2 = _drift(grid, make_quadratic_potential(1.0, 2))
+        assert (g.shape, dp2.shape) == ((399,), (400,))
+
 
 def reference_step(v, grid, m, pot, dt):
     """One full-grid step with the reference kernel, clipped as the solver
-    clips: the stepped values and the clipped mass."""
+    clips (every negative cell, whatever its mass): the stepped values and
+    the clipped mass."""
     new = v + dt * reference_flux_divergence(v, grid, m, reference_g(grid, pot))
     neg = new < 0.0
-    clipped = -grid.cell_volume * float(np.sum(new[neg])) if np.any(neg) else 0.0
-    if clipped > 0.0:
-        new = np.where(neg, 0.0, new)
-    return new, clipped
+    if not np.any(neg):
+        return new, 0.0
+    return np.where(neg, 0.0, new), -grid.cell_volume * float(np.sum(new[neg]))
 
 
 def reference_dt(members, grid, cfg):
@@ -348,6 +355,23 @@ class TestStepDensity:
                            t_end=1.0, snapshot_every=1.0)
         with pytest.raises(DomainOverflowError):
             step_density_report(rho, cfg, 1e-6)
+
+    def test_negative_cell_whose_mass_rounds_to_zero_is_clipped(self):
+        # the step leaves -5e-324 in cell 15, and h * 5e-324 rounds to 0.0
+        g = Grid(dim=1, h=0.1, extent=2.0)
+        v = np.zeros(g.shape)
+        v[15] = 7.95e-322
+        rho = Field(g, v, FieldVariable.DENSITY)
+        pot = Potential((-0.6885810028793834, -3.439898427442249, -4.296118082563625))
+        cfg = SolverConfig(m=2.0, potential=pot, t_end=1.0, snapshot_every=1.0,
+                           cfl_safety=1.0)
+        dt = cfl_dt(rho, cfg)
+        stack = _Stack(v[None].copy(), g, cfg)
+        stack.step(dt)
+        assert stack.v[0, 15] == 0.0 and stack.clipped_cum == [0.0]
+        assert np.all(stack.v >= 0.0)
+        rep = step_density_report(rho, cfg, dt)
+        assert rep.clipped_mass == 0.0 and rep.field.values[15] == 0.0
 
     def test_mass_and_positivity(self):
         g = Grid(dim=2, h=0.1, extent=1.0)
