@@ -148,7 +148,7 @@ _BLOCKS = {
     "physics": (None, {"m": (REQUIRED, _EXPONENT), "potential": (REQUIRED, _POTENTIAL)}),
     "solver": (None, {"t_end": (REQUIRED, _POSITIVE),
                       "snapshot_every": (REQUIRED, _POSITIVE),
-                      "cfl_safety": (0.4, _number(0.0, 1.0))}),
+                      "cfl_safety": (0.8, _number(0.0, 1.0))}),
     "initial": (None, _INITIAL),
     "initial_lo": (None, _INITIAL),
     "initial_hi": (None, _INITIAL),

@@ -17,19 +17,25 @@ the same on every grid line: one vector per grid.  The update
     rho'_i = rho_i + dt/h * (F_{i+1/2} - F_{i-1/2})
 
 telescopes, so total mass is conserved to rounding as long as the support
-stays away from the box edge (enforced: two empty cell rings).  Explicit
-stepping under the CFL limit keeps the update positivity-preserving;
-negative values can only arise from rounding and are clipped, with the
-clipped mass tracked per run.
+stays away from the box edge (enforced: two empty cell rings).  It is
+nondecreasing in every neighbor of cell i, and in rho_i itself as long as
+
+    dt * ( 2 dim m rho_i^(m-1) / h^2 + out_i / h ) <= 1,
+
+where out_i = sum over axes of max(-g_{i+1/2}, 0) + max(g_{i-1/2}, 0) is
+the cell's upwind outflow rate.  The step bounds this diagonal rate from
+above (see _Stack.cfl_dt), so for every cfl_safety <= 1 the update is
+monotone: it keeps fields nonnegative and ordered fields ordered.  Negative
+values can only arise from rounding and are clipped, with the clipped mass
+tracked per run.
 
 All reductions are fixed-order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -57,8 +63,6 @@ __all__ = [
     "comparison_harness",
 ]
 
-_TINY = np.finfo(float).tiny
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -68,7 +72,7 @@ class SolverConfig:
     potential: Potential
     t_end: float
     snapshot_every: float
-    cfl_safety: float = 0.4
+    cfl_safety: float = 0.8
 
     def __post_init__(self):
         require("m", self.m, 1.0)
@@ -129,25 +133,26 @@ class StepReport:
 @lru_cache(maxsize=32)
 def _drift(grid: Grid, potential: Potential) -> tuple[np.ndarray, np.ndarray]:
     """Drift data of every axis, from Phi's axis polynomial p at the axis's
-    cell centers x: the interface gradients g = diff(p(x)) / h and the
-    squared derivative dp2 = p'(x)^2.  What depends on the support box is
-    made from these by that box's _Window."""
+    cell centers x: the interface gradients g = diff(p(x)) / h and each
+    cell's outflow rate max(-g_{i+1/2}, 0) + max(g_{i-1/2}, 0), with no flux
+    through the grid walls.  What depends on the support box is made from
+    these by that box's _Window."""
     x = grid.axis_centers()
-    dp = potential.grad(x)
-    return np.diff(potential.eval(x[:, None])) / grid.h, dp * dp
+    g = np.diff(potential.eval(x[:, None])) / grid.h
+    walls = np.concatenate(([0.0], g, [0.0]))  # interfaces -1/2 .. n-1/2
+    return g, np.maximum(-walls[1:], 0.0) + np.maximum(walls[:-1], 0.0)
 
 
 class _Window:
     """Everything a stack keeps per support box: the views and buffers one
-    step reads and writes, and the drift data cfl_dt reads.  The window is
+    step reads and writes, and the outflow rate cfl_dt reads.  The window is
     the box grown by 2 cells and clipped to the grid.  Built once per box,
     so a step makes no slice, and allocates only the upwind pick of
     np.where.
 
-    ``v_bound`` bounds |grad Phi| over the box: the per-axis maxima of
-    ``dp2`` (p'^2 over the box) summed, since rounded + and sqrt are
-    monotone.  ``v_maxes`` gives the exact maxima, from |grad Phi| over the
-    box, made on first use.
+    ``outflow`` is the largest outflow rate out_i of a cell in the box.
+    Phi is separable, so out_i is a sum of one vector per axis, and its max
+    over the box is the sum of the axes' maxima (rounded + is monotone).
 
     Per axis a, interface i+1/2 joins window cells i and i+1; its flux goes
     to ``f`` and the divergence (F_{i+1/2} - F_{i-1/2}) / h to ``div``.  The
@@ -169,9 +174,7 @@ class _Window:
     def __init__(self, stack: "_Stack", box: tuple[tuple[int, int], ...]):
         n = stack.n
         self.box = box
-        self.dp2 = [stack.dp2[lo:hi] for lo, hi in box]
-        self.v_bound = math.sqrt(sum(float(d.max()) for d in self.dp2))
-        self._speeds = None
+        self.outflow = sum(float(stack.out[lo:hi].max()) for lo, hi in box)
         self.cells = cells = tuple(slice(max(lo - 2, 0), min(hi + 2, n)) for lo, hi in box)
         self.starts = tuple(c.start for c in cells)
         self.w = w = stack.v[(slice(None),) + cells]
@@ -189,15 +192,6 @@ class _Window:
             scratch = rm.reshape(-1)[:div_in.size].reshape(div_in.shape) if a > 1 else None
             self.axes.append((w_lo, w[hi], rm[lo], rm[hi], g > 0.0, g,
                               f, edges, f[lo], f[hi], div_in, scratch))
-
-    def v_maxes(self, v: np.ndarray) -> list[float]:
-        """Per member of the stack values ``v``, max |grad Phi| over its
-        support, 0 where it is empty.  Phi is separable, so |grad Phi|^2 is
-        the outer sum of the axes' p'^2, added in dot_last's float order."""
-        if self._speeds is None:
-            self._speeds = np.sqrt(reduce(np.add.outer, self.dp2) + 0.0)
-        pos = v[(slice(None),) + tuple(slice(lo, hi) for lo, hi in self.box)] > 0.0
-        return np.where(pos, self._speeds, 0.0).max(axis=tuple(range(1, v.ndim))).tolist()
 
     def divergence(self, h: float, m: float) -> np.ndarray:
         """(F_{i+1/2} - F_{i-1/2}) / h per window cell and member, with
@@ -240,7 +234,7 @@ class _Stack:
     def __init__(self, values: np.ndarray, grid: Grid, cfg: SolverConfig):
         self.v = values  # (B, *grid.shape)
         self.grid, self.cfg, self.n = grid, cfg, grid.n_cells
-        self.g, self.dp2 = _drift(grid, cfg.potential)
+        self.g, self.out = _drift(grid, cfg.potential)
         self.clipped_cum = [0.0] * len(values)
         self._spatial = tuple(range(1, values.ndim))
         self._across = [(0,) + self._spatial[:a] + self._spatial[a + 1:] for a in range(grid.dim)]
@@ -283,32 +277,22 @@ class _Stack:
         return not any(np.any(ring(v, 2) > 1e-12 * top) for v, top in zip(self.v, self.tops))
 
     def cfl_dt(self) -> float:
-        """Largest stable explicit step of every member, capped at the
-        snapshot cadence: the smallest over the members of
+        """The shared step of every member, capped at the snapshot cadence:
 
-        dt = cfl_safety * min( h^2 / (2 dim D_max), h / (2 dim V_max) ) with
-        D_max = max m rho^(m-1) and V_max = max |grad Phi| over the support
-        (floored at machine-tiny so the empty field stays finite).
+            dt = cfl_safety / ( 2 dim m T^(m-1) / h^2 + O / h )
 
-        h / (2 dim V) falls as V grows, so where the window's bound of
-        |grad Phi| over the box already gives an advective limit no smaller
-        than the diffusive one, the min is the diffusive limit and V_max is
-        not computed.  An empty box's bound, 0, is exact.
+        with T the largest value of any member and O the largest outflow
+        rate out_i of a cell in the support box.  The rate bounds every
+        cell's diagonal rate from above (see the module docstring), so the
+        step is monotone for every cfl_safety <= 1.  A zero rate (no drift
+        out of the box, and T^(m-1) rounding to 0) leaves the cadence.
         """
         m, h, dim = self.cfg.m, self.grid.h, self.grid.dim
-        win = self._window() if self.box is not None else None
-        dt_bound = h / (2.0 * dim * max(win.v_bound if win else 0.0, _TINY))
-        v_maxes = None
-        dt = self.cfg.snapshot_every
-        for b, top in enumerate(self.tops):
-            d_max = m * top ** (m - 1.0) if top > 0.0 else 0.0
-            dt_diff = h**2 / (2.0 * dim * d_max) if d_max > 0.0 else np.inf
-            dt_adv = dt_bound
-            if win and dt_adv < dt_diff:
-                v_maxes = v_maxes or win.v_maxes(self.v)
-                dt_adv = h / (2.0 * dim * max(v_maxes[b], _TINY))
-            dt = min(dt, self.cfg.cfl_safety * min(dt_diff, dt_adv))
-        return float(dt)
+        outflow = self._window().outflow if self.box is not None else 0.0
+        rate = 2.0 * dim * m * max(self.tops) ** (m - 1.0) / h**2 + outflow / h
+        if not rate > 0.0:
+            return self.cfg.snapshot_every
+        return min(self.cfg.snapshot_every, self.cfg.cfl_safety / rate)
 
     def step(self, dt: float) -> None:
         """One explicit step of every member, adding to ``clipped_cum``."""
@@ -469,17 +453,18 @@ def comparison_harness(
 ) -> ComparisonReport:
     """Run both initial data and check that ordering is preserved.
 
-    Both are stepped as one stack with a shared dt, the smaller of their
-    cfl_dt, so the monotone scheme orders them up to rounding.  The ordering
-    tolerance still scales with the discretization:
-    tol_order = 10 (h + dt_max).
+    Both are stepped as one stack with one shared dt, at which the update is
+    monotone (see _Stack.cfl_dt), so they stay ordered up to rounding: the
+    ordering tolerance is tol_order = 4 ulp of M, the largest value of
+    rho_hi over the run's snapshots.
     """
     if rho0_lo.grid != rho0_hi.grid:
         raise InvalidInputError("comparison requires a common grid")
     if np.any(rho0_lo.values > rho0_hi.values):
         raise InvalidInputError("initial data not ordered: rho_lo > rho_hi somewhere")
     traj_lo, traj_hi = _simulate_stack((rho0_lo, rho0_hi), cfg)
-    tol = 10.0 * (rho0_lo.grid.h + traj_lo.dt_max)
+    top = max(float(s.field.values.max()) for s in traj_hi.snapshots)
+    tol = 4.0 * float(np.spacing(top))
     worst = -np.inf
     first_violation = None
     for lo, hi in zip(traj_lo.snapshots, traj_hi.snapshots):

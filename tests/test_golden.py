@@ -108,14 +108,14 @@ CASES = {
 
 # case -> (exit code, {output file: sha256 hex digest})
 DIGESTS = {
-    'compare-1d': (0, {'compare.csv': 'ed32e7cc99e68bba2f9653ba85331f182f42fba1d5afa35e1132a22219c5a551'}),
-    'compare-2d': (0, {'compare.csv': 'f1b876af861b9de11f69c75c729934816f604d6106a3f0ca37c51c22f95c04e0'}),
-    'convergence-1d': (0, {'hausdorff.csv': '8308ca54a35109941dbf7e6750be841886fe4a5bd1e673d5b1e1abbc170f0872', 'summary.csv': '88bf4c20329376c113f82024a3705e87a814fb8bc47cff7f4b9505dc00513dc2'}),
-    'convergence-2d': (0, {'hausdorff.csv': '7dfd00812be1785c13f5413959641d16dd8ddf61e043c18215eeaa4a3b3caf50', 'summary.csv': '0be2006a57a3f1914279ea92d1f203e4d33ba91b3fb2c70cd418562ad96a7a86'}),
+    'compare-1d': (0, {'compare.csv': 'f8d00ba4f85bc296b2b909c032611cdce6d1cacc3d090ef8e020882f5a632d6f'}),
+    'compare-2d': (0, {'compare.csv': '50fee4fefaac807bda9e3bdf85b996183639740905b0981b33eec5cb03ebe783'}),
+    'convergence-1d': (0, {'hausdorff.csv': '39a9500300509ded38feb10f0251ccdd0dd851ab57cf9fa1651e0aea9ca6b0d4', 'summary.csv': 'e8a89e5d25ae8cebc1709fe51531ab80177b87667791b5a867e8c0aa17786260'}),
+    'convergence-2d': (0, {'hausdorff.csv': '4edd6eef38e7b5730340461ee5f3ba00458f8c34fa0a67b16a5ca3bedf67858f', 'summary.csv': '688cca668929aeae6170d9bf59a5d631fbefa9f70f0e9c3e15659a6aa2aaf460'}),
     'equilibrium-1d': (0, {'equilibrium.csv': 'cda9ca5b3e4b14614d2e5c6bc230e5cb891957f98b9390b2996b33c759bc036e'}),
     'equilibrium-2d': (0, {'equilibrium.csv': '9e1c3fe6d3ee955d3e6352f277f7e1014a2b96b5559d25fae80767082652d37c'}),
-    'simulate-1d': (0, {'mass.csv': '1d72fdd7b88d78ec7d584aaaaa9bc20bb8453d0f9fe1007515912c532c9eaee6', 'snapshots.csv': '2072274f85d25f1e4b67c904f35490592ee50e925a53c16b5792af6f40148b2e', 'snapshots.ndjson': '7c70dc9ce21d38b7dbc10c8c76303205dfe4fce6a0d98d9a3b5000db4c004538'}),
-    'simulate-2d': (0, {'mass.csv': 'f710ff9a46ddcdbdd7bd780e2444ae0d1a6cdbbd7d4554278479191eaaeecb36', 'snapshots.csv': '72e947cd0b0c908dd22234d0d69de37ae7e2698312496af73e6b09374357db5a', 'snapshots.ndjson': '5ddfd8fa31439434ef1dc2e942c7110d931333f6692ab40b67cdc0e21dce6bea'}),
+    'simulate-1d': (0, {'mass.csv': '72834da82f926ce6a3983502a7ed2264687c3b4bee53aba3c567b8c80a7a28b8', 'snapshots.csv': '375df8f6bee41605b36e033ebda633b07ebd2edfaaef41c5a880f1cc0110bc34', 'snapshots.ndjson': '99312477ce20351dfa299ed1877f533a6e9c3c68d1038e6657164f1e83a7788f'}),
+    'simulate-2d': (0, {'mass.csv': 'f710ff9a46ddcdbdd7bd780e2444ae0d1a6cdbbd7d4554278479191eaaeecb36', 'snapshots.csv': 'fccdf51742c39bc82ffde6cbe598f5bc2b869aca57d885f11124b5a518c8366b', 'snapshots.ndjson': 'ee3c6ef37017df80b0bf5999b277e0fc2f712100e02b88cbdc45e224862105c2'}),
     'verify-barriers-1d': (1, {'residuals.csv': '8ac64d90d73388425763dd73b038aad703845907bac31da93501ce173f5ded31'}),
     'verify-barriers-2d': (0, {'residuals.csv': '96d114fa278e3238f78359f85e81acf9d4c6602a26c0b20a14169e723a7f4ec6'}),
 }
