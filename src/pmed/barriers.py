@@ -24,6 +24,13 @@ origin and monotone in |x|, so each convolution is exact: it evaluates w at
 the ball points nearest to and farthest from the origin.  ``residual_pmed``
 checks one pointwise residual of the pressure equation by centered finite
 differences, on a sample lattice and on the level set of a small floor.
+
+Every profile takes its time ``t`` as a float or as an array that
+broadcasts against the points' leading shape: one time per batch of
+points, such as ``(levels, 1, ...)`` against ``(levels, *lattice, dim)``,
+or one per point.  Each value is the float that the point's own scalar call
+gives, and a time outside the profile's range raises the scalar call's
+error, quoting the first such entry.
 """
 
 from __future__ import annotations
@@ -61,8 +68,16 @@ __all__ = [
     "residual_pmed",
 ]
 
-# evaluable profile: (points of shape (..., dim), time) -> values of shape (...)
-Evaluable = Callable[[np.ndarray, float], np.ndarray]
+# evaluable profile: (points of shape (..., dim), time) -> values of shape (...);
+# the time is a float or an array that broadcasts against the leading shape
+# (...), and each value is bit for bit that of the point's scalar call
+Evaluable = Callable[[np.ndarray, Union[float, np.ndarray]], np.ndarray]
+
+
+def _first(values, bad):
+    """The entry an error message quotes: ``values`` itself when it is a
+    scalar, else its first entry where ``bad`` holds."""
+    return values if np.ndim(values) == 0 else values[bad].flat[0]
 
 
 @dataclass(frozen=True)
@@ -89,11 +104,13 @@ class BarenblattSpec:
     def K(self) -> float:
         return 0.5 * self.lam
 
-    def _s(self, t: float) -> float:
-        """The profile's own time s = t + tau; raises unless it is > 0."""
+    def _s(self, t):
+        """The profile's own time s = t + tau, like t a float or an array;
+        raises unless every entry is > 0."""
         s = t + self.tau
-        if s <= 0.0:
-            raise InvalidTimeError(f"t + tau must be > 0, got {s}")
+        low = s <= 0.0
+        if np.any(low):
+            raise InvalidTimeError(f"t + tau must be > 0, got {_first(s, low)}")
         return s
 
     def support_radius(self, t: float) -> float:
@@ -170,15 +187,17 @@ def _radii(x: np.ndarray) -> np.ndarray:
     return np.sqrt(dot_last(x, x))
 
 
-def barenblatt(x: np.ndarray, t: float, spec: BarenblattSpec) -> np.ndarray:
+def barenblatt(x: np.ndarray, t, spec: BarenblattSpec) -> np.ndarray:
     """Evaluate the self-similar pressure profile at points x, time t."""
     s = spec._s(t)
     x = np.asarray(x, dtype=float)
     r2 = dot_last(x, x)
-    return np.maximum(spec.C * s ** (2.0 * spec.lam) - spec.K * r2, 0.0) / s
+    # float_power is libm's pow, as Python's ** on a float is; np.power's
+    # vector loop can differ from it in the last bit
+    return np.maximum(spec.C * np.float_power(s, 2.0 * spec.lam) - spec.K * r2, 0.0) / s
 
 
-def spherical_wave(x: np.ndarray, t: float, spec: SphericalWaveSpec) -> np.ndarray:
+def spherical_wave(x: np.ndarray, t, spec: SphericalWaveSpec) -> np.ndarray:
     """Evaluate A(|x| + omega t - B)_+ at points x, time t."""
     r = _radii(x)
     return spec.A * np.maximum(r + spec.omega * t - spec.B, 0.0)
@@ -199,11 +218,13 @@ def _ball_extremized(w: Evaluable, alpha: float, sign: float) -> Evaluable:
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha}")
 
-    def _conv(x: np.ndarray, t: float) -> np.ndarray:
-        if t > 1.0 + 1e-12:
-            raise InvalidTimeError(f"convolution radius negative for t = {t}")
+    def _conv(x: np.ndarray, t) -> np.ndarray:
+        late = t > 1.0 + 1e-12
+        if np.any(late):
+            raise InvalidTimeError(f"convolution radius negative for t = {_first(t, late)}")
         x = np.asarray(x, dtype=float)
-        radius = alpha * (1.0 - min(t, 1.0))
+        # on a trailing axis of length 1, like the norms n1 below
+        radius = np.expand_dims(alpha * (1.0 - np.minimum(t, 1.0)), -1)
         # w is radial and monotone in |x|: its ball extrema lie at the points nearest
         # to and farthest from the origin (x is scaled so |x|^2 cannot under/overflow)
         s = np.maximum(np.abs(x[..., :1]), np.abs(x[..., -1:]))  # max |x_k|: d is 1 or 2
@@ -240,17 +261,18 @@ def hyperbolic_rescale(w: Evaluable, spec: RescaleSpec) -> Evaluable:
     x0 = np.asarray(spec.x0, dtype=float)
     b = np.asarray(spec.drift, dtype=float)
 
-    def _rescaled(x: np.ndarray, t: float) -> np.ndarray:
+    def _rescaled(x: np.ndarray, t) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         dt = t - spec.t0
-        if dt > 1e-9 or dt < -a - 1e-9:
+        out = (dt > 1e-9) | (dt < -a - 1e-9)
+        if np.any(out):
             raise OutOfCylinderError(
-                f"t = {t} outside [{spec.t0 - a}, {spec.t0}] for alpha = {a}"
+                f"t = {_first(t, out)} outside [{spec.t0 - a}, {spec.t0}] for alpha = {a}"
             )
         rel = x - x0
         if np.any(dot_last(rel, rel) > a * a * (1.0 + 1e-9)):
             raise OutOfCylinderError(f"points outside the ball of radius {a} around {spec.x0}")
-        return a * w((rel + b * dt) / a, dt / a)
+        return a * w((rel + b * np.expand_dims(dt, -1)) / a, dt / a)
 
     return _rescaled
 
@@ -354,12 +376,13 @@ def _derivatives(
     pot: Potential,
     pts: np.ndarray,
     u0: np.ndarray,
-    t: float,
+    t,
     h_s: float,
     m: float,
 ) -> np.ndarray:
     """The residual r of the pressure equation by centered differences at
-    sample points pts, of shape (k, dim), where u0 = candidate(pts, t).
+    sample points pts, of shape (k, dim), where u0 = candidate(pts, t) and
+    t is one float or one time per sample.
 
     The shifted points pts +- h_s e_k go into one buffer shaped like pts,
     refilled for each shift, so the candidate must not keep a view of its
@@ -401,6 +424,9 @@ def _outward_faces(pts: np.ndarray, h_s: float) -> np.ndarray:
     return np.concatenate([f.reshape(-1, dim) for f in faces])
 
 
+_BATCH_POINTS = 16384  # lattice points per batch of time levels
+
+
 def residual_pmed(
     candidate: Evaluable,
     pot: Potential,
@@ -416,16 +442,21 @@ def residual_pmed(
     at the boundary samples, every crossing of the floor by a lattice line.
     The tolerance is 50 (1 + max u) h_s.
 
-    At each time level the candidate is evaluated on the whole lattice and
-    on its faces shifted outward by h_s, which reach every shifted point
-    when the candidate's domain is convex (a rescaled barrier's ball), so a
-    box that leaves the domain raises as if every point were differenced.
+    Consecutive time levels are taken as one batch of at most
+    ``_BATCH_POINTS`` lattice points, or one level when its lattice is
+    larger.  The lattice and its faces take one time per level; the
+    crossings and the differences take one per sample, or a float when the
+    batch is one level.  At each batch the candidate is evaluated on the
+    whole lattice of every level and on its faces
+    shifted outward by h_s, which reach every shifted point when the
+    candidate's domain is convex (a rescaled barrier's ball), so a box that
+    leaves the domain raises as if every point were differenced.
     Differences, at t +- h_s^2 and x +- h_s e_k, are taken in one pass over
-    the interior samples followed by the crossings, always at t +- h_s^2
-    even when a level has neither.  The candidate must act on each point
-    alone, as every profile here does: the residuals are then bit for bit
-    those of differences over the whole lattice, restricted to the samples
-    read.
+    the interior samples followed by the crossings, each at its own level's
+    t, and every level is evaluated at t +- h_s^2 even when it has no
+    sample.  The candidate must act on each point alone, as every profile
+    here does: the residuals are then bit for bit those of differences over
+    the whole lattice, restricted to the samples read, in level order.
     """
     require("h_s", h_s, 0.0)
     require("m", m, 1.0)
@@ -435,19 +466,36 @@ def residual_pmed(
     times = _lattice(box.t_lo, box.t_hi, h_s)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     faces = _outward_faces(pts, h_s)
+    dim = pts.shape[-1]
+    per_batch = max(1, _BATCH_POINTS // (pts.size // dim))
 
     int_res, bd_res = [], []
     u_max = 0.0
-    for t in times:
-        t = float(t)
-        u0 = np.asarray(candidate(pts, t), dtype=float)
-        candidate(faces, t)  # raises where a shifted point leaves the domain
+    for start in range(0, len(times), per_batch):
+        tb = times[start:start + per_batch]
+        t = tb.reshape(tb.shape + (1,) * dim)  # against (levels, *lattice)
+        lattice = np.broadcast_to(pts, tb.shape + pts.shape)
+        u0 = np.asarray(candidate(lattice, t), dtype=float)
+        # raises where a shifted point leaves the domain
+        candidate(np.broadcast_to(faces, tb.shape + faces.shape), tb[:, None])
         u_max = max(u_max, float(u0.max(initial=0.0)))
         inside = u0 > floor
-        crossings = level_crossings(u0, axes, floor)
+        found = level_crossings(u0, axes, floor, batch=tb)  # column 0: the level's t
+        crossings = found[:, 1:]
+        if len(tb) == 1:  # a float spares the profiles per-sample work, such as pow
+            t_cross = t_at = float(tb[0])
+        else:
+            t_cross = found[:, 0]
+            t_at = np.concatenate((np.broadcast_to(t, inside.shape)[inside], t_cross))
+        # a crossing's edge has an end inside, so these levels have no sample
+        idle = tb[~inside.reshape(len(tb), -1).any(axis=1)]
+        if idle.size:
+            for shift in (h_s * h_s, -h_s * h_s):  # the differences' t +- h_s^2
+                candidate(np.empty((idle.size, 0, dim)), idle[:, None] + shift)
         n = np.count_nonzero(inside)
-        u_at = np.concatenate((u0[inside], np.asarray(candidate(crossings, t), dtype=float)))
-        r = _derivatives(candidate, pot, np.concatenate((pts[inside], crossings)), u_at, t, h_s, m)
+        u_at = np.concatenate((u0[inside], np.asarray(candidate(crossings, t_cross), dtype=float)))
+        r = _derivatives(candidate, pot, np.concatenate((lattice[inside], crossings)), u_at,
+                         t_at, h_s, m)
         int_res.append(r[:n])
         bd_res.append(r[n:])
 

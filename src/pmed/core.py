@@ -156,7 +156,8 @@ def ring(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def level_crossings(
-    values: np.ndarray, axes: Sequence[np.ndarray], level: float
+    values: np.ndarray, axes: Sequence[np.ndarray], level: float,
+    batch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Linear-interpolated crossings of ``level`` between adjacent samples.
 
@@ -166,14 +167,22 @@ def level_crossings(
     the points, shape (k, ndim): axis-0 edges before axis-1 edges, each in
     row-major order of the edge's lower endpoint.
 
+    With ``batch``, the coordinates of an extra leading axis of ``values``,
+    that axis stacks lattices of the ``axes``: no edge runs along it, each
+    point gets its lattice's ``batch`` coordinate as a first column, and the
+    points are those of each lattice in turn.
+
     Only the bounding box of ``values > level``, grown by one sample and
     clipped to the array, is searched: every edge with a crossing has an
     endpoint above the level, so it lies in that box, and the points and
     their order are those of the whole lattice.
     """
     above = values > level
-    box = ()
-    for a in range(above.ndim):
+    lead = 0 if batch is None else 1
+    if lead:
+        axes = [batch, *axes]
+    box = (slice(None),) * lead
+    for a in range(lead, above.ndim):
         others = tuple(k for k in range(above.ndim) if k != a)
         hit = np.flatnonzero(np.any(above[box], axis=others))
         if len(hit) == 0:
@@ -181,8 +190,9 @@ def level_crossings(
         box += (slice(max(hit[0] - 1, 0), hit[-1] + 2),)
     values, above = values[box], above[box]
     axes = [x[s] for x, s in zip(axes, box)]
-    found = []
-    for a, x in enumerate(axes):
+    found, owner = [], []
+    for a in range(lead, above.ndim):
+        x = axes[a]
         lower = np.nonzero(np.diff(above, axis=a))
         i = lower[a]
         upper = lower[:a] + (i + 1,) + lower[a + 1:]
@@ -191,7 +201,11 @@ def level_crossings(
         pts = np.stack([xb[k] for xb, k in zip(axes, lower)], axis=-1, dtype=float)
         pts[:, a] = x[i] + theta * (x[i + 1] - x[i])
         found.append(pts)
-    return np.concatenate(found)
+        owner.append(lower[0])
+    found = np.concatenate(found)
+    if lead:  # each lattice's points in their own order, lattice after lattice
+        found = found[np.argsort(np.concatenate(owner), kind="stable")]
+    return found
 
 
 def pressure_from_density(rho: Field, m: float) -> Field:

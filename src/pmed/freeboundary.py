@@ -176,18 +176,20 @@ def _equilibrium(
     phi_min = min(float(phi.min()), pot.min_value())
     mass = _BandedMass(phi, m, grid.cell_volume)
 
-    # capacity check; C stays <= c_cap, the least Phi on the outer ring, so (C - Phi)_+ is 0 there
+    # C stays <= c_cap, the least Phi on the outer ring, so (C - Phi)_+ is 0 there
     c_cap = float(ring(phi, 1).min())
-    if mass(c_cap, c_cap) < target_mass:
-        raise DomainTooSmallError(
-            f"target mass {target_mass} needs a level beyond the box capacity"
-        )
-
     lo, hi = phi_min, phi_min + 1.0
-    while mass(hi, hi) < target_mass:
+    while hi < c_cap and mass(hi, hi) < target_mass:
         lo = hi
         hi = phi_min + 2.0 * (hi - phi_min)
-    hi = min(hi, c_cap)
+    # capacity check, once the bracket reaches c_cap: M is nondecreasing, so
+    # a bracket top below c_cap that meets the target proves the capacity
+    if hi >= c_cap:
+        hi = c_cap
+        if mass(c_cap, c_cap) < target_mass:
+            raise DomainTooSmallError(
+                f"target mass {target_mass} needs a level beyond the box capacity"
+            )
     tol = 1e-10 * target_mass
     for _ in range(400):
         mid = 0.5 * (lo + hi)

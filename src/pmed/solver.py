@@ -95,7 +95,6 @@ class Trajectory:
 
     snapshots: tuple[Snapshot, ...]
     config: SolverConfig
-    dt_max: float
 
     def __post_init__(self):
         if not self.snapshots:
@@ -346,7 +345,6 @@ def _simulate_stack(fields: tuple[Field, ...], cfg: SolverConfig) -> list[Trajec
     if not stack.margin_ok():
         raise DomainOverflowError("initial support within two cells of the box edge")
     snaps = [[Snapshot(0.0, f, integrate(f), 0.0)] for f in fields]
-    dt_max = 0.0
     n_targets = int(np.floor(cfg.t_end / cfg.snapshot_every + 1e-9))
     t = 0.0
     for k in range(1, n_targets + 1):
@@ -359,7 +357,6 @@ def _simulate_stack(fields: tuple[Field, ...], cfg: SolverConfig) -> list[Trajec
                 stack.step(dt)
             except PmedError as exc:
                 raise type(exc)(f"{exc} (at t = {t:.9g})") from None
-            dt_max = max(dt_max, dt)
             t += dt
             if abs(t - target) <= 1e-12 * max(1.0, target):
                 t = target
@@ -367,7 +364,7 @@ def _simulate_stack(fields: tuple[Field, ...], cfg: SolverConfig) -> list[Trajec
         for member, v, clipped in zip(snaps, stack.v, stack.clipped_cum):
             field = Field(grid, v, FieldVariable.DENSITY)
             member.append(Snapshot(t, field, integrate(field), clipped))
-    return [Trajectory(tuple(s), cfg, dt_max) for s in snaps]
+    return [Trajectory(tuple(s), cfg) for s in snaps]
 
 
 def simulate(rho0: Field, cfg: SolverConfig) -> Trajectory:

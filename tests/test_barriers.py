@@ -1,7 +1,10 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pmed.barriers import (
     BarenblattSpec,
@@ -19,6 +22,7 @@ from pmed.barriers import (
     sup_convolution,
     validate_wave_params,
 )
+from pmed import barriers
 from pmed.barriers import _lattice
 from pmed.core import (
     dot_last,
@@ -27,7 +31,7 @@ from pmed.core import (
     make_quadratic_potential,
     make_zero_potential,
 )
-from pmed.errors import InvalidParameterError, InvalidTimeError, OutOfCylinderError
+from pmed.errors import InvalidParameterError, InvalidTimeError, OutOfCylinderError, PmedError
 
 
 def pt(*coords):
@@ -613,3 +617,144 @@ class TestCylinderContract:
         below = SpaceTimeBox(lo=(0.095,), hi=(0.099,), t_lo=-0.002, t_hi=-0.001)
         reference, sampled = (run() for run in self.run_both(below))
         assert reference[0].size == sampled.interior_count == 0
+
+
+@st.composite
+def timed_barriers(draw):
+    """(candidate, dim, centre, half, times): every barrier kind, points in
+    centre +- half, and times that now and then leave the kind's range:
+    t + tau <= 0 for a Barenblatt, t > 1 for a convolution, t outside
+    [t0 - alpha, t0] for a rescaled barrier."""
+    kind = draw(st.sampled_from(["barenblatt", "wave", "sup", "inf",
+                                 "rescaled-wave", "rescaled-barenblatt"]))
+    d = 1 if kind == "rescaled-wave" else draw(st.sampled_from([1, 2]))
+    bb = BarenblattSpec(m=draw(st.sampled_from([1.5, 2.0, 3.0])), d=d,
+                        tau=draw(st.floats(0.6, 2.0)), C=draw(st.floats(0.02, 2.0)))
+    wave = SphericalWaveSpec(A=1.0, omega=2.0, B=0.6, R=1.0, m=2.0, d=d)
+    alpha = draw(st.floats(0.05, 0.5))
+    levels = draw(st.integers(1, 5))
+    centre, half = np.zeros(d), 3.0
+    if kind == "barenblatt":
+        candidate, lo, hi, edges = build_barrier(bb), -1.3 * bb.tau, 1.0, [-bb.tau]
+    elif kind == "wave":
+        candidate, lo, hi, edges = build_barrier(wave), -0.5, 0.5, [0.0]
+        half = 1.0
+    elif kind in ("sup", "inf"):
+        conv = sup_convolution(build_barrier(bb), alpha) if kind == "sup" else \
+            inf_convolution(build_barrier(wave), alpha)
+        candidate, lo, hi, edges = conv, -0.5, 1.3, [1.0, 1.0 + 1e-12]
+    else:
+        base = wave if kind == "rescaled-wave" else bb
+        centre = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        rescale = RescaleSpec(alpha=alpha, x0=tuple(centre.tolist()), t0=0.0,
+                              drift=tuple(draw(st.lists(st.floats(-2.0, 2.0),
+                                                        min_size=d, max_size=d))),
+                              C_pert=1.0)
+        candidate = build_barrier(RescaledBarrierSpec(base=base, rescale=rescale))
+        lo, hi, edges = -1.2 * alpha, 0.2 * alpha, [-alpha, 0.0, 1e-9]
+        half = 0.7 * alpha  # inside the ball: sqrt(2) 0.7 < 1
+    times = np.array(draw(st.lists(st.sampled_from(edges + [lo, hi]) | st.floats(lo, hi),
+                                   min_size=levels, max_size=levels)))
+    return candidate, d, centre, half, times
+
+
+class TestArrayTimes:
+    @settings(max_examples=300, deadline=None)
+    @given(timed_barriers(), st.data())
+    def test_array_t_is_the_scalar_calls_stacked(self, case, data):
+        # t of shape (levels, 1, ...) against points (levels, *lattice, dim),
+        # or one t per point against points (k, dim)
+        candidate, dim, centre, half, times = case
+        per_point = data.draw(st.booleans())
+        lattice = () if per_point else tuple(data.draw(st.lists(st.integers(1, 5),
+                                                                min_size=1, max_size=2)))
+        x = centre + data.draw(arrays(float, (len(times),) + lattice + (dim,),
+                                      elements=st.floats(-half, half)))
+        t = times.reshape(times.shape + (1,) * len(lattice))
+
+        def scalar(i):
+            try:
+                return np.asarray(candidate(x[i], float(times[i])))
+            except PmedError as exc:
+                return exc
+
+        outcomes = [scalar(i) for i in range(len(times))]
+        errors = {type(o) for o in outcomes if isinstance(o, PmedError)}
+        event(f"raises {sorted(e.__name__ for e in errors)}")
+        if errors:
+            with pytest.raises(PmedError) as raised:
+                candidate(x, t)
+            assert type(raised.value) in errors
+        else:
+            assert_same_bits(np.asarray(candidate(x, t)), np.stack(outcomes))
+
+    def test_array_t_messages_quote_the_first_bad_entry(self):
+        spec = BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0)
+        x = np.zeros((3, 2, 1))
+        with pytest.raises(InvalidTimeError, match="t \\+ tau must be > 0, got -0.5$"):
+            barenblatt(x, np.array([[0.5], [-1.5], [-2.0]]), spec)
+        conv = inf_convolution(build_barrier(spec), 0.5)
+        with pytest.raises(InvalidTimeError, match="for t = 1.5$"):
+            conv(x, np.array([[0.5], [1.5], [2.0]]))
+        resc = hyperbolic_rescale(
+            build_barrier(spec), RescaleSpec(alpha=0.1, x0=(0.0,), t0=0.0, drift=(0.0,),
+                                             C_pert=1.0))
+        with pytest.raises(OutOfCylinderError, match="^t = -0.2 outside"):
+            resc(x, np.array([[-0.05], [-0.2], [0.3]]))
+
+
+class TestTimeBatches:
+    @settings(max_examples=60, deadline=None)
+    @given(sampling_cases(), st.integers(1, 4))
+    def test_any_batch_size_gives_the_same_residuals(self, case, levels):
+        candidate, pot, box, h_s, m = case
+        points = np.prod([len(_lattice(lo, hi, h_s)) for lo, hi in zip(box.lo, box.hi)])
+        interior, boundary, tol, _ = reference_residuals(candidate, pot, box, h_s, m)
+        with patch.object(barriers, "_BATCH_POINTS", int(levels * points)):
+            rep = residual_pmed(candidate, pot, box, h_s, m)
+        assert_same_bits(rep.interior_residuals, interior)
+        assert_same_bits(rep.boundary_residuals, boundary)
+        assert rep.tol == tol
+
+    @pytest.mark.parametrize("spec, half", [
+        (BarenblattSpec(m=2.0, d=2, tau=1.0, C=0.25), 0.6),
+        (RescaledBarrierSpec(
+            base=BarenblattSpec(m=2.0, d=2, tau=0.3, C=0.15),
+            rescale=RescaleSpec(alpha=0.5, x0=(0.0, 0.0), t0=0.0, drift=(0.3, -0.2), C_pert=1.0),
+        ), 0.3),
+    ])
+    def test_2d_batches_pass_times_shaped_like_the_points(self, spec, half):
+        # every call's t broadcasts against its points' leading shape, and
+        # its values take that shape, the shifted faces' included
+        candidate = build_barrier(spec)
+        calls = []
+
+        def checked(x, t):
+            lead = np.shape(x)[:-1]
+            assert np.broadcast_shapes(np.shape(t), lead) == lead
+            u = candidate(x, t)
+            assert np.shape(u) == lead
+            calls.append(lead)
+            return u
+
+        pot = make_zero_potential(2)
+        box = SpaceTimeBox(lo=(-half, -half), hi=(half, half), t_lo=-0.1, t_hi=-0.01)
+        h_s = 0.02
+        points = len(_lattice(-half, half, h_s)) ** 2
+        ref = residual_pmed(candidate, pot, box, h_s, 2.0)
+        with patch.object(barriers, "_BATCH_POINTS", 3 * points):  # batches of 3 and 2 levels
+            rep = residual_pmed(checked, pot, box, h_s, 2.0)
+        assert rep.interior_count > 0 and rep.boundary_count > 0
+        assert any(len(lead) == 2 and lead[0] == 3 for lead in calls)  # the faces of 3 levels
+        assert_same_bits(rep.interior_residuals, ref.interior_residuals)
+        assert_same_bits(rep.boundary_residuals, ref.boundary_residuals)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 5])
+    def test_a_level_with_no_sample_is_still_differenced_in_time(self, levels):
+        # u = 0 on the whole box; only the last level's t + h_s^2 leaves the
+        # cylinder, in a batch of its own or with levels before it
+        box = SpaceTimeBox(lo=(0.095,), hi=(0.099,), t_lo=-0.002, t_hi=0.0)
+        candidate, h_s = build_barrier(SMALL_BUMP), 0.0005
+        with patch.object(barriers, "_BATCH_POINTS", 9 * levels):
+            with pytest.raises(OutOfCylinderError, match="outside"):
+                residual_pmed(candidate, make_zero_potential(1), box, h_s, 2.0)

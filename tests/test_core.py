@@ -178,6 +178,24 @@ class TestLevelCrossings:
         assert got.shape[1] == len(shape) and got.dtype == float
         assert (len(got) == 0) == (fill != "edges")
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_batch_is_each_lattice_in_turn(self, data):
+        # a stack of lattices gives each one's crossings, lattice after
+        # lattice, with the lattice's batch coordinate as column 0
+        values, axes, level = data.draw(lattice_fields())
+        others = st.sampled_from([-3.0, level]) | st.floats(-2.0, 2.0)
+        stack = [values] + [data.draw(arrays(float, values.shape, elements=others))
+                            for _ in range(data.draw(st.integers(0, 4)))]
+        order = data.draw(st.permutations(range(len(stack))))
+        stack = np.stack([stack[i] for i in order])
+        batch = data.draw(arrays(float, len(stack), elements=st.floats(-10.0, 10.0)))
+        want = [np.column_stack((np.full(len(found), b), found))
+                for b, found in ((b, loop_level_crossings(v, axes, level))
+                                 for b, v in zip(batch, stack))]
+        np.testing.assert_array_equal(level_crossings(stack, axes, level, batch=batch),
+                                      np.concatenate(want), strict=True)
+
     def test_2d_order_axis0_edges_first(self):
         v = np.zeros((3, 3))
         v[1, 1] = 1.0

@@ -558,9 +558,9 @@ class TestSimulate:
         cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
                            t_end=1.0, snapshot_every=0.5)
         with pytest.raises(InvalidInputError):
-            Trajectory((snap(0.0, 1.0), snap(0.0, 1.0)), cfg, 0.1)
+            Trajectory((snap(0.0, 1.0), snap(0.0, 1.0)), cfg)
         with pytest.raises(InvalidInputError):
-            Trajectory((snap(0.0, 1.0), snap(0.5, 1.1)), cfg, 0.1)
+            Trajectory((snap(0.0, 1.0), snap(0.5, 1.1)), cfg)
 
 
 class TestWeakResidual:
@@ -675,6 +675,36 @@ def assert_ordered_to_rounding(lo, hi, cfg):
         assert traj.clipped_total <= 1e-12 * traj.snapshots[0].mass
 
 
+@st.composite
+def spiked_pairs(draw):
+    """lo <= hi at the monotonicity limit: hi a spike of height T on a lower
+    block, lo the same but a fraction below T at the spike, m up to 4, and
+    a linear drift whose outflow rate is up to the whole diffusive rate
+    2 dim m T^(m-1) / h^2.  Every cell's outflow is then the same, so the
+    spike's diagonal rate is the step bound's rate itself."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = 20 if dim == 1 else 16
+    h = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    grid = Grid(dim=dim, h=h, extent=n * h / 2.0)
+    m = draw(st.sampled_from([1.5, 2.0, 3.0, 4.0]) | st.floats(1.1, 4.0))
+    top = draw(st.floats(0.5, 2.0))
+    block = (slice(n // 2 - 2, n // 2 + 3),) * dim
+    hi = np.zeros(grid.shape)
+    hi[block] = top * np.reshape(draw(st.lists(st.floats(0.0, 0.9), min_size=5**dim,
+                                               max_size=5**dim)), (5,) * dim)
+    spike = (n // 2,) * dim
+    hi[spike] = top
+    lo = hi.copy()
+    lo[spike] = top * draw(st.sampled_from([0.9, 0.99]) | st.floats(0.5, 1.0))
+    diffusive = 2.0 * dim * m * top ** (m - 1.0) / h**2
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    slope = draw(st.sampled_from([1.0, -1.0])) * share * diffusive * h / dim
+    cfg = SolverConfig(m=m, potential=Potential((0.0, slope), dim), t_end=1.0,
+                       snapshot_every=1.0,
+                       cfl_safety=draw(st.sampled_from([0.8, 1.0]) | st.floats(0.8, 1.0)))
+    return grid, cfg, lo, hi
+
+
 class TestSharpComparison:
     # with one shared dt the scheme is monotone: lo - hi is rounding only
     @settings(max_examples=60, deadline=None, print_blob=True)
@@ -692,6 +722,20 @@ class TestSharpComparison:
             assert_ordered_to_rounding(*case)
         except DomainOverflowError:
             reject()
+
+    @settings(max_examples=100, deadline=None)
+    @given(spiked_pairs())
+    def test_order_kept_at_the_monotonicity_limit(self, case):
+        # full cfl_dt steps, the cadence far off: lo - hi stays at rounding
+        # after every step
+        grid, cfg, lo, hi = case
+        stack = _Stack(np.stack([lo, hi]), grid, cfg)
+        for _ in range(4):
+            if not stack.margin_ok():
+                break
+            stack.step(stack.cfl_dt())
+            top = float(stack.v[1].max())
+            assert float(np.max(stack.v[0] - stack.v[1])) <= 4.0 * np.spacing(top)
 
     def test_m4_spike_pair_stays_ordered(self):
         # the step bound needs its factor m: without it (dt 4e-3, not 1e-3)
