@@ -203,7 +203,8 @@ def level_crossings(
         found.append(pts)
         owner.append(lower[0])
     found = np.concatenate(found)
-    if lead:  # each lattice's points in their own order, lattice after lattice
+    if lead and values.shape[0] > 1:  # each lattice's points in their own order,
+        # lattice after lattice; with one lattice the stable sort is the identity
         found = found[np.argsort(np.concatenate(owner), kind="stable")]
     return found
 

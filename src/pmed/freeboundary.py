@@ -4,8 +4,8 @@ The discrete stand-in for the boundary of the positivity set is the
 epsilon-crossing cloud of a field: in 1D the linearly interpolated interval
 endpoints, in 2D the marching-squares-style edge crossings between adjacent
 cell centers.  Equilibrium pressures (C - Phi)_+ are pinned down by
-conserving the density mass; the constant is found by bisection on the
-(continuous, nondecreasing) discrete mass map.
+conserving the density mass; the constant is found by a safeguarded Newton
+iteration on the (continuous, nondecreasing) discrete mass map.
 """
 
 from __future__ import annotations
@@ -139,30 +139,29 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(max(_settle(row_min, bound, a, b), _settle(col_min, bound, b, a))))
 
 
-class _BandedMass:
-    """The discrete mass map M(c) of phi, each density computed only on the
-    box of cells that holds every phi below a given ``top`` >= c.  Every
-    other cell has c - phi <= 0 and so density +0.0, which the one buffer
-    holds there; the sum runs over the whole buffer, so M(c) is the float
-    of the full-grid sum."""
+class _MassMap:
+    """c -> (M(c), M'(c)), the discrete mass map of phi and its slope, each
+    density computed only on the box of cells that holds every phi below c.
+    Every other cell has density +0.0, which the one buffer holds there; the
+    sum runs over the whole buffer, so M(c) is the float of the full-grid sum."""
 
     def __init__(self, phi: np.ndarray, m: float, vol: float):
-        self.phi, self.m, self.vol = phi, m, vol
-        axes = range(phi.ndim)
-        # per axis, the least phi of each index along it
+        self.phi, self.vol, self.a, self.k = phi, vol, (m - 1.0) / m, 1.0 / (m - 1.0)
+        axes = range(phi.ndim)  # per axis, the least phi of each index along it
         self.profiles = [phi.min(axis=tuple(k for k in axes if k != a)) for a in axes]
-        self.buf = np.zeros_like(phi)
-        self.box = (slice(0, 0),)
+        self.buf, self.box = np.zeros_like(phi), (slice(0, 0),)
 
-    def __call__(self, c: float, top: float) -> float:
+    def __call__(self, c: float) -> tuple[float, float]:
         self.buf[self.box] = 0.0  # re-zero the previous box
-        live = [np.flatnonzero(~(least >= top)) for least in self.profiles]
+        live = [np.flatnonzero(~(least >= c)) for least in self.profiles]
         self.box = tuple(slice(i[0], i[-1] + 1) if len(i) else slice(0, 0) for i in live)
-        out = self.buf[self.box]
-        u = np.maximum(np.subtract(c, self.phi[self.box], out=out), 0.0, out=out)
-        m = self.m
-        np.power(np.multiply((m - 1.0) / m, u, out=out), 1.0 / (m - 1.0), out=out)
-        return self.vol * float(np.sum(self.buf))
+        s = self.buf[self.box]
+        np.maximum(np.subtract(c, self.phi[self.box], out=s), 0.0, out=s)
+        # M'(c) = vol k a sum (a u)^(k-1) over u = c - phi > 0, as (a u)^k / (a u)
+        # with a zero a u, whose (a u)^k is 0 too, raised to the least normal float
+        rate = np.maximum(np.multiply(self.a, s, out=s), np.finfo(float).tiny)
+        np.divide(np.power(s, self.k, out=s), rate, out=rate)
+        return self.vol * float(np.sum(self.buf)), self.vol * self.k * self.a * float(np.sum(rate))
 
 
 def _equilibrium(
@@ -174,43 +173,43 @@ def _equilibrium(
     require("m", m, 1.0)
     phi = np.asarray(pot.eval(grid.centers()), dtype=float)
     phi_min = min(float(phi.min()), pot.min_value())
-    mass = _BandedMass(phi, m, grid.cell_volume)
+    mass = _MassMap(phi, m, grid.cell_volume)
 
-    # C stays <= c_cap, the least Phi on the outer ring, so (C - Phi)_+ is 0 there
+    # C stays <= c_cap, the least Phi on the outer ring, so (C - Phi)_+ is 0 there;
+    # M(c_cap), the capacity, is evaluated only when the iteration reaches c_cap
     c_cap = float(ring(phi, 1).min())
-    lo, hi = phi_min, phi_min + 1.0
-    while hi < c_cap and mass(hi, hi) < target_mass:
-        lo = hi
-        hi = phi_min + 2.0 * (hi - phi_min)
-    # capacity check, once the bracket reaches c_cap: M is nondecreasing, so
-    # a bracket top below c_cap that meets the target proves the capacity
-    if hi >= c_cap:
-        hi = c_cap
-        if mass(c_cap, c_cap) < target_mass:
-            raise DomainTooSmallError(
-                f"target mass {target_mass} needs a level beyond the box capacity"
-            )
     tol = 1e-10 * target_mass
+    lo, hi, hi_known = phi_min, c_cap, False  # M(lo) < target <= M(hi), once known
+    c, prev, newton, best = min(phi_min + 1.0, c_cap), None, True, (np.inf, c_cap)
     for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        value = mass(mid, hi)
-        if abs(value - target_mass) <= tol:
-            break
-        if value < target_mass:
-            lo = mid
+        value, slope = mass(c)
+        err = value - target_mass
+        best = min(best, (abs(err), c))
+        if err >= 0.0:
+            hi, hi_known = c, True
+        elif c < c_cap:
+            lo = c
         else:
-            hi = mid
-        if hi - lo <= np.finfo(float).eps * max(1.0, abs(hi)):
-            # no midpoint met the target; M may meet it only at hi (c_cap, say)
-            mid, value = hi, mass(hi, hi)
+            raise DomainTooSmallError(
+                f"target mass {target_mass} needs a level beyond the box capacity")
+        step = -err / slope if slope > 0.0 else np.inf
+        # converged, before any safeguard: the step is under one ulp or cycles back
+        newton = newton and abs(step) >= np.spacing(abs(c)) and c + step != prev
+        if not newton and best[0] <= tol:
             break
-    if abs(value - target_mass) > tol:
-        raise InvalidParameterError(
-            f"no level meets target mass {target_mass} to 1e-10: "
-            f"M(lo) = {mass(lo, hi)}, M(hi) = {mass(hi, hi)}"
-        )
-    del mass  # its grid-sized buffer would add to the pressure's two at the peak
-    return mid, Field(grid, np.maximum(mid - phi, 0.0), FieldVariable.PRESSURE)
+        prev, c = c, c + step
+        if not (newton and lo < c < hi):
+            # bisection, also after Newton's end when its level misses the tolerance
+            if hi_known and hi - lo <= np.finfo(float).eps * max(1.0, abs(hi)):
+                break
+            c = 0.5 * (lo + hi) if hi_known else hi
+    err, c = best
+    if err > tol:
+        raise InvalidParameterError(f"no level meets target mass {target_mass} to 1e-10: "
+                                    f"the nearest found, C = {c}, misses it by {err}")
+    # the mass map's buffer becomes the pressure, so no third grid-sized array
+    pressure = np.maximum(np.subtract(c, phi, out=mass.buf), 0.0, out=mass.buf)
+    return c, Field(grid, pressure, FieldVariable.PRESSURE)
 
 
 def equilibrium_constant(
@@ -218,15 +217,15 @@ def equilibrium_constant(
 ) -> float:
     """Level C such that the density of (C - Phi)_+ carries the target mass.
 
-    Bisection on the discrete mass map M(C) (continuous and nondecreasing on
-    a fixed grid); the bracket is grown geometrically from the lower of the
-    grid minimum of Phi and its computed minimum, where M vanishes.  Runs to
+    Safeguarded Newton on the discrete mass map M(C), continuous and
+    nondecreasing on a fixed grid, from one unit above the lower of the grid
+    minimum of Phi and its computed minimum (where M vanishes).  It bisects
+    its bracket where Newton leaves it, and stops once a step stays within
+    one ulp of C or returns to the previous iterate.  The level must meet
     |M(C) - target| <= 1e-10 target; a target that no float C meets (for
     m > 2, M jumps by about (ulp of Phi)^(1/(m-1)) where C passes a cell's
     Phi) raises InvalidParameterError.  Raises UnsupportedPotentialError
-    unless Phi is strictly convex.  Each M(C) is summed over the whole grid
-    but computed only on the box of cells where Phi falls below the
-    bracket's top.
+    unless Phi is strictly convex.
     """
     return _equilibrium(target_mass, pot, m, grid)[0]
 

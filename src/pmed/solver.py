@@ -146,8 +146,7 @@ class _Window:
     """Everything a stack keeps per support box: the views and buffers one
     step reads and writes, and the outflow rate cfl_dt reads.  The window is
     the box grown by 2 cells and clipped to the grid.  Built once per box,
-    so a step makes no slice, and allocates only the upwind pick of
-    np.where.
+    so a step makes no slice and allocates nothing.
 
     ``outflow`` is the largest outflow rate out_i of a cell in the box.
     Phi is separable, so out_i is a sum of one vector per axis, and its max
@@ -158,16 +157,23 @@ class _Window:
     interfaces at the grid edge carry zero flux (``edges``), so the outermost
     cell ring stays zero and the no-flux wall sits one cell inside the grid.
     Every other interface on the window's rim, and every border cell of
-    ``div``, joins cells outside the support, so it is +0.0 without zeroing.
-    The axes take turns with one flux buffer, and axis 2 differences its
-    fluxes in rho^m's buffer, which is free by then: three window-sized
-    buffers in all.
+    ``div``, joins cells outside the support, so it is +0.0 without zeroing
+    (but for the rims below).  The axes take turns with one flux buffer.
+    Each axis puts its upwind terms rho_up * g (``up``) where nothing is
+    held until f += up: the last axis in rho^m's buffer, which it has read
+    by then, and axis 1 of 2 in ``div``'s, which it has not written yet;
+    the two rims of ``div`` along axis 1, which no difference overwrites,
+    are re-zeroed with the ``edges``.  Axis 2 differences its fluxes in
+    rho^m's buffer too: three window-sized buffers in all.
 
-    ``axes`` holds per axis: the values and rho^m on the low and high side
-    of each interface, g over the window and its upwind mask g > 0 (vectors
-    shaped to broadcast along the axis), the flux ``f``, its
-    ``edges`` and its two shifts, the divergence's inner slice along the
-    axis and, past axis 1, a view of that slice's shape on rho^m's buffer.
+    g is fixed per window, so each axis splits into runs of interfaces with
+    one sign of g (at most 2 for a convex Phi): the upwind value is the high
+    side's where g > 0, the low side's elsewhere.  ``axes`` holds per axis:
+    rho^m on the low and high side of each interface, per run the upwind
+    values, g (shaped to broadcast along the axis) and ``up``'s slice, then
+    ``up``, the flux ``f``, the views to zero and the flux's two shifts, the
+    divergence's inner slice along the axis and, past axis 1, a view of that
+    slice's shape on rho^m's buffer.
     """
 
     def __init__(self, stack: "_Stack", box: tuple[tuple[int, int], ...]):
@@ -184,13 +190,20 @@ class _Window:
         for a, c in enumerate(cells, start=1):
             every = (slice(None),) * a
             lo, hi = every + (slice(None, -1),), every + (slice(1, None),)
-            w_lo, div_in = w[lo], div[every + (slice(1, -1),)]
+            w_lo, w_hi, div_in = w[lo], w[hi], div[every + (slice(1, -1),)]
             f = flux[:w_lo.size].reshape(w_lo.shape)
-            g = stack.g[c.start:c.stop - 1].reshape((-1,) + (1,) * (len(cells) - a))
+            last = a == len(cells)
+            up = (rm if last else div).reshape(-1)[:w_lo.size].reshape(w_lo.shape)
+            g = stack.g[c.start:c.stop - 1]
+            ends = [0, *(np.flatnonzero(np.diff(g > 0.0)) + 1).tolist(), len(g)]
+            runs = [((w_hi if g[i] > 0.0 else w_lo)[every + (slice(i, j),)],
+                     g[i:j].reshape((-1,) + (1,) * (len(cells) - a)), up[every + (slice(i, j),)])
+                    for i, j in zip(ends, ends[1:])]
             edges = [f[every + (i,)] for i, wall in ((0, c.start == 0), (-1, c.stop == n)) if wall]
+            if not last:  # its upwind terms overwrote div's two rims along the axis
+                edges += [div[every + (0,)], div[every + (-1,)]]
             scratch = rm.reshape(-1)[:div_in.size].reshape(div_in.shape) if a > 1 else None
-            self.axes.append((w_lo, w[hi], rm[lo], rm[hi], g > 0.0, g,
-                              f, edges, f[lo], f[hi], div_in, scratch))
+            self.axes.append((rm[lo], rm[hi], runs, up, f, edges, f[lo], f[hi], div_in, scratch))
 
     def divergence(self, h: float, m: float) -> np.ndarray:
         """(F_{i+1/2} - F_{i-1/2}) / h per window cell and member, with
@@ -200,11 +213,11 @@ class _Window:
         written into ``div`` in the float order of one expression per axis;
         the axes' differences are summed axis 1 first."""
         np.power(self.w, m, out=self.rm)
-        for w_lo, w_hi, rm_lo, rm_hi, g_pos, g, f, edges, f_lo, f_hi, div_in, scratch in self.axes:
+        for rm_lo, rm_hi, runs, up, f, edges, f_lo, f_hi, div_in, scratch in self.axes:
             np.subtract(rm_hi, rm_lo, out=f)
             f /= h
-            up = np.where(g_pos, w_hi, w_lo)
-            up *= g
+            for w_up, g, up_run in runs:
+                np.multiply(w_up, g, out=up_run)
             f += up
             for edge in edges:
                 edge.fill(0.0)

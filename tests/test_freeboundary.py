@@ -303,15 +303,20 @@ class TestInteriorGradientReference:
             np.testing.assert_array_equal(got[1], want[1])
 
 
+def full_grid_mass(c, phi, m, vol):
+    """The discrete mass map M(c), each density computed over every cell."""
+    u = np.maximum(c - phi, 0.0)
+    return vol * float(np.sum(np.power((m - 1.0) / m * u, 1.0 / (m - 1.0))))
+
+
 def full_grid_equilibrium_constant(target_mass, pot, m, grid):
-    """The bisection of equilibrium_constant with each M(C) over every cell."""
+    """A plain bisection to |M(C) - target| <= 1e-10 target, each M(C) over
+    every cell: the reference of equilibrium_constant's Newton iteration."""
     phi = np.asarray(pot.eval(grid.centers()), dtype=float)
     phi_min = min(float(phi.min()), pot.min_value())
-    vol = grid.cell_volume
 
     def mass(c):
-        u = np.maximum(c - phi, 0.0)
-        return vol * float(np.sum(np.power((m - 1.0) / m * u, 1.0 / (m - 1.0))))
+        return full_grid_mass(c, phi, m, grid.cell_volume)
 
     c_cap = float(ring(phi, 1).min())
     if mass(c_cap) < target_mass:
@@ -365,13 +370,21 @@ class TestEquilibriumConstant:
         assert all(a < b for a, b in zip(cs, cs[1:]))
 
     def test_discrete_mass_map_nondecreasing(self):
-        from pmed.freeboundary import _BandedMass
+        from pmed.freeboundary import _MassMap
         g = Grid(dim=1, h=0.01, extent=2.0)
-        pot = make_quadratic_potential(1.0, dim=1)
-        phi = pot.eval(g.centers())
-        mass = _BandedMass(phi, 2.0, g.cell_volume)
-        masses = [mass(c, c) for c in np.linspace(0.0, 2.0, 60)]
-        assert all(b >= a for a, b in zip(masses, masses[1:]))
+        phi = make_quadratic_potential(1.0, dim=1).eval(g.centers())
+        for m in (1.5, 2.0, 3.0):
+            mass = _MassMap(phi, m, g.cell_volume)
+            levels = np.linspace(0.0, 2.0, 60)
+            masses, slopes = zip(*(mass(c) for c in levels))
+            assert all(b >= a for a, b in zip(masses, masses[1:]))
+            # the banded sum is the full-grid float; M' = vol sum k a (a u)^(k-1)
+            assert list(masses) == [full_grid_mass(c, phi, m, g.cell_volume) for c in levels]
+            a, k = (m - 1.0) / m, 1.0 / (m - 1.0)
+            for c, slope in zip(levels, slopes):
+                u = c - phi[phi < c]
+                want = g.cell_volume * k * a * float(np.sum((a * u) ** (k - 1.0)))
+                assert slope == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -393,7 +406,36 @@ class TestEquilibriumConstant:
             except PmedError as exc:
                 return type(exc)
 
-        assert outcome(equilibrium_constant) == outcome(full_grid_equilibrium_constant)
+        got, want = outcome(equilibrium_constant), outcome(full_grid_equilibrium_constant)
+        # the same error, or a level at least as close to the mass as the reference's
+        assert isinstance(got, float) == isinstance(want, float)
+        if not isinstance(want, float):
+            assert got is want
+            return
+        phi = pot.eval(g.centers())
+        assert abs(full_grid_mass(got, phi, m, g.cell_volume) - mass) <= \
+            abs(full_grid_mass(want, phi, m, g.cell_volume) - mass)
+
+    @pytest.mark.parametrize("dim, n, m, target", [
+        (2, 400, 2.0, 0.966), (2, 400, 2.0, 1.0), (2, 400, 1.5, 1.0), (2, 400, 3.0, 1.0),
+        (1, 8, 2.0, 0.168),  # lands on the root with a zero step; lo never moved
+        (1, 13, 2.0, 0.068),  # ends as its iterates cycle between neighbouring floats
+    ])
+    def test_newton_ends_at_the_nearest_level(self, monkeypatch, dim, n, m, target):
+        # the stopping rule comes before the bracket's safeguard, which would
+        # bisect on from a lo that never moved, and it ends a cycle
+        import pmed.freeboundary as fb
+        levels, real = [], fb._MassMap.__call__
+        monkeypatch.setattr(fb._MassMap, "__call__",
+                            lambda self, c: levels.append(c) or real(self, c))
+        g = Grid(dim=dim, h=4.0 / n, extent=2.0)
+        pot = make_quadratic_potential(1.0, dim=dim)
+        c = equilibrium_constant(target, pot, m, g)
+        assert len(levels) <= 10
+        phi = pot.eval(g.centers())
+        miss = [abs(full_grid_mass(x, phi, m, g.cell_volume) - target)
+                for x in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))]
+        assert miss[1] <= min(miss)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -462,9 +504,9 @@ class TestEquilibriumConstant:
         assert pot.min_value() == 0.0 < pot.eval(g.centers()).min()
         c = equilibrium_constant(0.1, pot, 2.0, g)
         assert c == equilibrium_constant(0.1, make_quadratic_potential(1.0, dim=1), 2.0, g)
-        # the quadratic's value, from the bracket at 0; from the grid minimum
-        # the bisection stops at 0.2823042452643625, as close to the mass
-        assert c == pytest.approx(0.2823042452801019, rel=1e-12)
+        # the level nearest the mass: M(C) is 0.1 to the rounding of its sum
+        mass = full_grid_mass(c, pot.eval(g.centers()), 2.0, g.cell_volume)
+        assert abs(mass - 0.1) <= 8 * np.spacing(0.1)
 
     def test_nonconvex_rejected(self):
         g = Grid(dim=1, h=0.01, extent=2.0)

@@ -110,10 +110,10 @@ CASES = {
 DIGESTS = {
     'compare-1d': (0, {'compare.csv': 'f8d00ba4f85bc296b2b909c032611cdce6d1cacc3d090ef8e020882f5a632d6f'}),
     'compare-2d': (0, {'compare.csv': '50fee4fefaac807bda9e3bdf85b996183639740905b0981b33eec5cb03ebe783'}),
-    'convergence-1d': (0, {'hausdorff.csv': '39a9500300509ded38feb10f0251ccdd0dd851ab57cf9fa1651e0aea9ca6b0d4', 'summary.csv': 'e8a89e5d25ae8cebc1709fe51531ab80177b87667791b5a867e8c0aa17786260'}),
-    'convergence-2d': (0, {'hausdorff.csv': '4edd6eef38e7b5730340461ee5f3ba00458f8c34fa0a67b16a5ca3bedf67858f', 'summary.csv': '688cca668929aeae6170d9bf59a5d631fbefa9f70f0e9c3e15659a6aa2aaf460'}),
-    'equilibrium-1d': (0, {'equilibrium.csv': 'cda9ca5b3e4b14614d2e5c6bc230e5cb891957f98b9390b2996b33c759bc036e'}),
-    'equilibrium-2d': (0, {'equilibrium.csv': '9e1c3fe6d3ee955d3e6352f277f7e1014a2b96b5559d25fae80767082652d37c'}),
+    'convergence-1d': (0, {'hausdorff.csv': '03c68dd1cd5ce7d3c219ce42de89f6d7556fdda23ef7b181ef8bc6b595bc37df', 'summary.csv': '87ede966162854cea7adc577203d869acaff3ed5be115212e04a454aec48c4b3'}),
+    'convergence-2d': (0, {'hausdorff.csv': 'cd59e4c30c9129a11f935ea154342f3c1f2cb19bfca3ec5b20fbdb22d615f419', 'summary.csv': 'b58685194efc78fc0b786d1acc6966415c0a75cc721fe3b33d7f295030d7447b'}),
+    'equilibrium-1d': (0, {'equilibrium.csv': 'a8ef620f4ece694a5a1c1e3e786bf158c2cbb9c7d43dd8c24d0d25322d291558'}),
+    'equilibrium-2d': (0, {'equilibrium.csv': 'efcafed2cffcb97bb5165fd98066f6ec5e9eb72d42e55829074c337ccce924b2'}),
     'simulate-1d': (0, {'mass.csv': '72834da82f926ce6a3983502a7ed2264687c3b4bee53aba3c567b8c80a7a28b8', 'snapshots.csv': '375df8f6bee41605b36e033ebda633b07ebd2edfaaef41c5a880f1cc0110bc34', 'snapshots.ndjson': '99312477ce20351dfa299ed1877f533a6e9c3c68d1038e6657164f1e83a7788f'}),
     'simulate-2d': (0, {'mass.csv': 'f710ff9a46ddcdbdd7bd780e2444ae0d1a6cdbbd7d4554278479191eaaeecb36', 'snapshots.csv': 'fccdf51742c39bc82ffde6cbe598f5bc2b869aca57d885f11124b5a518c8366b', 'snapshots.ndjson': 'ee3c6ef37017df80b0bf5999b277e0fc2f712100e02b88cbdc45e224862105c2'}),
     'verify-barriers-1d': (1, {'residuals.csv': '8ac64d90d73388425763dd73b038aad703845907bac31da93501ce173f5ded31'}),
