@@ -200,7 +200,7 @@ def _equilibrium(
         prev, c = c, c + step
         if not (newton and lo < c < hi):
             # bisection, also after Newton's end when its level misses the tolerance
-            if hi_known and hi - lo <= np.finfo(float).eps * max(1.0, abs(hi)):
+            if hi_known and np.nextafter(lo, hi) >= hi:  # no float left between them
                 break
             c = 0.5 * (lo + hi) if hi_known else hi
     err, c = best
@@ -220,8 +220,9 @@ def equilibrium_constant(
     Safeguarded Newton on the discrete mass map M(C), continuous and
     nondecreasing on a fixed grid, from one unit above the lower of the grid
     minimum of Phi and its computed minimum (where M vanishes).  It bisects
-    its bracket where Newton leaves it, and stops once a step stays within
-    one ulp of C or returns to the previous iterate.  The level must meet
+    its bracket where Newton leaves it, down to two adjacent floats, and
+    stops once a step stays within one ulp of C or returns to the previous
+    iterate.  The level must meet
     |M(C) - target| <= 1e-10 target; a target that no float C meets (for
     m > 2, M jumps by about (ulp of Phi)^(1/(m-1)) where C passes a cell's
     Phi) raises InvalidParameterError.  Raises UnsupportedPotentialError

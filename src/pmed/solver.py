@@ -34,6 +34,7 @@ All reductions are fixed-order, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -143,91 +144,97 @@ def _drift(grid: Grid, potential: Potential) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Window:
-    """Everything a stack keeps per support box: the views and buffers one
-    step reads and writes, and the outflow rate cfl_dt reads.  The window is
-    the box grown by 2 cells and clipped to the grid.  Built once per box,
-    so a step makes no slice and allocates nothing.
+    """Everything a stack keeps per support box, the box grown by 2 cells and
+    clipped to the grid: the stepping state, the buffers and views of one
+    step, cfl_dt's drift rate O / h (O, the largest outflow rate in the box,
+    is the sum of the axes' maxima: Phi is separable and rounded + monotone)
+    and ``near``, whether margin_ok must scan (the box is in the margin).
 
-    ``outflow`` is the largest outflow rate out_i of a cell in the box.
-    Phi is separable, so out_i is a sum of one vector per axis, and its max
-    over the box is the sum of the axes' maxima (rounded + is monotone).
-
-    Per axis a, interface i+1/2 joins window cells i and i+1; its flux goes
-    to ``f`` and the divergence (F_{i+1/2} - F_{i-1/2}) / h to ``div``.  The
-    interfaces at the grid edge carry zero flux (``edges``), so the outermost
-    cell ring stays zero and the no-flux wall sits one cell inside the grid.
-    Every other interface on the window's rim, and every border cell of
-    ``div``, joins cells outside the support, so it is +0.0 without zeroing
-    (but for the rims below).  The axes take turns with one flux buffer.
-    Each axis puts its upwind terms rho_up * g (``up``) where nothing is
-    held until f += up: the last axis in rho^m's buffer, which it has read
-    by then, and axis 1 of 2 in ``div``'s, which it has not written yet;
-    the two rims of ``div`` along axis 1, which no difference overwrites,
-    are re-zeroed with the ``edges``.  Axis 2 differences its fluxes in
-    rho^m's buffer too: three window-sized buffers in all.
-
-    g is fixed per window, so each axis splits into runs of interfaces with
-    one sign of g (at most 2 for a convex Phi): the upwind value is the high
-    side's where g > 0, the low side's elsewhere.  ``axes`` holds per axis:
-    rho^m on the low and high side of each interface, per run the upwind
-    values, g (shaped to broadcast along the axis) and ``up``'s slice, then
-    ``up``, the flux ``f``, the views to zero and the flux's two shifts, the
-    divergence's inner slice along the axis and, past axis 1, a view of that
-    slice's shape on rho^m's buffer.
+    ``w`` is a C-contiguous copy of the (B, *window) values, then one axis-1
+    stride of zeros.  Along an axis of stride s, interface k joins the flat
+    cells k and k + s for every k: each kernel call is one contiguous slice.
+    A pair that wraps to the next line, member or the pad joins two rim
+    cells, which stay zero (2 cells off the box, or on the grid's outer
+    ring), and carries g = 0: its flux is +0.0, as between any empty cells.
+    Grid-edge interfaces get zero flux (``edges``).  Each axis splits into
+    runs of one sign of g; one multiply per run of the upwind values (the
+    high side's where g > 0) by g forms rho_up * g, the kernel's product, on
+    every input.  The terms go where nothing is held until f += up: rho^m's
+    buffer on the last axis, ``div``'s on axis 1 of 2 (its first s cells are
+    re-zeroed with the edges).  Axis 2 of 2 differences in rho^m's buffer:
+    four window-sized buffers in all.
     """
 
     def __init__(self, stack: "_Stack", box: tuple[tuple[int, int], ...]):
-        n = stack.n
-        self.box = box
+        self.box, n = box, stack.n
+        self.near = any(lo < 2 or hi > n - 2 for lo, hi in box)
         self.outflow = sum(float(stack.out[lo:hi].max()) for lo, hi in box)
+        self.drift = self.outflow / stack.grid.h
         self.cells = cells = tuple(slice(max(lo - 2, 0), min(hi + 2, n)) for lo, hi in box)
-        self.starts = tuple(c.start for c in cells)
-        self.w = w = stack.v[(slice(None),) + cells]
-        self.rm = rm = np.empty(w.shape)
-        self.div = div = np.zeros(w.shape)
-        flux = np.empty(w.size)
-        self.axes = []
-        for a, c in enumerate(cells, start=1):
-            every = (slice(None),) * a
-            lo, hi = every + (slice(None, -1),), every + (slice(1, None),)
-            w_lo, w_hi, div_in = w[lo], w[hi], div[every + (slice(1, -1),)]
-            f = flux[:w_lo.size].reshape(w_lo.shape)
-            last = a == len(cells)
-            up = (rm if last else div).reshape(-1)[:w_lo.size].reshape(w_lo.shape)
-            g = stack.g[c.start:c.stop - 1]
-            ends = [0, *(np.flatnonzero(np.diff(g > 0.0)) + 1).tolist(), len(g)]
-            runs = [((w_hi if g[i] > 0.0 else w_lo)[every + (slice(i, j),)],
-                     g[i:j].reshape((-1,) + (1,) * (len(cells) - a)), up[every + (slice(i, j),)])
-                    for i, j in zip(ends, ends[1:])]
-            edges = [f[every + (i,)] for i, wall in ((0, c.start == 0), (-1, c.stop == n)) if wall]
-            if not last:  # its upwind terms overwrote div's two rims along the axis
-                edges += [div[every + (0,)], div[every + (-1,)]]
-            scratch = rm.reshape(-1)[:div_in.size].reshape(div_in.shape) if a > 1 else None
-            self.axes.append((rm[lo], rm[hi], runs, up, f, edges, f[lo], f[hi], div_in, scratch))
+        self.starts, self.index = tuple(c.start for c in cells), (slice(None),) + cells
+        shape, size = (block := stack.v[self.index]).shape, block.size
+        state, rmp = np.zeros((2, size + size // shape[0] // shape[1]))  # padded by a stride
+        self.w, self.rm, self.div, self.flux = w, rm, div, flux = (
+            state[:size], rmp[:size], np.zeros(size), np.empty(size))
+        self.values, self.view = w.reshape(shape), div.reshape(shape)
+        self.values[...] = block
+        self.axes, self.rims = [], []
+        for a, (c, (lo, hi)) in enumerate(zip(cells, box), start=1):
+            na, s = shape[a], math.prod(shape[a + 1:])
+            lines = (-1, na, s)[:3 - (s == 1)]  # (lines of all members, axis a[, stride])
+            gv = np.append(stack.g[c.start:c.stop - 1], 0.0)  # the wrap pairs: g = 0
+            g, up = gv.reshape((na, 1)[:len(lines) - 1]), rm if a == len(cells) else div
+            ends = [0, *(np.flatnonzero(np.diff(gv[:-1] > 0.0)) + 1).tolist(), na]
+            runs = [(state[s * int(gv[i] > 0.0):][:size].reshape(lines)[:, i:j], g[i:j],
+                     up.reshape(lines)[:, i:j]) for i, j in zip(ends, ends[1:])]
+            walls = [i for i, wall in ((0, c.start == 0), (na - 2, c.stop == n)) if wall]
+            edges = [flux.reshape(lines)[:, i] for i in walls] + ([div[:s]] if up is div else [])
+            sub = (div[s:], None) if a == 1 else (rm[:size - s], div[s:])
+            self.axes.append((rmp[s:size + s], runs, up, edges, flux[s:], flux[:-s], *sub))
+            cuts = (np.array([lo - 1, lo, lo + 1, hi - 1, hi]) - c.start) * s
+            self.rims.append((w, (cuts + np.arange(0, size, size // shape[0])[:, None]).ravel())
+                             if a == 1 else (self.values, cuts))
 
     def divergence(self, h: float, m: float) -> np.ndarray:
-        """(F_{i+1/2} - F_{i-1/2}) / h per window cell and member, with
+        """(F_{i+1/2} - F_{i-1/2}) / h per window cell and member, a
+        (B, *window) view, with
 
             F_{i+1/2} = ((rho^m)_{i+1} - (rho^m)_i) / h + rho_up * g_{i+1/2}
 
         written into ``div`` in the float order of one expression per axis;
         the axes' differences are summed axis 1 first."""
-        np.power(self.w, m, out=self.rm)
-        for rm_lo, rm_hi, runs, up, f, edges, f_lo, f_hi, div_in, scratch in self.axes:
-            np.subtract(rm_hi, rm_lo, out=f)
+        rm, f = self.rm, self.flux
+        np.power(self.w, m, out=rm)
+        for rm_hi, runs, up, edges, f_hi, f_lo, out, total in self.axes:
+            np.subtract(rm_hi, rm, out=f)
             f /= h
             for w_up, g, up_run in runs:
                 np.multiply(w_up, g, out=up_run)
             f += up
             for edge in edges:
                 edge.fill(0.0)
-            if scratch is None:
-                np.subtract(f_hi, f_lo, out=div_in)
-            else:
-                np.subtract(f_hi, f_lo, out=scratch)
-                div_in += scratch
+            np.subtract(f_hi, f_lo, out=out)
+            if total is not None:
+                total += out
         self.div /= h
-        return self.div
+        return self.view
+
+    def rim_top(self) -> float | None:
+        """The largest value of any member if the step kept the box, else
+        None; the values must be >= 0, no NaN.  The box is kept iff along each
+        axis the cells just outside each face are zero and each face holds a
+        positive value.  ``rims`` cuts each axis at [lo-1, lo, lo+1, hi-1, hi]:
+        the flat members into segments along axis 1 (they cover every cell
+        from lo-1 on, so they give the max; a thin box repeats a cut, which
+        yields one covered cell), the rows into five columns along axis 2."""
+        r = None
+        for view, cuts in self.rims:
+            seg = (np.maximum.reduceat(view, cuts) if view.ndim == 1
+                   else np.maximum.reduce(view[..., cuts], 1).ravel()).tolist()
+            if any(seg[0::5] + seg[4::5]) or not (any(seg[1::5]) and any(seg[3::5])):
+                return None
+            r = r or seg
+        return max(r)
 
 
 class _Stack:
@@ -241,38 +248,49 @@ class _Stack:
     the full-grid step would leave it at v + dt*0 = v.  Values, clipped
     masses and dt are those of stepping each member on the whole grid, bit
     for bit, for fields that hold no -0.0 (a step never makes one).
+
+    The window's flat copy is the stepping state; ``v`` writes it back
+    before it returns the (B, *grid.shape) values.  After a step the box and
+    ``top``, the largest value of any member, come from the window's rim
+    test (rim_top), or from a full scan of the window (_track) when the test
+    fails or a value was clipped.  Member maxima are taken from the window
+    only when margin_ok scans.
     """
 
     def __init__(self, values: np.ndarray, grid: Grid, cfg: SolverConfig):
-        self.v = values  # (B, *grid.shape)
+        self._v = values  # (B, *grid.shape), behind the window's copy while _stale
         self.grid, self.cfg, self.n = grid, cfg, grid.n_cells
         self.g, self.out = _drift(grid, cfg.potential)
         self.clipped_cum = [0.0] * len(values)
         self._spatial = tuple(range(1, values.ndim))
         self._across = [(0,) + self._spatial[:a] + self._spatial[a + 1:] for a in range(grid.dim)]
+        self._diffusion, self._h2 = 2.0 * grid.dim * cfg.m, grid.h**2  # cfl_dt's, in its order
         self.box = self._win = None
+        self._stale = False
         self._track(values, (0,) * grid.dim)
 
+    @property
+    def v(self) -> np.ndarray:
+        """The members' values, (B, *grid.shape), up to date."""
+        if self._stale:
+            self._v[self._win.index] = self._win.values
+            self._stale = False
+        return self._v
+
     def _track(self, w: np.ndarray, starts: tuple[int, ...]) -> None:
-        """Per-member max and the support's bounding box, from the values
-        ``w`` of the cells from ``starts`` on (which hold every positive
-        value)."""
-        self.tops = np.maximum.reduce(w, axis=self._spatial).tolist()
+        """The largest value of any member (``top``) and the support's
+        bounding box, from the values ``w`` of the cells from ``starts`` on
+        (which hold every positive value)."""
+        self.top = max(np.maximum.reduce(w, axis=self._spatial).tolist())
         pos = w > 0.0
-        box = []
-        for start, across in zip(starts, self._across):
-            seen = np.logical_or.reduce(pos, axis=across)
-            first = int(seen.argmax())
-            if not seen[first]:
-                box = None
-                break
-            box.append((start + first, start + seen.size - int(seen[::-1].argmax())))
-        self.box = box and tuple(box)  # per axis [first, last + 1) of the support
+        seen = [np.flatnonzero(np.logical_or.reduce(pos, axis=across)) for across in self._across]
+        self.box = tuple((start + int(i[0]), start + int(i[-1]) + 1)  # per axis [first, last + 1)
+                         for start, i in zip(starts, seen)) if seen[0].size else None
 
     def _window(self) -> _Window:
         """The window of the current box, which must be nonempty."""
         if self._win is None or self._win.box != self.box:
-            self._win = None  # free the old window's buffers first
+            self._v, self._win = self.v, None  # write back, then free the old buffers
             self._win = _Window(self, self.box)
         return self._win
 
@@ -283,10 +301,10 @@ class _Stack:
         The ring is scanned only when the box reaches into it; otherwise the
         ring holds no positive value.
         """
-        n = self.n
-        if self.box is None or all(lo >= 2 and hi <= n - 2 for lo, hi in self.box):
+        if self.box is None or not self._window().near:
             return True
-        return not any(np.any(ring(v, 2) > 1e-12 * top) for v, top in zip(self.v, self.tops))
+        tops = np.maximum.reduce(self._win.values, axis=self._spatial).tolist()
+        return not any(np.any(ring(v, 2) > 1e-12 * top) for v, top in zip(self.v, tops))
 
     def cfl_dt(self) -> float:
         """The shared step of every member, capped at the snapshot cadence:
@@ -299,31 +317,34 @@ class _Stack:
         step is monotone for every cfl_safety <= 1.  A zero rate (no drift
         out of the box, and T^(m-1) rounding to 0) leaves the cadence.
         """
-        m, h, dim = self.cfg.m, self.grid.h, self.grid.dim
-        outflow = self._window().outflow if self.box is not None else 0.0
-        rate = 2.0 * dim * m * max(self.tops) ** (m - 1.0) / h**2 + outflow / h
+        drift = self._window().drift if self.box is not None else 0.0
+        rate = self._diffusion * self.top ** (self.cfg.m - 1.0) / self._h2 + drift
         if not rate > 0.0:
             return self.cfg.snapshot_every
         return min(self.cfg.snapshot_every, self.cfg.cfl_safety / rate)
 
     def step(self, dt: float) -> None:
         """One explicit step of every member, adding to ``clipped_cum``."""
-        if not self.margin_ok():
-            raise DomainOverflowError("support within two cells of the box edge")
         if self.box is None:  # all zero: a fixed point
             return
         win = self._window()
-        div = win.divergence(self.grid.h, self.cfg.m)
+        if win.near and not self.margin_ok():
+            raise DomainOverflowError("support within two cells of the box edge")
+        win.divergence(self.grid.h, self.cfg.m)
+        div, w = win.div, win.w
         div *= dt
-        w = win.w
         w += div
-        if np.fmin.reduce(w, axis=None) < 0.0:  # fmin skips NaN, as w < 0.0 does
-            for b, wb in enumerate(w):
+        self._stale = True
+        if not np.minimum.reduce(w) >= 0.0:  # a negative value, or NaN
+            for b, wb in enumerate(win.values):
                 negb = wb < 0.0
                 if negb.any():  # even where their mass rounds to 0.0
                     self.clipped_cum[b] += -self.grid.cell_volume * float(np.sum(wb[negb]))
                     wb[negb] = 0.0
-        self._track(w, win.starts)
+        elif (top := win.rim_top()) is not None:
+            self.top = top
+            return
+        self._track(win.values, win.starts)
 
 
 def cfl_dt(rho: Field, cfg: SolverConfig) -> float:

@@ -103,3 +103,27 @@ def test_main_defaults_to_the_declared_workloads_and_metrics(tmp_path, monkeypat
     summary = json.loads(out.read_text())["summary"]
     assert list(summary) == seen
     assert all(set(end_to_end) <= set(entry) for entry in summary.values())
+
+
+@pytest.mark.parametrize("option, spec", [
+    ("--trace-workloads", "verify-barriers-2d:0"),
+    ("--trace-workloads", "verify-barriers-2d:3-1"),
+    ("--workloads", "verify-barriers-2d:a-b"),
+    ("--workloads", "no-such-workload"),
+    ("--workloads", "compare-1d-long:-1-2"),
+])
+def test_a_bad_spec_exits_before_any_pair(monkeypatch, capsys, tmp_path, option, spec):
+    ran = []
+    monkeypatch.setattr(bench_pairs, "pair", lambda *args: ran.append(args))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "a", "--change", "b", "--out", str(out),
+                          "--workloads", "compare-1d-long", option, spec])
+    assert exc.value.code == 2 and spec in capsys.readouterr().err
+    assert ran == [] and not out.exists()
+
+
+def test_specs_name_a_workload_and_a_seed_range():
+    assert bench_pairs.seeds_of("compare-1d-long", [0, 1]) == ("compare-1d-long", [0, 1])
+    assert bench_pairs.seeds_of("compare-1d-long:2-4", [0]) == ("compare-1d-long", [2, 3, 4])
+    assert bench_pairs.seeds_of("compare-1d-long:5-5", [0]) == ("compare-1d-long", [5])

@@ -1,8 +1,9 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, reject, settings
+from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
 from pmed.barriers import BarenblattSpec
@@ -246,6 +247,25 @@ def stack_cases(draw):
     return grid, cfg, members
 
 
+def one_cell_case(grid, i, value, cfg):
+    """A stack case of one member with one positive cell, at flat index i."""
+    v = np.zeros(grid.shape)
+    v.flat[i] = value
+    return grid, cfg, [v]
+
+
+def faded_face_case(mirror):
+    """1D: one face of the box is the least subnormal, with empty cells on
+    both sides, which the inward drift empties in one step; the other face,
+    1e-200, keeps its value and its zero outside (its rho^m underflows)."""
+    grid = Grid(dim=1, h=0.1, extent=0.8)
+    v = np.zeros(grid.shape)
+    v[6:10], v[3], v[12] = 1.0, 5e-324, 1e-200
+    cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(200.0, 1), t_end=1.0,
+                       snapshot_every=1.0)
+    return grid, cfg, [v[::-1].copy() if mirror else v]
+
+
 class TestWindowedStep:
     @settings(max_examples=300, deadline=None)
     @given(stack_cases(), st.sampled_from([1.0, 10.0]))
@@ -307,18 +327,71 @@ class TestWindowedStep:
 
     @settings(max_examples=100, deadline=None)
     @given(stack_cases(), st.floats(0.05, 1.0))
+    @example(one_cell_case(Grid(dim=1, h=0.05, extent=0.225), 4, 5.96046448e-08, SolverConfig(
+        m=2.0, potential=Potential((0.0, 0.0, -0.0078125, 1.0, -2.101386799162184), 1),
+        t_end=1.0, snapshot_every=1.0)), 0.0625)  # dt * rate = safety * (1 + 1.7e-12)
     def test_dt_within_every_cells_diagonal_rate(self, case, safety):
         # the step is monotone where it matters: in every cell that holds mass
         grid, cfg, members = case
         cfg = replace(cfg, cfl_safety=safety)
         support = np.any(np.stack(members) > 0.0, axis=0)
         a, c = kernel_diagonal(grid, reference_g(grid, cfg.potential), support)
-        rate = max(float(np.max(cfg.m * a * v ** (cfg.m - 1.0) + c)) for v in members)
         dt = _Stack(np.stack(members), grid, cfg).cfl_dt()
-        # to rounding: the kernel sums the rate in another order
-        assert dt * rate <= safety * (1.0 + 1e-12)
+        # Rounding, in units u of the terms' magnitudes: the kernel's a carries
+        # 3 u and its c, a difference of two kernel outputs, 9 u of a + |c|;
+        # the diffusion term adds 7 u of itself (m * a, the power, the product)
+        # and the sum 1 u: under 16 u in all.  The solver's rate carries 8 u,
+        # dt and dt * rate 1 u each: under 16 u of safety.
+        u = np.finfo(float).eps / 2.0
+        rate = 0.0
+        for v in members:
+            diffusion = cfg.m * a * v ** (cfg.m - 1.0)
+            exact_at_least = diffusion + c - 16.0 * u * (diffusion + a + np.abs(c))
+            rate = max(rate, float(np.max(exact_at_least)))
+        assert dt * rate <= safety * (1.0 + 16.0 * u)
         if dt * rate >= 0.5 * safety:
             event("within 2x of the exact rate")
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack_cases(), st.booleans(), st.sampled_from([None, 0, -1]),
+           st.sampled_from([1.0, 1.0, 4.0]))
+    @example(faded_face_case(mirror=False), False, None, 1.0)
+    @example(faded_face_case(mirror=True), False, None, 1.0)
+    def test_rim_tracking_equals_a_full_scan(self, case, empty_member, fading, overshoot):
+        # after every step the box and the largest value are a full scan's, and
+        # the window is scanned in full only where the box changed or a value
+        # was clipped; overshoot 4 makes negative values, some on the box's
+        # faces, and the least subnormal on a face can round to zero unclipped
+        grid, cfg, members = case
+        members = members + [np.zeros(grid.shape)] * empty_member
+        if fading is not None and members[0].any():  # its first or last positive cell
+            members[0].flat[np.flatnonzero(members[0])[fading]] = 5e-324
+        stack = _Stack(np.stack(members), grid, cfg)
+        scans, full = [], stack._track
+        stack._track = lambda w, starts: scans.append(starts) or full(w, starts)
+        if empty_member:
+            event("an all-zero member")
+        g = reference_g(grid, cfg.potential)
+        for _ in range(20):
+            if not stack.margin_ok():
+                break
+            box, scanned, dt = stack.box, len(scans), overshoot * stack.cfl_dt()
+            if box is not None and any(lo <= 2 or hi >= grid.n_cells - 2 for lo, hi in box):
+                event("window touches the grid edge")
+            if box is not None and min(hi - lo for lo, hi in box) < 3:
+                event("box thinner than 3 cells")
+            clipping = any(np.any(v + dt * reference_flux_divergence(v, grid, cfg.m, g) < 0.0)
+                           for v in stack.v)
+            stack.step(dt)
+            ref = _Stack(stack.v.copy(), grid, cfg)
+            assert (stack.box, stack.top) == (ref.box, ref.top)
+            if clipping:
+                event("clipped" + (", box changed" if stack.box != box else ""))
+            elif stack.box == box:
+                assert len(scans) == scanned
+                event("the rim test kept the box")
+            else:
+                event("box changed, nothing clipped")
 
     @settings(max_examples=100, deadline=None)
     @given(stack_cases())
@@ -525,6 +598,21 @@ class TestSimulate:
         assert errs_l1[0] >= errs_l1[1] >= errs_l1[2]
         assert errs_inf[0] / errs_inf[1] >= 1.5
         assert errs_inf[1] / errs_inf[2] >= 1.5
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_snapshots_are_not_views_of_the_live_window(self, dim):
+        # stepping on after a snapshot leaves it as it was: a run that ends
+        # there records the same values, and no two snapshots share memory
+        grid = Grid(dim=dim, h=0.1, extent=1.5)
+        lo, hi = (bump_density(grid, amplitude=a, width=w) for a, w in ((0.3, 0.4), (0.6, 0.5)))
+        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(0.5, dim),
+                           t_end=0.3, snapshot_every=0.05)
+        short = _simulate_stack((lo, hi), replace(cfg, t_end=0.1))
+        for run, ended in zip(_simulate_stack((lo, hi), cfg), short):
+            values = [s.field.values for s in run.snapshots]
+            assert all(same_bits(v, s.field.values) for v, s in zip(values, ended.snapshots))
+            assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(values, 2))
+            assert not same_bits(values[2], values[-1])
 
     def test_error_annotated_with_time(self):
         spec = BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0)

@@ -11,7 +11,9 @@ checkout is measured by its own ``perfbench/run.py`` (the program under
 made, parent and change back to back; which of the two runs first alternates
 from pair to pair, so that a slow phase of a shared host does not always
 fall on the same side.  A workload given as ``NAME:FIRST-LAST`` runs the
-seeds FIRST..LAST instead of ``--seeds``.  The workloads named by
+seeds FIRST..LAST instead of ``--seeds``; every spec is checked before the
+first pair runs, and one that names no declared workload or no range
+FIRST <= LAST stops the tool with a usage error.  The workloads named by
 ``--trace-workloads`` also get ``--trace 1`` pairs, for the per-layer
 tables: at the first of ``--seeds``, or at the seeds of their own range.
 
@@ -104,10 +106,17 @@ def pair(dirs: dict, workload: str, seed: int, seconds: float, trace: int,
 
 
 def seeds_of(spec: str, default: list[int]) -> tuple[str, list[int]]:
-    """``NAME`` or ``NAME:FIRST-LAST`` -> (NAME, seeds)."""
-    workload, _, span = spec.partition(":")
-    first, _, last = span.partition("-")
-    return workload, list(range(int(first), int(last) + 1)) if span else default
+    """``NAME`` or ``NAME:FIRST-LAST`` -> (NAME, seeds).  Raises ValueError
+    unless NAME is a declared workload and FIRST <= LAST are seed numbers."""
+    workload, colon, span = spec.partition(":")
+    if workload not in names("workloads"):
+        raise ValueError(f"{spec!r}: unknown workload {workload!r}")
+    if not colon:
+        return workload, default
+    first, dash, last = span.partition("-")
+    if not (dash and first.isdigit() and last.isdigit() and int(first) <= int(last)):
+        raise ValueError(f"{spec!r}: not NAME:FIRST-LAST with FIRST <= LAST")
+    return workload, list(range(int(first), int(last) + 1))
 
 
 def quartiles(xs: list[float]) -> tuple[float, float]:
@@ -162,15 +171,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
-    pairs, traced, index = [], [], 0
-    for specs, trace, seconds, default, rows in (
-            (args.workloads, 0, args.seconds, args.seeds, pairs),
-            (args.trace_workloads, 1, args.trace_seconds, args.seeds[:1], traced)):
-        for spec in specs:
-            workload, seeds = seeds_of(spec, default)
-            for seed in seeds:
-                rows.append(pair(dirs, workload, seed, seconds, trace, index))
-                index += 1
+    pairs, traced = [], []
+    try:  # every spec is checked before the first pair runs
+        jobs = [(rows, trace, seconds, *seeds_of(spec, default))
+                for specs, trace, seconds, default, rows in (
+                    (args.workloads, 0, args.seconds, args.seeds, pairs),
+                    (args.trace_workloads, 1, args.trace_seconds, args.seeds[:1], traced))
+                for spec in specs]
+    except ValueError as exc:
+        parser.error(str(exc))
+    index = 0
+    for rows, trace, seconds, workload, seeds in jobs:
+        for seed in seeds:
+            rows.append(pair(dirs, workload, seed, seconds, trace, index))
+            index += 1
 
     environment = {}  # recorded once per side, not per run
     for row in pairs + traced:
