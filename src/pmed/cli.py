@@ -396,36 +396,45 @@ def _write_rows(path: str, header: list[str], rows):
 # command runners
 
 
-def _reprs(v: np.ndarray) -> list[str]:
-    """``repr`` of each value of ``v`` in row-major order; every +0.0 cell
-    shares one "0.0" string, so only the support is formatted."""
-    flat = v.ravel()
-    out = ["0.0"] * flat.size
-    nz = np.flatnonzero((flat != 0.0) | np.signbit(flat))  # -0.0 keeps its sign
-    for i, s in zip(nz.tolist(), map(repr, flat[nz].tolist())):
-        out[i] = s
-    return out
+class _SnapshotWriter:
+    """Writes snapshots to either file handle (None skips it), byte for byte
+    as _write_lines would write the rows ``t,x[,y],rho,u`` from the formatted
+    axis centers ``ax``, and the ndjson record as ``json.dumps`` would write
+    it (a Field's values are finite: no NaN or Infinity spelling).  Only the
+    box of cells where rho or u is not +0.0 is formatted, once for both
+    files; every other cell's line or row is a per-run all-zero string."""
 
+    def __init__(self, csv, ndjson, ax: list[str], dim: int):
+        self.csv, self.ndjson, self.n, self.dim = csv, ndjson, len(ax), dim
+        self.heads = [",".join(x) for x in itertools.product(ax, repeat=dim)] if csv else []
+        self.zero_lines = [f"{x},0.0,0.0\n" for x in self.heads]
+        self.zero_row = "[" + ", ".join(["0.0"] * self.n) + "]"
 
-def _write_snapshot(csv, ndjson, t: float, ax: list[str], rho: np.ndarray, u: np.ndarray):
-    """One snapshot to either file handle (None skips it), from one list of
-    strings per field: rows ``t,x[,y],rho,u`` as _write_lines would write
-    them, from the formatted axis centers ``ax``, one write per line of
-    cells; and the ndjson record as ``json.dumps`` would write it (a
-    Field's values are finite, so no NaN or Infinity spelling is needed)."""
-    t, n = repr(float(t)), len(ax)
-    rs, us = _reprs(rho), _reprs(u)
-    if csv:
-        for k, pre in enumerate(itertools.product(ax, repeat=rho.ndim - 1)):
-            head = ",".join((t, *pre))
-            cells = zip(ax, rs[k * n:(k + 1) * n], us[k * n:(k + 1) * n])
-            csv.write("".join(f"{head},{x},{r},{p}\n" for x, r, p in cells))
-    if ndjson:
-        arrays = []
-        for s in (rs, us):
-            rows = ["[" + ", ".join(s[k:k + n]) + "]" for k in range(0, len(s), n)]
-            arrays.append(rows[0] if rho.ndim == 1 else "[" + ", ".join(rows) + "]")
-        ndjson.write(f'{{"t": {t}, "rho": {arrays[0]}, "u": {arrays[1]}}}\n')
+    def write(self, t: float, rho: np.ndarray, u: np.ndarray):
+        t, n = repr(float(t)), self.n
+        rho, u = rho.reshape(-1, n), u.reshape(-1, n)
+        # +0.0 is the one float whose bits are all zero; -0.0 is in the box
+        nz = (rho.view(np.int64) | u.view(np.int64)) != 0
+        rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+        # an all-zero snapshot gets an empty box: no rows of the full width
+        r0, r1, c0, c1 = ((rows[0], rows[-1] + 1, cols[0], cols[-1] + 1) if rows.size
+                          else (0, 0, 0, n))
+        w = c1 - c0
+        rs, us = (list(map(repr, v[r0:r1, c0:c1].ravel().tolist())) for v in (rho, u))
+        if self.csv:
+            lines = self.zero_lines.copy()
+            for k, i in zip(range(0, len(rs), w), range(r0 * n + c0, r1 * n, n)):
+                lines[i:i + w] = [f"{x},{r},{p}\n" for x, r, p in
+                                  zip(self.heads[i:i + w], rs[k:k + w], us[k:k + w])]
+            self.csv.write(t + "," + (t + ",").join(lines))
+        if self.ndjson:
+            pad0, pad1 = "[" + "0.0, " * c0, ", 0.0" * (n - c1) + "]"
+            arrays = []
+            for s in (rs, us):
+                lists = [self.zero_row] * len(rho)
+                lists[r0:r1] = [pad0 + ", ".join(s[k:k + w]) + pad1 for k in range(0, len(s), w)]
+                arrays.append(lists[0] if self.dim == 1 else "[" + ", ".join(lists) + "]")
+            self.ndjson.write(f'{{"t": {t}, "rho": {arrays[0]}, "u": {arrays[1]}}}\n')
 
 
 def _run_simulate(cfg: dict, stage: _Stage) -> int:
@@ -439,9 +448,10 @@ def _run_simulate(cfg: dict, stage: _Stage) -> int:
             _write_lines(csv, [["t", *("x", "y")[:grid.dim], "rho", "u"]])
         if "ndjson" in cfg["formats"]:
             ndjson = files.enter_context(open(stage.path("snapshots.ndjson"), "w"))
+        writer = _SnapshotWriter(csv, ndjson, ax, grid.dim)
         for snap in traj.snapshots:  # both formats share one pressure field
             u = pressure_from_density(snap.field, traj.config.m).values
-            _write_snapshot(csv, ndjson, snap.t, ax, snap.field.values, u)
+            writer.write(snap.t, snap.field.values, u)
     _write_rows(
         stage.path("mass.csv"),
         ["t", "mass", "clipped_mass"],

@@ -106,9 +106,16 @@ class Trajectory:
         m0 = self.snapshots[0].mass
         if m0 > 0.0:
             drift = max(abs(s.mass - m0) for s in self.snapshots)
-            if drift > 1e-10 * m0:
+            # a rounding errs by at most 2^-53 max(|x|, 2^-1022): below the
+            # smallest normal it is absolute, so each of the N cells has the
+            # budget of a cell holding 2^-1022, about 4.5e5 units of
+            # 2^-1074 vol; no mass above ~1e-300 notices the floor
+            f0 = self.snapshots[0].field
+            floor = 1e-10 * f0.values.size * f0.grid.cell_volume * 2.0**-1022
+            if drift > 1e-10 * m0 + floor:
                 raise InvalidInputError(
                     f"mass drift {drift / m0:.3e} (relative) exceeds 1e-10"
+                    f" and the subnormal floor {floor:.3e}"
                 )
 
     @property
@@ -318,7 +325,12 @@ class _Stack:
         out of the box, and T^(m-1) rounding to 0) leaves the cadence.
         """
         drift = self._window().drift if self.box is not None else 0.0
-        rate = self._diffusion * self.top ** (self.cfg.m - 1.0) / self._h2 + drift
+        try:
+            rate = self._diffusion * self.top ** (self.cfg.m - 1.0) / self._h2 + drift
+        except OverflowError:  # a float power raises where a product gives inf
+            raise InvalidInputError(
+                f"step rate is not finite: the largest density {self.top!r} to the "
+                f"power m - 1 = {self.cfg.m - 1.0!r} overflows a float") from None
         if not rate > 0.0:
             return self.cfg.snapshot_every
         return min(self.cfg.snapshot_every, self.cfg.cfl_safety / rate)

@@ -127,3 +127,30 @@ def test_specs_name_a_workload_and_a_seed_range():
     assert bench_pairs.seeds_of("compare-1d-long", [0, 1]) == ("compare-1d-long", [0, 1])
     assert bench_pairs.seeds_of("compare-1d-long:2-4", [0]) == ("compare-1d-long", [2, 3, 4])
     assert bench_pairs.seeds_of("compare-1d-long:5-5", [0]) == ("compare-1d-long", [5])
+
+
+def test_a_failed_run_keeps_the_finished_pairs(tmp_path, monkeypatch, capsys):
+    end_to_end = [metric["name"] for metric in BENCHMARK["end_to_end"]]
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, seed))
+        if seed == 2:  # the third pair
+            raise RuntimeError(f"{workload} seed {seed} exited 1: boom")
+        return {"environment": {"python": "3"}, "failed": 0, "attempted": 5,
+                "metrics": {k: 1.0 + seed for k in end_to_end}, "outputs": {"a": seed},
+                "raw": {}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "a", "--change", "b", "--out", str(out),
+                             "--workloads", "compare-1d-long:0-4"]) == 1
+    assert [seed for _, seed in calls] == [0, 0, 1, 1, 2]
+    record = json.loads(out.read_text())
+    assert [p["seed"] for p in record["pairs"]] == [0, 1]
+    assert all(p["outputs_identical"] for p in record["pairs"])
+    assert record["summary"]["compare-1d-long"]["pairs"] == 2
+    assert record["environment"] == {"parent": {"python": "3"}, "change": {"python": "3"}}
+    assert "seed 2 exited 1: boom" in record["error"]
+    assert "boom" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]  # no temp file left

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pmed.cli
@@ -268,6 +268,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
         assert not (tmp_path / "runs").exists()
 
+    def test_step_rate_overflow_is_a_typed_error(self, tmp_path, capsys):
+        # a bump of 1e160 at m 3: its power m - 1 overflows a float
+        data = simulate_config(initial={"kind": "bump", "amplitude": 1e160, "width": 0.6})
+        data["physics"]["m"] = 3.0
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, data),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "pmed: error: InvalidInputError: step rate is not finite")
+        assert not out.exists()
+
     def test_failing_run_keeps_an_earlier_runs_outputs(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", "--config", write_config(tmp_path, simulate_config()),
@@ -308,20 +319,91 @@ def snapshot_cases(draw):
     return (np.float64(t) if draw(st.booleans()) else t), ax, rho, u
 
 
+STRAY_VALUES = st.sampled_from([-0.0, -5e-324, -1e-300, -1.0, 2.5])
+
+
+@st.composite
+def snapshot_sequences(draw):
+    """Snapshots of one grid, rho and u each nonzero on a drawn box (empty,
+    one cell wide or at the grid edge, drawn anew per snapshot, so the
+    union box grows, shrinks and moves) plus a few stray cells, -0.0 or
+    negative among them, inside or outside it."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 7))
+    ax = np.array(draw(st.lists(st.floats(-1e3, 1e3, width=64), min_size=n, max_size=n)))
+    snaps = []
+    for _ in range(draw(st.integers(1, 5))):
+        fields = []
+        for _ in range(2):
+            v = np.zeros((n,) * dim)
+            box = tuple(slice(*sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2))))
+                        for _ in range(dim))
+            size = v[box].size
+            v[box] = np.reshape(draw(st.lists(FINITE_VALUES, min_size=size, max_size=size)),
+                                v[box].shape)
+            for _ in range(draw(st.integers(0, 2))):
+                v[tuple(draw(st.integers(0, n - 1)) for _ in range(dim))] = draw(STRAY_VALUES)
+            fields.append(v)
+        snaps.append((draw(st.floats(0.0, 1e6)), *fields))
+    return ax, snaps
+
+
+def boxed_sequence(n, *boxes):
+    """A 2D sequence on n x n cells: rho is 1.5 on each box and u is -0.0 on
+    its first cell (a box of None leaves both all +0.0)."""
+    snaps = []
+    for k, box in enumerate(boxes):
+        rho, u = np.zeros((n, n)), np.zeros((n, n))
+        if box is not None:
+            rho[box] = 1.5
+            u[tuple(s.start for s in box)] = -0.0
+        snaps.append((0.25 * k, rho, u))
+    return np.linspace(-1.0, 1.0, n), snaps
+
+
+def write_both(formats, ax, dim):
+    """A writer to a fresh StringIO per format in ``formats``."""
+    got = {name: io.StringIO() for name in formats}
+    return got, pmed.cli._SnapshotWriter(got.get("csv"), got.get("ndjson"),
+                                         list(map(repr, ax.tolist())), dim)
+
+
+FORMATS = st.sampled_from([("csv", "ndjson"), ("csv",), ("ndjson",)])
+
+
 class TestSnapshotWriter:
     @settings(max_examples=300, deadline=None)
-    @given(snapshot_cases(), st.sampled_from([("csv", "ndjson"), ("csv",), ("ndjson",)]))
+    @given(snapshot_cases(), FORMATS)
     def test_matches_per_value_rows(self, case, formats):
         t, ax, rho, u = case
         want = io.StringIO()
         pmed.cli._write_lines(want, reference_rows(t, ax, rho, u))
-        got = {name: io.StringIO() for name in formats}
-        pmed.cli._write_snapshot(got.get("csv"), got.get("ndjson"), t,
-                                 list(map(repr, ax.tolist())), rho, u)
+        got, writer = write_both(formats, ax, rho.ndim)
+        writer.write(t, rho, u)
         if "csv" in got:
             assert got["csv"].getvalue() == want.getvalue()
         if "ndjson" in got:
             assert got["ndjson"].getvalue() == reference_record(t, rho, u)
+
+    @settings(max_examples=200, deadline=None)
+    @given(snapshot_sequences(), FORMATS)
+    @example(boxed_sequence(6, (slice(2, 3), slice(3, 4)), (slice(1, 4), slice(2, 5)),
+                            (slice(2, 3), slice(2, 5)), (slice(4, 6), slice(0, 2)), None,
+                            (slice(0, 6), slice(5, 6)), (slice(0, 6), slice(0, 6)), None),
+             ("csv", "ndjson"))  # grows, shrinks, moves to a corner, empties, one wide
+    def test_a_sequence_through_one_writer(self, case, formats):
+        ax, snaps = case
+        got, writer = write_both(formats, ax, snaps[0][1].ndim)
+        for t, rho, u in snaps:
+            start = {name: len(fh.getvalue()) for name, fh in got.items()}
+            writer.write(t, rho, u)
+            new = {name: fh.getvalue()[start[name]:] for name, fh in got.items()}
+            if "csv" in got:
+                want = io.StringIO()
+                pmed.cli._write_lines(want, reference_rows(t, ax, rho, u))
+                assert new["csv"] == want.getvalue()
+            if "ndjson" in got:
+                assert new["ndjson"] == reference_record(t, rho, u)
 
 
 class TestEquilibriumCommand:

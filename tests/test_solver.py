@@ -649,6 +649,25 @@ class TestSimulate:
             Trajectory((snap(0.0, 1.0), snap(0.0, 1.0)), cfg)
         with pytest.raises(InvalidInputError):
             Trajectory((snap(0.0, 1.0), snap(0.5, 1.1)), cfg)
+        # one unit 2^-1074 of drift on a subnormal mass is rounding; a leak of
+        # 2e-10 of a normal mass, or of two subnormal floors, still raises
+        floor = 1e-10 * rho.values.size * g.cell_volume * 2.0**-1022
+        Trajectory((snap(0.0, 1.67e-314), snap(0.5, 1.67e-314 + 2.0**-1074)), cfg)
+        for m0, leak in ((1.0, 2e-10), (1e-300, 2e-310), (1.67e-314, 2.0 * floor)):
+            with pytest.raises(InvalidInputError, match="mass drift"):
+                Trajectory((snap(0.0, m0), snap(0.5, m0 + leak)), cfg)
+
+    def test_step_rate_overflow_is_typed(self):
+        # 1e160^(m-1) at m 3 overflows a float power: a PmedError, not OverflowError
+        g = Grid(dim=1, h=0.1, extent=2.0)
+        v = np.zeros(g.shape)
+        v[18:22] = 1e160
+        rho = Field(g, v, FieldVariable.DENSITY)
+        cfg = SolverConfig(m=3.0, potential=make_zero_potential(1),
+                           t_end=0.1, snapshot_every=0.05)
+        for call in (simulate, cfl_dt):
+            with pytest.raises(InvalidInputError, match="step rate is not finite"):
+                call(rho, cfg)
 
 
 class TestWeakResidual:
@@ -793,10 +812,25 @@ def spiked_pairs(draw):
     return grid, cfg, lo, hi
 
 
+def subnormal_lo_case():
+    """An ordered pair whose lo holds two subnormal cells: its mass 1.67e-314
+    drifts by one unit 2^-1074, 3e-10 of itself (once refused as a leak)."""
+    grid = Grid(dim=1, h=0.1, extent=2.4000000000000004)
+    hi, lo = np.zeros(grid.shape), np.zeros(grid.shape)
+    hi[22:27] = [1.0, 0.625, 1.0, 1.0, 0.125]
+    lo[23], lo[26] = (float.fromhex(x) for x in ("0x0.000068db8bac7p-1022",
+                                                 "0x0.000014f8b588ep-1022"))
+    cfg = SolverConfig(m=1.5, potential=make_quadratic_potential(1.0, 1), t_end=0.004,
+                       snapshot_every=0.0005, cfl_safety=0.8)
+    as_field = lambda v: Field(grid, v, FieldVariable.DENSITY)
+    return as_field(lo), as_field(hi), cfg
+
+
 class TestSharpComparison:
     # with one shared dt the scheme is monotone: lo - hi is rounding only
     @settings(max_examples=60, deadline=None, print_blob=True)
     @given(ordered_pairs())
+    @example(subnormal_lo_case())
     def test_order_kept_to_rounding(self, case):
         try:
             assert_ordered_to_rounding(*case)

@@ -25,6 +25,11 @@ metric over its pairs, and of a few per-layer metrics over its traced pairs.
 in at least 9 of 10 of them (ties count for neither side), and its median
 better than the parent's by more than the parent's interquartile range.  perfbench
 itself is only run, never changed.
+
+The output file is rewritten (to a temporary name, then renamed) after
+every pair, so an interrupted run keeps the pairs it finished.  A failed
+perfbench run stops the tool: the record keeps the pairs so far and says
+why under ``error``, and the tool exits 1.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import os
 import statistics
 import subprocess
 import sys
+import traceback
 
 with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "BENCHMARK.json")) as _fh:
@@ -180,29 +186,41 @@ def main(argv=None) -> int:
                 for spec in specs]
     except ValueError as exc:
         parser.error(str(exc))
+    environment = {}  # recorded once per side, not per run
+
+    def save(error: str | None = None):
+        """Write the record of the pairs so far, atomically."""
+        record = {
+            "environment": environment,
+            "seeds": args.seeds,
+            "seconds": args.seconds,
+            "trace_seconds": args.trace_seconds,
+            "summary": summary(pairs, names("end_to_end")),
+            "trace_summary": summary(traced, LAYERS),
+            "pairs": pairs,
+            "trace_pairs": traced,
+            **({"error": error} if error else {}),
+        }
+        with open(args.out + ".tmp", "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
+        os.replace(args.out + ".tmp", args.out)
+
+    save()  # an empty record before the first pair
     index = 0
     for rows, trace, seconds, workload, seeds in jobs:
         for seed in seeds:
-            rows.append(pair(dirs, workload, seed, seconds, trace, index))
+            try:
+                row = pair(dirs, workload, seed, seconds, trace, index)
+            except Exception as exc:  # keep the pairs so far, say why it stopped
+                save(f"{type(exc).__name__}: {exc}")
+                traceback.print_exc()
+                return 1
+            for side in ("parent", "change"):
+                environment.setdefault(side, row[side].pop("environment"))
+            rows.append(row)
             index += 1
-
-    environment = {}  # recorded once per side, not per run
-    for row in pairs + traced:
-        for side in ("parent", "change"):
-            environment.setdefault(side, row[side].pop("environment"))
-    record = {
-        "environment": environment,
-        "seeds": args.seeds,
-        "seconds": args.seconds,
-        "trace_seconds": args.trace_seconds,
-        "summary": summary(pairs, names("end_to_end")),
-        "trace_summary": summary(traced, LAYERS),
-        "pairs": pairs,
-        "trace_pairs": traced,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+            save()
     return 0
 
 
