@@ -35,6 +35,7 @@ error, quoting the first such entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -312,6 +313,10 @@ class SpaceTimeBox:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise InvalidParameterError("lo and hi must have the same dimension")
+        if not all(map(math.isfinite, (*self.lo, *self.hi, self.t_lo, self.t_hi))):
+            raise InvalidParameterError(
+                f"box bounds must be finite, got lo {self.lo}, hi {self.hi}, "
+                f"t_lo {self.t_lo}, t_hi {self.t_hi}")
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise InvalidParameterError("box must satisfy lo <= hi per axis")
         if self.t_lo > self.t_hi:
@@ -384,30 +389,47 @@ def _derivatives(
     sample points pts, of shape (k, dim), where u0 = candidate(pts, t) and
     t is one float or one time per sample.
 
-    The shifted points pts +- h_s e_k go into one buffer shaped like pts,
-    refilled for each shift, so the candidate must not keep a view of its
-    input.
+    The shifted points pts +- h_s e_k go into one work copy of pts: each
+    shift rewrites column k only, and the column is restored after, so the
+    candidate must not keep a view of its input.  The other columns hold
+    pts's own values, which equal pts + 0.0 since no sample coordinate is
+    -0.0 (a lattice value lo + i h_s is +0.0 where it is zero, and so is a
+    crossing x_i + theta (x_(i+1) - x_i)).  The gradients are taken one axis
+    at a time, grad Phi by ``pot.grad`` on the coordinate column, and their
+    products summed onto +0.0 in axis order, which rounds as ``dot_last``.
     """
-    dim = pts.shape[-1]
+    def u(x, at):  # the candidate's values as floats, as u0 is
+        return np.asarray(candidate(x, at), dtype=float)
+
     dt = h_s * h_s
-    u_t = (candidate(pts, t + dt) - candidate(pts, t - dt)) / (2.0 * dt)
-    grad = np.empty(u0.shape + (dim,))
-    lap = np.zeros_like(u0)
-    lap_phi = np.zeros_like(u0)
-    shifted = np.empty_like(pts)
-    column = shifted[..., 0]  # the shifted k-th coordinate, for grad Phi
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = h_s
-        up = candidate(np.add(pts, e, out=shifted), t)
-        um = candidate(np.subtract(pts, e, out=shifted), t)
-        grad[..., k] = (up - um) / (2.0 * h_s)
-        lap += (up - 2.0 * u0 + um) / (h_s * h_s)
-        lap_phi += (pot.grad(np.add(pts[..., k], h_s, out=column))
-                    - pot.grad(np.subtract(pts[..., k], h_s, out=column))) / (2.0 * h_s)
-    transport = dot_last(grad, pot.grad(pts))  # grad u . grad Phi
-    return (u_t - (m - 1.0) * u0 * lap - dot_last(grad, grad) - transport
-            - (m - 1.0) * u0 * lap_phi)
+    u_t = (u(pts, t + dt) - u(pts, t - dt)) / (2.0 * dt)
+    two_u0 = 2.0 * u0
+    # Lap(u), Lap(Phi), |grad u|^2 and grad u . grad Phi
+    lap, lap_phi, grad_sq, transport = np.zeros((4,) + u0.shape)
+    work = pts.copy()
+    for k in range(pts.shape[-1]):
+        x = pts[:, k]
+        x_up, x_um = x + h_s, x - h_s
+        work[:, k] = x_up
+        up = u(work, t)
+        work[:, k] = x_um
+        um = u(work, t)
+        work[:, k] = x
+        lap += (up - two_u0 + um) / dt
+        lap_phi += (pot.grad(x_up) - pot.grad(x_um)) / (2.0 * h_s)
+        grad = (up - um) / (2.0 * h_s)
+        grad_sq += grad * grad
+        transport += grad * pot.grad(x)
+    # r = u_t - (m-1) u0 Lap(u) - |grad u|^2 - grad u . grad Phi - (m-1) u0 Lap(Phi),
+    # term by term in u_t's buffer
+    mu0 = (m - 1.0) * u0
+    lap *= mu0
+    lap_phi *= mu0
+    np.subtract(u_t, lap, out=u_t)
+    u_t -= grad_sq
+    u_t -= transport
+    u_t -= lap_phi
+    return u_t
 
 
 def _outward_faces(pts: np.ndarray, h_s: float) -> np.ndarray:
@@ -464,7 +486,8 @@ def residual_pmed(
 
     axes = [_lattice(lo, hi, h_s) for lo, hi in zip(box.lo, box.hi)]
     times = _lattice(box.t_lo, box.t_hi, h_s)
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    grids = np.meshgrid(*axes, indexing="ij")  # each axis's coordinate at every point
+    pts = np.stack(grids, axis=-1)
     faces = _outward_faces(pts, h_s)
     dim = pts.shape[-1]
     per_batch = max(1, _BATCH_POINTS // (pts.size // dim))
@@ -482,20 +505,25 @@ def residual_pmed(
         inside = u0 > floor
         found = level_crossings(u0, axes, floor, batch=tb)  # column 0: the level's t
         crossings = found[:, 1:]
+        # interior samples per level, and their coordinates gathered per axis
+        counts = np.count_nonzero(inside.reshape(len(tb), -1), axis=1)
+        n = int(counts.sum())
+        samples = np.empty((n + len(crossings), dim))
+        for k, grid in enumerate(grids):
+            samples[:n, k] = np.broadcast_to(grid, inside.shape)[inside]
+        samples[n:] = crossings
         if len(tb) == 1:  # a float spares the profiles per-sample work, such as pow
             t_cross = t_at = float(tb[0])
         else:
             t_cross = found[:, 0]
-            t_at = np.concatenate((np.broadcast_to(t, inside.shape)[inside], t_cross))
+            t_at = np.concatenate((np.repeat(tb, counts), t_cross))
         # a crossing's edge has an end inside, so these levels have no sample
-        idle = tb[~inside.reshape(len(tb), -1).any(axis=1)]
+        idle = tb[counts == 0]
         if idle.size:
             for shift in (h_s * h_s, -h_s * h_s):  # the differences' t +- h_s^2
                 candidate(np.empty((idle.size, 0, dim)), idle[:, None] + shift)
-        n = np.count_nonzero(inside)
         u_at = np.concatenate((u0[inside], np.asarray(candidate(crossings, t_cross), dtype=float)))
-        r = _derivatives(candidate, pot, np.concatenate((lattice[inside], crossings)), u_at,
-                         t_at, h_s, m)
+        r = _derivatives(candidate, pot, samples, u_at, t_at, h_s, m)
         int_res.append(r[:n])
         bd_res.append(r[n:])
 

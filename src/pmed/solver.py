@@ -322,7 +322,8 @@ class _Stack:
         rate out_i of a cell in the support box.  The rate bounds every
         cell's diagonal rate from above (see the module docstring), so the
         step is monotone for every cfl_safety <= 1.  A zero rate (no drift
-        out of the box, and T^(m-1) rounding to 0) leaves the cadence.
+        out of the box, and T^(m-1) rounding to 0) leaves the cadence; a
+        rate that overflows a float raises InvalidInputError.
         """
         drift = self._window().drift if self.box is not None else 0.0
         try:
@@ -331,7 +332,11 @@ class _Stack:
             raise InvalidInputError(
                 f"step rate is not finite: the largest density {self.top!r} to the "
                 f"power m - 1 = {self.cfg.m - 1.0!r} overflows a float") from None
-        if not rate > 0.0:
+        if not 0.0 < rate < math.inf:
+            if rate > 0.0:  # the power is finite, but the rate built from it is not
+                raise InvalidInputError(
+                    f"step rate is not finite: the largest density {self.top!r} at "
+                    f"m = {self.cfg.m!r} gives a rate that overflows a float")
             return self.cfg.snapshot_every
         return min(self.cfg.snapshot_every, self.cfg.cfl_safety / rate)
 

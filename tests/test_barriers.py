@@ -390,6 +390,25 @@ class TestResidualPmed:
         # strict supersolution: worst signed values stay positive
         assert min(rep.worst("super")) > 0
 
+    def test_read_only_integer_values(self):
+        # the differences are formed in new float arrays, never in the
+        # candidate's own values: u = 2 (x_0 > 0) as read-only integers
+        # gives the residuals of the same u as writable floats
+        def ints(x, t):
+            return np.broadcast_to(np.where(x[..., 0] > 0.0, 2, 0), np.shape(x)[:-1])
+
+        def floats(x, t):
+            return np.where(x[..., 0] > 0.0, 2.0, 0.0)
+
+        pot = make_quadratic_potential(0.5, 2)
+        box = SpaceTimeBox(lo=(-0.1, -0.1), hi=(0.1, 0.1), t_lo=0.0, t_hi=0.03)
+        with patch.object(barriers, "_BATCH_POINTS", 3 * 21 * 21):  # 3 levels, then 1
+            got = residual_pmed(ints, pot, box, 0.01, 2.0)
+        want = residual_pmed(floats, pot, box, 0.01, 2.0)
+        assert got.interior_count > 0 and got.boundary_count > 0
+        assert_same_bits(got.interior_residuals, want.interior_residuals)
+        assert_same_bits(got.boundary_residuals, want.boundary_residuals)
+
     def test_each_kind_reads_its_side(self):
         rep = ResidualReport(tol=0.5, interior_residuals=np.array([-1.0, 0.2]),
                              boundary_residuals=np.array([0.3, -0.1]))
@@ -758,3 +777,56 @@ class TestTimeBatches:
         with patch.object(barriers, "_BATCH_POINTS", 9 * levels):
             with pytest.raises(OutOfCylinderError, match="outside"):
                 residual_pmed(candidate, make_zero_potential(1), box, h_s, 2.0)
+
+
+# EMPTY_LEVELS in 1D: u = |x| + 2 t - 0.5 stays below the floor 0.1 on the
+# box while t <= -0.08
+EMPTY_LEVELS_1D = (
+    build_barrier(SphericalWaveSpec(A=1.0, omega=2.0, B=0.5, R=1.0, m=2.0, d=1)),
+    make_zero_potential(1),
+    SpaceTimeBox(lo=(0.5,), hi=(0.75,), t_lo=-0.15, t_hi=0.0),
+    0.01, 2.0,
+)
+
+# a 1D Barenblatt whose support edge crosses the box at every level
+BARENBLATT_1D = (
+    build_barrier(BarenblattSpec(m=2.0, d=1, tau=1.0, C=0.5)),
+    make_quadratic_potential(0.5, 1),
+    SpaceTimeBox(lo=(-1.5,), hi=(1.5,), t_lo=0.0, t_hi=0.1),
+    0.02, 2.0,
+)
+
+
+class TestCallBudget:
+    @pytest.mark.parametrize("case", [EMPTY_LEVELS, EMPTY_LEVELS_1D, ABOVE_THE_FLOOR,
+                                      BARENBLATT_1D],
+                             ids=["2d-empty-levels", "1d-empty-levels", "2d-above-the-floor",
+                                  "1d-barenblatt"])
+    @pytest.mark.parametrize("levels", [1, 2, 4])
+    def test_calls_per_batch(self, case, levels):
+        # per batch: the lattice, its faces, the crossings, t +- h_s^2 and
+        # x +- h_s e_k over the samples, and t +- h_s^2 once more when a
+        # level of the batch has no interior sample
+        candidate, pot, box, h_s, m = case
+        dim = len(box.lo)
+        lattice = tuple(len(_lattice(lo, hi, h_s)) for lo, hi in zip(box.lo, box.hi))
+        calls = []
+
+        def counted(x, t):
+            calls.append(np.shape(x))
+            return candidate(x, t)
+
+        per_level = reference_residuals(candidate, pot, box, h_s, m)[3]
+        assert (0 in per_level) == (case in (EMPTY_LEVELS, EMPTY_LEVELS_1D))
+        with patch.object(barriers, "_BATCH_POINTS", levels * int(np.prod(lattice))):
+            rep = residual_pmed(counted, pot, box, h_s, m)
+        batches = [per_level[i:i + levels] for i in range(0, len(per_level), levels)]
+        starts = [i for i, shape in enumerate(calls) if shape[1:] == lattice + (dim,)]
+        assert [calls[i][0] for i in starts] == [len(b) for b in batches]
+        made = np.diff(starts + [len(calls)]).tolist()
+        assert made == [5 + 2 * dim + 2 * (0 in b) for b in batches]
+        # the (k, dim) calls: the crossings, then the differences over the
+        # samples, interior and boundary, and no more points
+        points = sum(shape[0] for shape in calls if len(shape) == 2)
+        samples = rep.interior_count + rep.boundary_count
+        assert points == rep.boundary_count + (2 + 2 * dim) * samples

@@ -279,6 +279,17 @@ class TestSimulateCommand:
             "pmed: error: InvalidInputError: step rate is not finite")
         assert not out.exists()
 
+    def test_step_rate_overflow_in_a_product_is_a_typed_error(self, tmp_path, capsys):
+        # a bump of 1e306 at m 2: its power is finite, the step rate is not
+        data = simulate_config(initial={"kind": "bump", "amplitude": 1e306, "width": 0.6})
+        data["physics"]["m"] = 2.0
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, data),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "pmed: error: InvalidInputError: step rate is not finite")
+        assert not out.exists()
+
     def test_failing_run_keeps_an_earlier_runs_outputs(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", "--config", write_config(tmp_path, simulate_config()),

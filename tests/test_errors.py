@@ -136,3 +136,19 @@ def test_require_message(lo, hi, value, message):
 def test_cell_count_that_overflows():
     with pytest.raises(InvalidParameterError, match="is not an integer cell count"):
         Grid(dim=1, h=5e-324, extent=2.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["lo", "hi", "second lo", "second hi", "t_lo", "t_hi"])
+def test_box_bounds_must_be_finite(field, value):
+    # a non-finite bound would reach the sample lattice as a bare
+    # ValueError or OverflowError
+    bounds = {"lo": [-0.25, -0.25], "hi": [0.25, 0.25], "t_lo": 0.0, "t_hi": 0.0}
+    if field.startswith("second"):
+        bounds[field.split()[1]][1] = value
+    elif field in ("lo", "hi"):
+        bounds[field][0] = value
+    else:
+        bounds[field] = value
+    with pytest.raises(InvalidParameterError, match="^box bounds must be finite, got "):
+        SpaceTimeBox(tuple(bounds["lo"]), tuple(bounds["hi"]), bounds["t_lo"], bounds["t_hi"])

@@ -669,6 +669,20 @@ class TestSimulate:
             with pytest.raises(InvalidInputError, match="step rate is not finite"):
                 call(rho, cfg)
 
+    def test_step_rate_overflow_in_a_product_is_typed(self):
+        # 1e306^(m-1) at m 2 is finite, but 2 dim m 1e306 / h^2 overflows to
+        # inf: the same typed error, not a step of 0.0 that stalls
+        g = Grid(dim=1, h=0.1, extent=2.0)
+        v = np.zeros(g.shape)
+        v[18:22] = 1e306
+        rho = Field(g, v, FieldVariable.DENSITY)
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+                           t_end=0.1, snapshot_every=0.05)
+        for call in (simulate, cfl_dt):
+            with pytest.raises(InvalidInputError, match="step rate is not finite: the "
+                               "largest density 1e[+]306 at m = 2.0 gives a rate"):
+                call(rho, cfg)
+
 
 class TestWeakResidual:
     def test_constant_test_function_is_mass_drift(self):

@@ -48,11 +48,12 @@ with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 BETTER = {metric["name"]: metric["better"]
           for kind in ("end_to_end", "per_layer") for metric in BENCHMARK[kind]}
 ENVIRONMENT = ("git_commit", "source_sha256", "python", "numpy", "nproc", "cpu")
-LAYERS = ("barriers.residual_s", "barriers.samples_per_s", "barriers.candidate_points",
-          "barriers.samples", "cli.self_s", "cli.write_mb_per_s", "core.pressure_s",
-          "solver.simulate_s", "solver.steps", "solver.step_us", "solver.cfl_dt_us",
-          "solver.step_report_us", "freeboundary.hausdorff_s", "freeboundary.extract_s",
-          "freeboundary.equilibrium_s", "initialdata.build_s")
+LAYERS = ("barriers.residual_s", "barriers.residual_self_s", "barriers.samples_per_s",
+          "barriers.candidate_calls", "barriers.candidate_points", "barriers.samples",
+          "cli.self_s", "cli.write_mb_per_s", "core.pressure_s", "solver.simulate_s",
+          "solver.steps", "solver.step_us", "solver.cfl_dt_us", "solver.step_report_us",
+          "freeboundary.hausdorff_s", "freeboundary.extract_s", "freeboundary.equilibrium_s",
+          "initialdata.build_s")
 
 
 def names(kind: str) -> tuple[str, ...]:
