@@ -372,7 +372,12 @@ class ResidualReport:
 
 
 def _lattice(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    steps = (hi - lo) / step + 1e-9
+    if not steps < math.inf:
+        raise InvalidParameterError(
+            f"box extent [{lo}, {hi}] at h_s {step} gives a lattice point count "
+            f"that overflows a float")
+    n = int(np.floor(steps)) + 1
     return lo + np.arange(n) * step
 
 
@@ -503,8 +508,8 @@ def residual_pmed(
         candidate(np.broadcast_to(faces, tb.shape + faces.shape), tb[:, None])
         u_max = max(u_max, float(u0.max(initial=0.0)))
         inside = u0 > floor
-        found = level_crossings(u0, axes, floor, batch=tb)  # column 0: the level's t
-        crossings = found[:, 1:]
+        found = [level_crossings(level, axes, floor) for level in u0]
+        crossings = np.concatenate(found)
         # interior samples per level, and their coordinates gathered per axis
         counts = np.count_nonzero(inside.reshape(len(tb), -1), axis=1)
         n = int(counts.sum())
@@ -515,7 +520,7 @@ def residual_pmed(
         if len(tb) == 1:  # a float spares the profiles per-sample work, such as pow
             t_cross = t_at = float(tb[0])
         else:
-            t_cross = found[:, 0]
+            t_cross = np.repeat(tb, [len(f) for f in found])
             t_at = np.concatenate((np.repeat(tb, counts), t_cross))
         # a crossing's edge has an end inside, so these levels have no sample
         idle = tb[counts == 0]

@@ -35,6 +35,7 @@ from .core import (
     make_quadratic_potential,
     make_zero_potential,
     pressure_from_density,
+    support_box,
 )
 from .errors import BoundaryGapError, ConfigError, InvalidParameterError, PmedError
 from .freeboundary import (
@@ -414,11 +415,9 @@ class _SnapshotWriter:
         t, n = repr(float(t)), self.n
         rho, u = rho.reshape(-1, n), u.reshape(-1, n)
         # +0.0 is the one float whose bits are all zero; -0.0 is in the box
-        nz = (rho.view(np.int64) | u.view(np.int64)) != 0
-        rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+        box = support_box((rho.view(np.int64) | u.view(np.int64)) != 0)
         # an all-zero snapshot gets an empty box: no rows of the full width
-        r0, r1, c0, c1 = ((rows[0], rows[-1] + 1, cols[0], cols[-1] + 1) if rows.size
-                          else (0, 0, 0, n))
+        (r0, r1), (c0, c1) = box or ((0, 0), (0, n))
         w = c1 - c0
         rs, us = (list(map(repr, v[r0:r1, c0:c1].ravel().tolist())) for v in (rho, u))
         if self.csv:

@@ -33,6 +33,7 @@ __all__ = [
     "integrate",
     "dot_last",
     "ring",
+    "support_box",
     "level_crossings",
     "make_quadratic_potential",
     "make_zero_potential",
@@ -124,8 +125,8 @@ class Field:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values: np.ndarray, variable: FieldVariable | None = None) -> "Field":
-        return Field(self.grid, values, variable or self.variable)
+    def with_values(self, values: np.ndarray) -> "Field":
+        return Field(self.grid, values, self.variable)
 
     def max(self) -> float:
         return float(self.values.max())
@@ -155,10 +156,22 @@ def ring(values: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate((v[:w].ravel(), sides.ravel(), v[-w:].ravel()))
 
 
-def level_crossings(
-    values: np.ndarray, axes: Sequence[np.ndarray], level: float,
-    batch: np.ndarray | None = None,
-) -> np.ndarray:
+def support_box(mask: np.ndarray) -> tuple[tuple[int, int], ...] | None:
+    """Per axis, ``(first, last + 1)`` of the True entries of ``mask``, or
+    None when there are none."""
+    box = []
+    for a in range(mask.ndim):
+        others = tuple(k for k in range(mask.ndim) if k != a)
+        hit = np.flatnonzero(np.logical_or.reduce(mask, axis=others))
+        if not hit.size:
+            return None
+        lo, hi = int(hit[0]), int(hit[-1]) + 1
+        box.append((lo, hi))
+        mask = mask[(slice(None),) * a + (slice(lo, hi),)]  # the later axes scan less
+    return tuple(box)
+
+
+def level_crossings(values: np.ndarray, axes: Sequence[np.ndarray], level: float) -> np.ndarray:
     """Linear-interpolated crossings of ``level`` between adjacent samples.
 
     ``values`` is sampled on the tensor lattice of the coordinate arrays
@@ -167,32 +180,20 @@ def level_crossings(
     the points, shape (k, ndim): axis-0 edges before axis-1 edges, each in
     row-major order of the edge's lower endpoint.
 
-    With ``batch``, the coordinates of an extra leading axis of ``values``,
-    that axis stacks lattices of the ``axes``: no edge runs along it, each
-    point gets its lattice's ``batch`` coordinate as a first column, and the
-    points are those of each lattice in turn.
-
     Only the bounding box of ``values > level``, grown by one sample and
     clipped to the array, is searched: every edge with a crossing has an
     endpoint above the level, so it lies in that box, and the points and
     their order are those of the whole lattice.
     """
     above = values > level
-    lead = 0 if batch is None else 1
-    if lead:
-        axes = [batch, *axes]
-    box = (slice(None),) * lead
-    for a in range(lead, above.ndim):
-        others = tuple(k for k in range(above.ndim) if k != a)
-        hit = np.flatnonzero(np.any(above[box], axis=others))
-        if len(hit) == 0:
-            return np.empty((0, above.ndim))
-        box += (slice(max(hit[0] - 1, 0), hit[-1] + 2),)
+    box = support_box(above)
+    if box is None:
+        return np.empty((0, above.ndim))
+    box = tuple(slice(max(lo - 1, 0), hi + 1) for lo, hi in box)
     values, above = values[box], above[box]
     axes = [x[s] for x, s in zip(axes, box)]
-    found, owner = [], []
-    for a in range(lead, above.ndim):
-        x = axes[a]
+    found = []
+    for a, x in enumerate(axes):
         lower = np.nonzero(np.diff(above, axis=a))
         i = lower[a]
         upper = lower[:a] + (i + 1,) + lower[a + 1:]
@@ -201,12 +202,7 @@ def level_crossings(
         pts = np.stack([xb[k] for xb, k in zip(axes, lower)], axis=-1, dtype=float)
         pts[:, a] = x[i] + theta * (x[i + 1] - x[i])
         found.append(pts)
-        owner.append(lower[0])
-    found = np.concatenate(found)
-    if lead and values.shape[0] > 1:  # each lattice's points in their own order,
-        # lattice after lattice; with one lattice the stable sort is the identity
-        found = found[np.argsort(np.concatenate(owner), kind="stable")]
-    return found
+    return np.concatenate(found)
 
 
 def pressure_from_density(rho: Field, m: float) -> Field:

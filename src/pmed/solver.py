@@ -41,7 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Field, FieldVariable, Grid, Potential, dot_last, integrate, ring
+from .core import (Field, FieldVariable, Grid, Potential, dot_last, integrate, ring,
+                   support_box)
 from .errors import (
     DomainOverflowError,
     InvalidInputError,
@@ -270,7 +271,6 @@ class _Stack:
         self.g, self.out = _drift(grid, cfg.potential)
         self.clipped_cum = [0.0] * len(values)
         self._spatial = tuple(range(1, values.ndim))
-        self._across = [(0,) + self._spatial[:a] + self._spatial[a + 1:] for a in range(grid.dim)]
         self._diffusion, self._h2 = 2.0 * grid.dim * cfg.m, grid.h**2  # cfl_dt's, in its order
         self.box = self._win = None
         self._stale = False
@@ -289,10 +289,9 @@ class _Stack:
         bounding box, from the values ``w`` of the cells from ``starts`` on
         (which hold every positive value)."""
         self.top = max(np.maximum.reduce(w, axis=self._spatial).tolist())
-        pos = w > 0.0
-        seen = [np.flatnonzero(np.logical_or.reduce(pos, axis=across)) for across in self._across]
-        self.box = tuple((start + int(i[0]), start + int(i[-1]) + 1)  # per axis [first, last + 1)
-                         for start, i in zip(starts, seen)) if seen[0].size else None
+        box = support_box(np.logical_or.reduce(w > 0.0, axis=0))
+        self.box = None if box is None else tuple(
+            (start + lo, start + hi) for start, (lo, hi) in zip(starts, box))
 
     def _window(self) -> _Window:
         """The window of the current box, which must be nonempty."""
@@ -329,11 +328,9 @@ class _Stack:
         try:
             rate = self._diffusion * self.top ** (self.cfg.m - 1.0) / self._h2 + drift
         except OverflowError:  # a float power raises where a product gives inf
-            raise InvalidInputError(
-                f"step rate is not finite: the largest density {self.top!r} to the "
-                f"power m - 1 = {self.cfg.m - 1.0!r} overflows a float") from None
+            rate = math.inf
         if not 0.0 < rate < math.inf:
-            if rate > 0.0:  # the power is finite, but the rate built from it is not
+            if rate > 0.0:
                 raise InvalidInputError(
                     f"step rate is not finite: the largest density {self.top!r} at "
                     f"m = {self.cfg.m!r} gives a rate that overflows a float")

@@ -18,6 +18,7 @@ from pmed.core import (
     make_zero_potential,
     pressure_from_density,
     ring,
+    support_box,
 )
 from pmed.errors import InvalidInputError, InvalidParameterError, UnsupportedPotentialError
 
@@ -163,6 +164,9 @@ class TestLevelCrossings:
         got = level_crossings(values, axes, 0.0)
         np.testing.assert_array_equal(got, loop_level_crossings(values, axes, 0.0),
                                       strict=True)
+        # every drawn value inside the box is above -1, every value outside is -1
+        want = tuple((s.start, s.stop) for s in box)
+        assert support_box(values > -1.0) == (None if inside.size == 0 else want)
 
     @pytest.mark.parametrize("shape", [(9,), (7, 10)])
     @pytest.mark.parametrize("fill", ["empty", "full", "edges"])
@@ -177,24 +181,6 @@ class TestLevelCrossings:
                                       strict=True)
         assert got.shape[1] == len(shape) and got.dtype == float
         assert (len(got) == 0) == (fill != "edges")
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_batch_is_each_lattice_in_turn(self, data):
-        # a stack of lattices gives each one's crossings, lattice after
-        # lattice, with the lattice's batch coordinate as column 0
-        values, axes, level = data.draw(lattice_fields())
-        others = st.sampled_from([-3.0, level]) | st.floats(-2.0, 2.0)
-        stack = [values] + [data.draw(arrays(float, values.shape, elements=others))
-                            for _ in range(data.draw(st.integers(0, 4)))]
-        order = data.draw(st.permutations(range(len(stack))))
-        stack = np.stack([stack[i] for i in order])
-        batch = data.draw(arrays(float, len(stack), elements=st.floats(-10.0, 10.0)))
-        want = [np.column_stack((np.full(len(found), b), found))
-                for b, found in ((b, loop_level_crossings(v, axes, level))
-                                 for b, v in zip(batch, stack))]
-        np.testing.assert_array_equal(level_crossings(stack, axes, level, batch=batch),
-                                      np.concatenate(want), strict=True)
 
     def test_2d_order_axis0_edges_first(self):
         v = np.zeros((3, 3))

@@ -152,3 +152,11 @@ def test_box_bounds_must_be_finite(field, value):
         bounds[field] = value
     with pytest.raises(InvalidParameterError, match="^box bounds must be finite, got "):
         SpaceTimeBox(tuple(bounds["lo"]), tuple(bounds["hi"]), bounds["t_lo"], bounds["t_hi"])
+
+
+def test_lattice_whose_point_count_overflows():
+    # (hi - lo) / h_s overflows a float: the lattice cannot be counted
+    box = SpaceTimeBox((-1e308,), (1e308,), 0.0, 0.0)
+    with pytest.raises(InvalidParameterError,
+                       match=r"^box extent \[-1e\+308, 1e\+308\] at h_s 1.0 gives"):
+        residual_pmed(BARENBLATT, make_zero_potential(1), box, 1.0, 2.0)
