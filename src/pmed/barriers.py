@@ -378,7 +378,15 @@ def _lattice(lo: float, hi: float, step: float) -> np.ndarray:
             f"box extent [{lo}, {hi}] at h_s {step} gives a lattice point count "
             f"that overflows a float")
     n = int(np.floor(steps)) + 1
-    return lo + np.arange(n) * step
+    try:
+        x = lo + np.arange(n) * step
+        if len(x) == n:  # np.arange(2**63) returns an empty array
+            return x
+    except (ValueError, MemoryError):  # numpy refuses the size, or cannot allocate it
+        pass
+    raise InvalidParameterError(
+        f"box extent [{lo}, {hi}] at h_s {step} gives a lattice of {n} points, "
+        f"more than numpy can allocate")
 
 
 def _derivatives(
@@ -491,8 +499,14 @@ def residual_pmed(
 
     axes = [_lattice(lo, hi, h_s) for lo, hi in zip(box.lo, box.hi)]
     times = _lattice(box.t_lo, box.t_hi, h_s)
-    grids = np.meshgrid(*axes, indexing="ij")  # each axis's coordinate at every point
-    pts = np.stack(grids, axis=-1)
+    try:
+        grids = np.meshgrid(*axes, indexing="ij")  # each axis's coordinate at every point
+        pts = np.stack(grids, axis=-1)
+    except (ValueError, MemoryError):
+        raise InvalidParameterError(
+            f"box {box.lo} .. {box.hi} at h_s {h_s} gives a lattice of "
+            f"{' x '.join(str(len(x)) for x in axes)} points, more than numpy can allocate"
+        ) from None
     faces = _outward_faces(pts, h_s)
     dim = pts.shape[-1]
     per_batch = max(1, _BATCH_POINTS // (pts.size // dim))

@@ -174,8 +174,8 @@ def support_box(mask: np.ndarray) -> tuple[tuple[int, int], ...] | None:
 def level_crossings(values: np.ndarray, axes: Sequence[np.ndarray], level: float) -> np.ndarray:
     """Linear-interpolated crossings of ``level`` between adjacent samples.
 
-    ``values`` is sampled on the tensor lattice of the coordinate arrays
-    ``axes`` (one per array axis).  A crossing lies on each lattice edge
+    ``values`` is sampled on the 1D or 2D tensor lattice of the coordinate
+    arrays ``axes`` (one per array axis).  A crossing lies on each lattice edge
     whose endpoints fall on different sides of ``values > level``.  Returns
     the points, shape (k, ndim): axis-0 edges before axis-1 edges, each in
     row-major order of the edge's lower endpoint.
@@ -192,17 +192,34 @@ def level_crossings(values: np.ndarray, axes: Sequence[np.ndarray], level: float
     box = tuple(slice(max(lo - 1, 0), hi + 1) for lo, hi in box)
     values, above = values[box], above[box]
     axes = [x[s] for x, s in zip(axes, box)]
-    found = []
-    for a, x in enumerate(axes):
-        lower = np.nonzero(np.diff(above, axis=a))
-        i = lower[a]
-        upper = lower[:a] + (i + 1,) + lower[a + 1:]
-        v0 = values[lower]
-        theta = (level - v0) / (values[upper] - v0)
-        pts = np.stack([xb[k] for xb, k in zip(axes, lower)], axis=-1, dtype=float)
-        pts[:, a] = x[i] + theta * (x[i + 1] - x[i])
-        found.append(pts)
-    return np.concatenate(found)
+    if values.ndim == 2:
+        return _crossings_2d(values, above, axes, level)
+    (x,) = axes
+    i = np.flatnonzero(np.diff(above))
+    v0 = values[i]
+    theta = (level - v0) / (values[i + 1] - v0)
+    pts = np.empty((len(i), 1))
+    pts[:, 0] = x[i] + theta * (x[i + 1] - x[i])
+    return pts
+
+
+def _crossings_2d(values: np.ndarray, above: np.ndarray, axes: Sequence[np.ndarray],
+                  level: float) -> np.ndarray:
+    """level_crossings on a 2D lattice, from flat indices: per axis,
+    ``np.flatnonzero`` of its ``np.diff`` mask, split into the lower end's
+    row and column by one divmod and written straight into the points."""
+    flat, n1 = values.ravel(), values.shape[1]
+    edges = [np.flatnonzero(np.diff(above, axis=a)) for a in (0, 1)]
+    pts = np.empty((len(edges[0]) + len(edges[1]), 2))
+    blocks = pts[:len(edges[0])], pts[len(edges[0]):]
+    for a, (k, block, step) in enumerate(zip(edges, blocks, (n1, 1))):
+        rows, cols = np.divmod(k, n1 - a)  # an axis-1 mask row is one sample shorter
+        lower = k + rows if a else k
+        v0 = flat[lower]
+        theta = (level - v0) / (flat[lower + step] - v0)
+        (i, j), x = ((rows, cols), (cols, rows))[a], axes[a]
+        block[:, a], block[:, 1 - a] = x[i] + theta * (x[i + 1] - x[i]), axes[1 - a][j]
+    return pts
 
 
 def pressure_from_density(rho: Field, m: float) -> Field:

@@ -164,6 +164,13 @@ class _MassMap:
         return self.vol * float(np.sum(self.buf)), self.vol * self.k * self.a * float(np.sum(rate))
 
 
+def _cell_potential(pot: Potential, grid: Grid) -> np.ndarray:
+    """Phi at every cell center, from its axis polynomial p at the axis
+    centers: p(x_i) + p(x_j) in 2D, bit for bit pot.eval(grid.centers())."""
+    p = np.asarray(pot.eval(grid.axis_centers()[:, None]), dtype=float)
+    return p if grid.dim == 1 else p[:, None] + p[None, :]
+
+
 def _equilibrium(
     target_mass: float, pot: Potential, m: float, grid: Grid
 ) -> tuple[float, Field]:
@@ -171,7 +178,7 @@ def _equilibrium(
     evaluation of Phi."""
     require("target_mass", target_mass, 0.0)
     require("m", m, 1.0)
-    phi = np.asarray(pot.eval(grid.centers()), dtype=float)
+    phi = _cell_potential(pot, grid)
     phi_min = min(float(phi.min()), pot.min_value())
     mass = _MassMap(phi, m, grid.cell_volume)
 

@@ -14,11 +14,13 @@ drift flows out of (the drift velocity is -g).  Phi is a sum of one
 polynomial p per axis, so along axis a g_{i+1/2} = (p(x_{i+1}) - p(x_i))/h,
 the same on every grid line: one vector per grid.  The update
 
-    rho'_i = rho_i + dt/h * (F_{i+1/2} - F_{i-1/2})
+    rho'_i = rho_i + dt/h^2 * sum over axes of (h F_{i+1/2} - h F_{i-1/2}),
+    h F_{i+1/2} = (rho^m)_{i+1} - (rho^m)_i + rho_up * dPhi_{i+1/2},
 
-telescopes, so total mass is conserved to rounding as long as the support
-stays away from the box edge (enforced: two empty cell rings).  It is
-nondecreasing in every neighbor of cell i, and in rho_i itself as long as
+with dPhi = h g, has no division per cell.  It telescopes, so total mass
+is conserved to rounding as long as the support stays away from the box
+edge (enforced: two empty cell rings).  It is nondecreasing in every
+neighbor of cell i, and in rho_i itself as long as
 
     dt * ( 2 dim m rho_i^(m-1) / h^2 + out_i / h ) <= 1,
 
@@ -141,14 +143,12 @@ class StepReport:
 @lru_cache(maxsize=32)
 def _drift(grid: Grid, potential: Potential) -> tuple[np.ndarray, np.ndarray]:
     """Drift data of every axis, from Phi's axis polynomial p at the axis's
-    cell centers x: the interface gradients g = diff(p(x)) / h and each
-    cell's outflow rate max(-g_{i+1/2}, 0) + max(g_{i-1/2}, 0), with no flux
-    through the grid walls.  What depends on the support box is made from
-    these by that box's _Window."""
-    x = grid.axis_centers()
-    g = np.diff(potential.eval(x[:, None])) / grid.h
-    walls = np.concatenate(([0.0], g, [0.0]))  # interfaces -1/2 .. n-1/2
-    return g, np.maximum(-walls[1:], 0.0) + np.maximum(walls[:-1], 0.0)
+    cell centers x: the interface differences dPhi = diff(p(x)) and each
+    cell's outflow rate max(-g_{i+1/2}, 0) + max(g_{i-1/2}, 0), g = dPhi / h,
+    with no flux through the grid walls.  A box's _Window slices these."""
+    dphi = np.diff(potential.eval(grid.axis_centers()[:, None]))
+    walls = np.concatenate(([0.0], dphi / grid.h, [0.0]))  # g at interfaces -1/2 .. n-1/2
+    return dphi, np.maximum(-walls[1:], 0.0) + np.maximum(walls[:-1], 0.0)
 
 
 class _Window:
@@ -163,14 +163,14 @@ class _Window:
     cells k and k + s for every k: each kernel call is one contiguous slice.
     A pair that wraps to the next line, member or the pad joins two rim
     cells, which stay zero (2 cells off the box, or on the grid's outer
-    ring), and carries g = 0: its flux is +0.0, as between any empty cells.
+    ring), and carries dPhi = 0: its h F is +0.0, as between empty cells.
     Grid-edge interfaces get zero flux (``edges``).  Each axis splits into
-    runs of one sign of g; one multiply per run of the upwind values (the
-    high side's where g > 0) by g forms rho_up * g, the kernel's product, on
-    every input.  The terms go where nothing is held until f += up: rho^m's
-    buffer on the last axis, ``div``'s on axis 1 of 2 (its first s cells are
-    re-zeroed with the edges).  Axis 2 of 2 differences in rho^m's buffer:
-    four window-sized buffers in all.
+    runs of one sign of dPhi; one multiply per run of the upwind values (the
+    high side's where dPhi > 0) by dPhi forms rho_up * dPhi, the kernel's
+    product, on every input.  The terms go where nothing is held until
+    f += up: rho^m's buffer on the last axis, ``div``'s on axis 1 of 2 (its
+    first s cells are re-zeroed with the edges).  Axis 2 of 2 differences in
+    rho^m's buffer: four window-sized buffers in all.
     """
 
     def __init__(self, stack: "_Stack", box: tuple[tuple[int, int], ...]):
@@ -190,10 +190,10 @@ class _Window:
         for a, (c, (lo, hi)) in enumerate(zip(cells, box), start=1):
             na, s = shape[a], math.prod(shape[a + 1:])
             lines = (-1, na, s)[:3 - (s == 1)]  # (lines of all members, axis a[, stride])
-            gv = np.append(stack.g[c.start:c.stop - 1], 0.0)  # the wrap pairs: g = 0
-            g, up = gv.reshape((na, 1)[:len(lines) - 1]), rm if a == len(cells) else div
-            ends = [0, *(np.flatnonzero(np.diff(gv[:-1] > 0.0)) + 1).tolist(), na]
-            runs = [(state[s * int(gv[i] > 0.0):][:size].reshape(lines)[:, i:j], g[i:j],
+            dv = np.append(stack.dphi[c.start:c.stop - 1], 0.0)  # the wrap pairs: dPhi = 0
+            dp, up = dv.reshape((na, 1)[:len(lines) - 1]), rm if a == len(cells) else div
+            ends = [0, *(np.flatnonzero(np.diff(dv[:-1] > 0.0)) + 1).tolist(), na]
+            runs = [(state[s * int(dv[i] > 0.0):][:size].reshape(lines)[:, i:j], dp[i:j],
                      up.reshape(lines)[:, i:j]) for i, j in zip(ends, ends[1:])]
             walls = [i for i, wall in ((0, c.start == 0), (na - 2, c.stop == n)) if wall]
             edges = [flux.reshape(lines)[:, i] for i in walls] + ([div[:s]] if up is div else [])
@@ -203,28 +203,26 @@ class _Window:
             self.rims.append((w, (cuts + np.arange(0, size, size // shape[0])[:, None]).ravel())
                              if a == 1 else (self.values, cuts))
 
-    def divergence(self, h: float, m: float) -> np.ndarray:
-        """(F_{i+1/2} - F_{i-1/2}) / h per window cell and member, a
-        (B, *window) view, with
+    def divergence(self, m: float) -> np.ndarray:
+        """h^2 times the flux divergence per window cell and member, a
+        (B, *window) view: over the axes, the sum of h F_{i+1/2} - h F_{i-1/2},
 
-            F_{i+1/2} = ((rho^m)_{i+1} - (rho^m)_i) / h + rho_up * g_{i+1/2}
+            h F_{i+1/2} = (rho^m)_{i+1} - (rho^m)_i + rho_up * dPhi_{i+1/2},
 
-        written into ``div`` in the float order of one expression per axis;
-        the axes' differences are summed axis 1 first."""
+        in the float order of one expression per axis, summed axis 1 first,
+        in ``div``.  The step scales it by dt/h^2, so nothing divides."""
         rm, f = self.rm, self.flux
         np.power(self.w, m, out=rm)
         for rm_hi, runs, up, edges, f_hi, f_lo, out, total in self.axes:
             np.subtract(rm_hi, rm, out=f)
-            f /= h
-            for w_up, g, up_run in runs:
-                np.multiply(w_up, g, out=up_run)
+            for w_up, dp, up_run in runs:
+                np.multiply(w_up, dp, out=up_run)
             f += up
             for edge in edges:
                 edge.fill(0.0)
             np.subtract(f_hi, f_lo, out=out)
             if total is not None:
                 total += out
-        self.div /= h
         return self.view
 
     def rim_top(self) -> float | None:
@@ -268,7 +266,7 @@ class _Stack:
     def __init__(self, values: np.ndarray, grid: Grid, cfg: SolverConfig):
         self._v = values  # (B, *grid.shape), behind the window's copy while _stale
         self.grid, self.cfg, self.n = grid, cfg, grid.n_cells
-        self.g, self.out = _drift(grid, cfg.potential)
+        self.dphi, self.out = _drift(grid, cfg.potential)
         self.clipped_cum = [0.0] * len(values)
         self._spatial = tuple(range(1, values.ndim))
         self._diffusion, self._h2 = 2.0 * grid.dim * cfg.m, grid.h**2  # cfl_dt's, in its order
@@ -344,12 +342,14 @@ class _Stack:
         win = self._window()
         if win.near and not self.margin_ok():
             raise DomainOverflowError("support within two cells of the box edge")
-        win.divergence(self.grid.h, self.cfg.m)
-        div, w = win.div, win.w
-        div *= dt
-        w += div
+        scale = dt / self._h2
+        if not scale < math.inf:  # inf * a zero divergence would be NaN
+            raise InvalidInputError(f"step scale dt / h^2 = {dt!r} / {self._h2!r} is not finite")
+        win.divergence(self.cfg.m)
+        win.div *= scale
+        win.w += win.div
         self._stale = True
-        if not np.minimum.reduce(w) >= 0.0:  # a negative value, or NaN
+        if not np.minimum.reduce(win.w) >= 0.0:  # a negative value, or NaN
             for b, wb in enumerate(win.values):
                 negb = wb < 0.0
                 if negb.any():  # even where their mass rounds to 0.0

@@ -555,6 +555,24 @@ class TestVerifyBarriersCommand:
             "pmed: error: InvalidParameterError: box extent [-1e+308, 1e+308] at h_s 1.0")
         assert not out.exists()
 
+    def test_box_whose_lattice_numpy_cannot_allocate_is_a_typed_error(self, tmp_path, capsys):
+        # 1e15 + 1 points, 7.1 PiB: numpy refuses it before allocating
+        data = {
+            "physics": {"m": 2.0, "potential": {"kind": "zero"}},
+            "barriers": [{
+                "kind": "barenblatt", "m": 2.0, "d": 1, "tau": 1.0, "C": 1.0,
+                "h_s": 1.0,
+                "box": {"lo": [-5e14], "hi": [5e14], "t_lo": 0.0, "t_hi": 0.0},
+            }],
+        }
+        cfgp = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["verify-barriers", "--config", cfgp, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "pmed: error: InvalidParameterError: box extent [-500000000000000.0, "
+            "500000000000000.0] at h_s 1.0 gives a lattice of 1000000000000001 points")
+        assert not out.exists()
+
     def test_both_samples_each_job_once(self, tmp_path, monkeypatch):
         # sub and super read the same residuals in opposite directions, so one
         # sampling serves both rows, and each row is that report asked per kind

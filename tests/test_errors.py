@@ -36,6 +36,7 @@ GRID = Grid(dim=1, h=0.5, extent=2.0)
 ZEROS = {var: Field(GRID, np.zeros(8), var) for var in FieldVariable}
 POINT = SpaceTimeBox((0.25,), (0.25,), 0.0, 0.0)  # one sample
 BARENBLATT = build_barrier(BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0))
+BARENBLATT_2D = build_barrier(BarenblattSpec(m=2.0, d=2, tau=1.0, C=1.0))
 
 
 def solver(**kw):
@@ -160,3 +161,26 @@ def test_lattice_whose_point_count_overflows():
     with pytest.raises(InvalidParameterError,
                        match=r"^box extent \[-1e\+308, 1e\+308\] at h_s 1.0 gives"):
         residual_pmed(BARENBLATT, make_zero_potential(1), box, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("half, points", [
+    (5e14, "1000000000000001"),  # 7.1 PiB: MemoryError
+    (2.5e18, "5000000000000000001"),  # past 2^63 bytes: ValueError
+    (2.0**62, "9223372036854775809"),  # np.arange(2**63 + 1) is empty
+    (5e18, "10000000000000000001"),  # past 2^63 points: ValueError
+])
+def test_lattice_numpy_cannot_allocate(half, points):
+    # sizes numpy refuses before it allocates anything
+    box = SpaceTimeBox((-half,), (half,), 0.0, 0.0)
+    with pytest.raises(InvalidParameterError,
+                       match=rf"gives a lattice of {points} points, more than numpy can"):
+        residual_pmed(BARENBLATT, make_zero_potential(1), box, 1.0, 2.0)
+
+
+def test_2d_lattice_numpy_cannot_allocate():
+    # two axes of 6e6 points (48 MB each) whose 3.6e13-point product, 288 TB
+    # per coordinate, is past the 128 TiB of a 47-bit user address space
+    box = SpaceTimeBox((-3e6, -3e6), (3e6, 3e6), 0.0, 0.0)
+    with pytest.raises(InvalidParameterError,
+                       match=r"gives a lattice of 6000001 x 6000001 points, more than numpy"):
+        residual_pmed(BARENBLATT_2D, make_zero_potential(2), box, 1.0, 2.0)

@@ -110,12 +110,12 @@ CASES = {
 DIGESTS = {
     'compare-1d': (0, {'compare.csv': 'f8d00ba4f85bc296b2b909c032611cdce6d1cacc3d090ef8e020882f5a632d6f'}),
     'compare-2d': (0, {'compare.csv': '50fee4fefaac807bda9e3bdf85b996183639740905b0981b33eec5cb03ebe783'}),
-    'convergence-1d': (0, {'hausdorff.csv': '03c68dd1cd5ce7d3c219ce42de89f6d7556fdda23ef7b181ef8bc6b595bc37df', 'summary.csv': '87ede966162854cea7adc577203d869acaff3ed5be115212e04a454aec48c4b3'}),
+    'convergence-1d': (0, {'hausdorff.csv': 'fd00704f6fc736140ad55ff9dbec4856af55069ff3794161924d39b8d9e6dcc0', 'summary.csv': 'b4b4e1939dca63de4edde078f5311417d035ff9876d22ef8f1eb76d76c7c711d'}),
     'convergence-2d': (0, {'hausdorff.csv': 'cd59e4c30c9129a11f935ea154342f3c1f2cb19bfca3ec5b20fbdb22d615f419', 'summary.csv': 'b58685194efc78fc0b786d1acc6966415c0a75cc721fe3b33d7f295030d7447b'}),
     'equilibrium-1d': (0, {'equilibrium.csv': 'a8ef620f4ece694a5a1c1e3e786bf158c2cbb9c7d43dd8c24d0d25322d291558'}),
     'equilibrium-2d': (0, {'equilibrium.csv': 'efcafed2cffcb97bb5165fd98066f6ec5e9eb72d42e55829074c337ccce924b2'}),
-    'simulate-1d': (0, {'mass.csv': '72834da82f926ce6a3983502a7ed2264687c3b4bee53aba3c567b8c80a7a28b8', 'snapshots.csv': '375df8f6bee41605b36e033ebda633b07ebd2edfaaef41c5a880f1cc0110bc34', 'snapshots.ndjson': '99312477ce20351dfa299ed1877f533a6e9c3c68d1038e6657164f1e83a7788f'}),
-    'simulate-2d': (0, {'mass.csv': 'f710ff9a46ddcdbdd7bd780e2444ae0d1a6cdbbd7d4554278479191eaaeecb36', 'snapshots.csv': 'fccdf51742c39bc82ffde6cbe598f5bc2b869aca57d885f11124b5a518c8366b', 'snapshots.ndjson': 'ee3c6ef37017df80b0bf5999b277e0fc2f712100e02b88cbdc45e224862105c2'}),
+    'simulate-1d': (0, {'mass.csv': '1d72fdd7b88d78ec7d584aaaaa9bc20bb8453d0f9fe1007515912c532c9eaee6', 'snapshots.csv': 'baca2e133ac15627fbaf1c5e749c4d65eb840e92996628d0329b75b0d20bd996', 'snapshots.ndjson': 'a75a60cdf350cacf4a719b2a9dfd10ee011d6fa2922756a0a96157f451b368d1'}),
+    'simulate-2d': (0, {'mass.csv': 'f710ff9a46ddcdbdd7bd780e2444ae0d1a6cdbbd7d4554278479191eaaeecb36', 'snapshots.csv': '5820dc87f5abe4b1c552764c466dc003a1ff121682b11962bad211c523c944f4', 'snapshots.ndjson': '7d690ccff4ffcfcd5d65f473d67ec75b53a2c1031f9e7e192cb5423ad82cfefe'}),
     'verify-barriers-1d': (1, {'residuals.csv': '8ac64d90d73388425763dd73b038aad703845907bac31da93501ce173f5ded31'}),
     'verify-barriers-2d': (0, {'residuals.csv': '96d114fa278e3238f78359f85e81acf9d4c6602a26c0b20a14169e723a7f4ec6'}),
 }

@@ -53,20 +53,50 @@ def loop_flux_divergence(values, grid, m, potential):
     return np.array([(flux[i + 1] - flux[i]) / h for i in range(n)])
 
 
-def reference_g(grid, potential):
-    """Interface gradients of Phi = sum_k p(x_k) along each axis, in the
-    full-grid shapes the solver once kept: (p(x_{i+1}) - p(x_i)) / h from p
-    at each axis center on its own, the same on every grid line."""
+def reference_dphi(grid, potential):
+    """Interface differences of Phi = sum_k p(x_k) along each axis, in the
+    full-grid shapes the solver once kept: p(x_{i+1}) - p(x_i) from p at
+    each axis center on its own, the same on every grid line."""
     p = np.array([float(potential.eval(np.array([x]))) for x in grid.axis_centers()])
-    g = (p[1:] - p[:-1]) / grid.h
+    d = p[1:] - p[:-1]
     if grid.dim == 1:
-        return (g,)
+        return (d,)
     n = grid.n_cells
-    return (np.broadcast_to(g[:, None], (n - 1, n)), np.broadcast_to(g[None, :], (n, n - 1)))
+    return (np.broadcast_to(d[:, None], (n - 1, n)), np.broadcast_to(d[None, :], (n, n - 1)))
+
+
+def reference_g(grid, potential):
+    """Interface gradients (p(x_{i+1}) - p(x_i)) / h, shaped as reference_dphi."""
+    return tuple(d / grid.h for d in reference_dphi(grid, potential))
+
+
+def pair_slices(a):
+    """The lower and the upper cells of every interface along axis a."""
+    return tuple((slice(None),) * a + (ends,) for ends in (slice(None, -1), slice(1, None)))
+
+
+def reference_scaled_divergence(v, grid, m, dphi):
+    """h^2 times the flux divergence on the full grid, in the solver's float
+    order: per axis h F = ((rho^m)_{i+1} - (rho^m)_i) + rho_up * dPhi, zero
+    on every interface of the outer ring; the differences of h F summed
+    over the axes, axis 0 first.  Nothing divides.  The step is
+    v + this * (dt / h**2)."""
+    rm = np.power(v, m)
+    divs = []
+    for a, d in enumerate(dphi):
+        lo, hi = pair_slices(a)
+        f = (rm[hi] - rm[lo]) + np.where(d > 0.0, v[hi], v[lo]) * d
+        for b in range(grid.dim):
+            f[(slice(None),) * b + (0,)] = f[(slice(None),) * b + (-1,)] = 0.0
+        f = np.pad(f, [(1, 1) if b == a else (0, 0) for b in range(grid.dim)])
+        divs.append(np.diff(f, axis=a))
+    return sum(divs[1:], divs[0])
 
 
 def reference_flux_divergence(v, grid, m, g):
-    """The solver's former 1D and 2D flux-divergence bodies, kept verbatim."""
+    """The solver's former 1D and 2D flux-divergence bodies, kept verbatim:
+    F = ((rho^m)_{i+1} - (rho^m)_i) / h + rho_up * g, and (F_hi - F_lo) / h.
+    The former step was v + dt * this."""
     h = grid.h
     rm = np.power(v, m)
     if grid.dim == 1:
@@ -123,36 +153,69 @@ def kernel_cases(draw):
 class TestFluxKernelReference:
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
-    def test_bitwise_equal_to_per_dimension_code(self, case):
+    def test_bitwise_equal_to_full_grid_code(self, case):
         # fields reaching the ring's neighbors: windows touching the grid edge
         grid, pot, v, m = case
-        cached, _ = _drift(grid, pot)
-        g = reference_g(grid, pot)
-        assert len(g) == grid.dim
-        for a, ga in enumerate(g):  # the cached vector, along axis a
-            along = cached.reshape((-1,) + (1,) * (grid.dim - 1 - a))
-            assert same_bits(np.broadcast_to(along, ga.shape), ga)
-        ref = reference_flux_divergence(v, grid, m, g)
+        dphi, out = _drift(grid, pot)
+        ref_dphi = reference_dphi(grid, pot)
+        assert len(ref_dphi) == grid.dim
+        for a, ra in enumerate(ref_dphi):  # the cached vector, along axis a
+            along = dphi.reshape((-1,) + (1,) * (grid.dim - 1 - a))
+            assert same_bits(np.broadcast_to(along, ra.shape), ra)
+        dense = out if grid.dim == 1 else np.add.outer(out, out)  # axis 0's rate + axis 1's
+        np.testing.assert_array_equal(dense, reference_outflow(grid, pot), strict=True)
+        ref = reference_scaled_divergence(v, grid, m, ref_dphi)
         stack = _Stack(v[None], grid, SolverConfig(m=m, potential=pot, t_end=1.0,
                                                    snapshot_every=1.0))
         outside = np.ones(grid.shape, dtype=bool)
         if stack.box is not None:
             win = _Window(stack, stack.box)
-            assert same_bits(win.divergence(grid.h, m)[0], ref[win.cells])
+            assert same_bits(win.divergence(m)[0], ref[win.cells])
             outside[win.cells] = False
         assert same_bits(ref[outside], np.zeros(np.count_nonzero(outside)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases(), st.sampled_from([1.0, 10.0]))
+    def test_step_within_rounding_of_the_former_step(self, case, overshoot):
+        # the division-free order moves each cell by rounding only
+        grid, pot, v, m = case
+        cfg = SolverConfig(m=m, potential=pot, t_end=1.0, snapshot_every=1.0)
+        dt = overshoot * cfl_dt(Field(grid, v, FieldVariable.DENSITY), cfg)
+        dphi, k = reference_dphi(grid, pot), dt / grid.h**2
+        new = v + reference_scaled_divergence(v, grid, m, dphi) * k
+        former = v + dt * reference_flux_divergence(v, grid, m, reference_g(grid, pot))
+        # Rounding, in units u of T, the sum over the cell's interfaces of
+        # |(rho^m)_{i+1} - (rho^m)_i| + |rho_up * dPhi|, times k: the former
+        # flux carries 3 u (two quotients and the sum), its difference, the
+        # axis sum, / h and * dt 1 u each: 7 u; the new h F 2 u, the
+        # difference and the axis sum 1 u each, dt / h^2 2 u and the product
+        # 1 u: 7 u.  Each final sum adds 1 u of |v| + k T: under 17 u of
+        # |v| + k T in all; and where a result is subnormal, an absolute
+        # 2^-1075 per rounding, times at most k: 16 of them.
+        rm, terms = np.power(v, m), np.zeros(grid.shape)
+        for a, d in enumerate(dphi):
+            lo, hi = pair_slices(a)
+            t = np.abs(rm[hi] - rm[lo]) + np.abs(np.where(d > 0.0, v[hi], v[lo]) * d)
+            t = np.pad(t, [(1, 1) if b == a else (0, 0) for b in range(grid.dim)])
+            terms += t[lo] + t[hi]
+        u = np.finfo(float).eps / 2.0
+        bound = 17.0 * u * (v + k * terms) + 8.0 * 2.0**-1074 * max(1.0, k)
+        assert np.all(np.abs(new - former) <= bound)
+        if np.any(new != former):
+            event("some cell moved")
+
     def test_drift_data_is_one_vector_per_grid(self):
         grid = Grid(dim=2, h=0.01, extent=2.0)
-        g, out = _drift(grid, make_quadratic_potential(1.0, 2))
-        assert (g.shape, out.shape) == ((399,), (400,))
+        dphi, out = _drift(grid, make_quadratic_potential(1.0, 2))
+        assert (dphi.shape, out.shape) == ((399,), (400,))
 
 
 def reference_step(v, grid, m, pot, dt):
     """One full-grid step with the reference kernel, clipped as the solver
     clips (every negative cell, whatever its mass): the stepped values and
     the clipped mass."""
-    new = v + dt * reference_flux_divergence(v, grid, m, reference_g(grid, pot))
+    scaled = reference_scaled_divergence(v, grid, m, reference_dphi(grid, pot))
+    new = v + scaled * (dt / grid.h**2)
     neg = new < 0.0
     if not np.any(neg):
         return new, 0.0
@@ -191,22 +254,22 @@ def reference_dt(members, grid, cfg):
     return dt, outflow / h > diffusion
 
 
-def kernel_diagonal(grid, g, cells):
+def kernel_diagonal(grid, dphi, cells):
     """Per cell of the mask ``cells``, the coefficients a_i and c_i of
-    rho_i in the reference kernel's
+    rho_i in the reference kernel's divergence
 
         div_i = -a_i rho_i^m - c_i rho_i + (terms of the neighbors):
 
     at m = 1 a unit field in cell i reads -a_i without drift and
     -(a_i + c_i) with it.  The diagonal rate -d(div_i)/d(rho_i) is then
     m a_i rho_i^(m-1) + c_i."""
-    zero = tuple(np.zeros(ga.shape) for ga in g)
+    zero, h2 = tuple(np.zeros(d.shape) for d in dphi), grid.h**2
     a, c = np.zeros(grid.shape), np.zeros(grid.shape)
     for i in zip(*np.nonzero(cells)):
         unit = np.zeros(grid.shape)
         unit[i] = 1.0
-        a[i] = -reference_flux_divergence(unit, grid, 1.0, zero)[i]
-        c[i] = -reference_flux_divergence(unit, grid, 1.0, g)[i] - a[i]
+        a[i] = -reference_scaled_divergence(unit, grid, 1.0, zero)[i] / h2
+        c[i] = -reference_scaled_divergence(unit, grid, 1.0, dphi)[i] / h2 - a[i]
     return a, c
 
 
@@ -335,10 +398,11 @@ class TestWindowedStep:
         grid, cfg, members = case
         cfg = replace(cfg, cfl_safety=safety)
         support = np.any(np.stack(members) > 0.0, axis=0)
-        a, c = kernel_diagonal(grid, reference_g(grid, cfg.potential), support)
+        a, c = kernel_diagonal(grid, reference_dphi(grid, cfg.potential), support)
         dt = _Stack(np.stack(members), grid, cfg).cfl_dt()
         # Rounding, in units u of the terms' magnitudes: the kernel's a carries
-        # 3 u and its c, a difference of two kernel outputs, 9 u of a + |c|;
+        # 2 u (h^2 and the quotient) and its c, a difference of two kernel
+        # outputs, 6 u of a + |c| (h F, its difference, the axis sum, / h^2);
         # the diffusion term adds 7 u of itself (m * a, the power, the product)
         # and the sum 1 u: under 16 u in all.  The solver's rate carries 8 u,
         # dt and dt * rate 1 u each: under 16 u of safety.
@@ -371,7 +435,7 @@ class TestWindowedStep:
         stack._track = lambda w, starts: scans.append(starts) or full(w, starts)
         if empty_member:
             event("an all-zero member")
-        g = reference_g(grid, cfg.potential)
+        dphi = reference_dphi(grid, cfg.potential)
         for _ in range(20):
             if not stack.margin_ok():
                 break
@@ -380,8 +444,8 @@ class TestWindowedStep:
                 event("window touches the grid edge")
             if box is not None and min(hi - lo for lo, hi in box) < 3:
                 event("box thinner than 3 cells")
-            clipping = any(np.any(v + dt * reference_flux_divergence(v, grid, cfg.m, g) < 0.0)
-                           for v in stack.v)
+            clipping = any(np.any(v + reference_scaled_divergence(v, grid, cfg.m, dphi)
+                                  * (dt / grid.h**2) < 0.0) for v in stack.v)
             stack.step(dt)
             ref = _Stack(stack.v.copy(), grid, cfg)
             assert (stack.box, stack.top) == (ref.box, ref.top)
@@ -681,6 +745,22 @@ class TestSimulate:
         for call in (simulate, cfl_dt):
             with pytest.raises(InvalidInputError, match="step rate is not finite: the "
                                "largest density 1e[+]306 at m = 2.0 gives a rate"):
+                call(rho, cfg)
+
+
+    def test_step_scale_overflow_is_typed(self):
+        # h^2 = 1e-310 and a cadence of 0.1: 1e-200^(m-1) rounds to 0, so the
+        # step is the cadence, and dt / h^2 overflows a float; inf times the
+        # zero divergence would turn every window cell into NaN
+        g = Grid(dim=1, h=1e-155, extent=1e-154)
+        v = np.zeros(g.shape)
+        v[9:11] = 1e-200
+        rho = Field(g, v, FieldVariable.DENSITY)
+        cfg = SolverConfig(m=3.0, potential=make_zero_potential(1),
+                           t_end=0.1, snapshot_every=0.1)
+        assert cfl_dt(rho, cfg) == 0.1
+        for call in (simulate, lambda r, c: step_density_report(r, c, 0.1)):
+            with pytest.raises(InvalidInputError, match="step scale dt / h\\^2 .* is not finite"):
                 call(rho, cfg)
 
 
