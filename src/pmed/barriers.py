@@ -31,6 +31,12 @@ points, such as ``(levels, 1, ...)`` against ``(levels, *lattice, dim)``,
 or one per point.  Each value is the float that the point's own scalar call
 gives, and a time outside the profile's range raises the scalar call's
 error, quoting the first such entry.
+
+Every profile's domain is convex in space and an interval in time: the
+rescale cylinder is a ball x [t0 - alpha, t0], and the convolutions and the
+Barenblatt bound only t.  So ``residual_pmed`` checks a box's domain once,
+by one call at the extreme points of what differences over the whole
+lattice would evaluate.
 """
 
 from __future__ import annotations
@@ -445,20 +451,6 @@ def _derivatives(
     return u_t
 
 
-def _outward_faces(pts: np.ndarray, h_s: float) -> np.ndarray:
-    """The lattice's two faces across each axis k, shifted outward by h_s e_k,
-    as one (F, dim) array.  Each lattice line along axis k shifted by
-    +-h_s e_k stays on the segment between its two shifted end points, so on a
-    convex domain these points reach every shifted sample point."""
-    dim = pts.shape[-1]
-    faces = []
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = h_s
-        faces += [np.take(pts, 0, axis=k) - e, np.take(pts, -1, axis=k) + e]
-    return np.concatenate([f.reshape(-1, dim) for f in faces])
-
-
 _BATCH_POINTS = 16384  # lattice points per batch of time levels
 
 
@@ -477,21 +469,25 @@ def residual_pmed(
     at the boundary samples, every crossing of the floor by a lattice line.
     The tolerance is 50 (1 + max u) h_s.
 
-    Consecutive time levels are taken as one batch of at most
+    One call, before the first batch, checks the candidate's domain at the
+    lattice's corners moved outward by h_s along each axis, at the first
+    and the last level, and at the corners themselves at t -+ h_s^2 past
+    those levels.  On a domain convex in space and an interval in time (see
+    the module docstring) these bound every point that differences over the
+    whole lattice evaluate, so a box whose enlargement leaves the domain
+    raises as if every point were differenced.
+
+    Consecutive time levels are then taken as one batch of at most
     ``_BATCH_POINTS`` lattice points, or one level when its lattice is
-    larger.  The lattice and its faces take one time per level; the
-    crossings and the differences take one per sample, or a float when the
-    batch is one level.  At each batch the candidate is evaluated on the
-    whole lattice of every level and on its faces
-    shifted outward by h_s, which reach every shifted point when the
-    candidate's domain is convex (a rescaled barrier's ball), so a box that
-    leaves the domain raises as if every point were differenced.
-    Differences, at t +- h_s^2 and x +- h_s e_k, are taken in one pass over
-    the interior samples followed by the crossings, each at its own level's
-    t, and every level is evaluated at t +- h_s^2 even when it has no
-    sample.  The candidate must act on each point alone, as every profile
-    here does: the residuals are then bit for bit those of differences over
-    the whole lattice, restricted to the samples read, in level order.
+    larger: 4 + 2 dim calls per batch.  The candidate is evaluated on the
+    whole lattice of every level, with one time per level, and at the
+    crossings; then differences, at t +- h_s^2 and x +- h_s e_k, are taken
+    in one pass over the interior samples followed by the crossings, each
+    at its own level's t.  The crossings and the differences take one time
+    per sample, or a float when the batch is one level.  The candidate must
+    act on each point alone, as every profile here does: the residuals are
+    then bit for bit those of differences over the whole lattice,
+    restricted to the samples read, in level order.
     """
     require("h_s", h_s, 0.0)
     require("m", m, 1.0)
@@ -507,8 +503,16 @@ def residual_pmed(
             f"box {box.lo} .. {box.hi} at h_s {h_s} gives a lattice of "
             f"{' x '.join(str(len(x)) for x in axes)} points, more than numpy can allocate"
         ) from None
-    faces = _outward_faces(pts, h_s)
     dim = pts.shape[-1]
+    # the domain probe: each of its points is one that differences over the
+    # whole lattice evaluate
+    high = np.indices((2,) * dim).reshape(dim, -1).T  # per corner, 1 at an axis's high end
+    corners = np.array([(x[0], x[-1]) for x in axes])[np.arange(dim), high]
+    outward = np.where(high, h_s, -h_s)[:, None] * np.eye(dim)  # (corner, k, axis)
+    faces = (corners[:, None] + outward).reshape(-1, dim)
+    t_lo, t_hi, dt = times[0], times[-1], h_s * h_s
+    candidate(np.concatenate((faces, faces, corners, corners)),
+              np.repeat([t_lo, t_hi, t_lo - dt, t_hi + dt], [len(faces)] * 2 + [len(corners)] * 2))
     per_batch = max(1, _BATCH_POINTS // (pts.size // dim))
 
     int_res, bd_res = [], []
@@ -518,8 +522,6 @@ def residual_pmed(
         t = tb.reshape(tb.shape + (1,) * dim)  # against (levels, *lattice)
         lattice = np.broadcast_to(pts, tb.shape + pts.shape)
         u0 = np.asarray(candidate(lattice, t), dtype=float)
-        # raises where a shifted point leaves the domain
-        candidate(np.broadcast_to(faces, tb.shape + faces.shape), tb[:, None])
         u_max = max(u_max, float(u0.max(initial=0.0)))
         inside = u0 > floor
         found = [level_crossings(level, axes, floor) for level in u0]
@@ -536,11 +538,6 @@ def residual_pmed(
         else:
             t_cross = np.repeat(tb, [len(f) for f in found])
             t_at = np.concatenate((np.repeat(tb, counts), t_cross))
-        # a crossing's edge has an end inside, so these levels have no sample
-        idle = tb[counts == 0]
-        if idle.size:
-            for shift in (h_s * h_s, -h_s * h_s):  # the differences' t +- h_s^2
-                candidate(np.empty((idle.size, 0, dim)), idle[:, None] + shift)
         u_at = np.concatenate((u0[inside], np.asarray(candidate(crossings, t_cross), dtype=float)))
         r = _derivatives(candidate, pot, samples, u_at, t_at, h_s, m)
         int_res.append(r[:n])

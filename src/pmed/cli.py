@@ -4,9 +4,9 @@ Usage: ``pmed <command> --config <path> [--out <dir>]`` with commands
 simulate, equilibrium, verify-barriers, compare, convergence.  Exit code 0
 when every check passes, 1 when a check fails, 2 on configuration or
 runtime errors.  Output files are written to a temporary name and renamed
-only after the whole run succeeds, so a failing run leaves no partial
-files, nor an output directory that it created.  Identical configs produce
-byte-identical outputs.
+only after the whole run succeeds, so a failing or interrupted run leaves
+no partial files, nor an output directory that it created.  Identical
+configs produce byte-identical outputs.
 
 The config schema is documented in the repository README.
 """
@@ -579,8 +579,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         code = _RUNNERS[args.command](cfg, stage)
-    except Exception as exc:  # no partial files on any failure
+    except BaseException as exc:  # no partial files on any failure, an interrupt's too
         stage.abort()
+        if not isinstance(exc, Exception):
+            raise
         kind = "" if isinstance(exc, PmedError) else "runtime: "
         print(f"pmed: error: {kind}{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

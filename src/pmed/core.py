@@ -81,21 +81,14 @@ class Grid:
 
     def centers(self) -> np.ndarray:
         """Cell-center positions, shape grid.shape + (dim,)."""
-        return _centers_cached(self)
+        axes = (self.axis_centers(),) * self.dim
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     def coord_of_index(self, i: int) -> float:
         return -self.extent + (i + 0.5) * self.h
 
     def index_of_coord(self, x: float) -> int:
         return int(round((x + self.extent) / self.h - 0.5))
-
-
-@lru_cache(maxsize=64)
-def _centers_cached(grid: Grid) -> np.ndarray:
-    axes = (grid.axis_centers(),) * grid.dim
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    pts.setflags(write=False)
-    return pts
 
 
 class FieldVariable(enum.Enum):

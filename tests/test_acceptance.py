@@ -23,6 +23,7 @@ from pmed.barriers import (
 )
 from pmed.core import (
     Grid,
+    density_from_pressure,
     integrate,
     make_quadratic_potential,
     make_zero_potential,
@@ -40,6 +41,7 @@ from pmed.freeboundary import (
 from pmed.initialdata import barenblatt_density, bump_density
 from pmed.solver import SolverConfig, SpaceTimeTestFunction, simulate, weak_residual
 from pmed.solver import comparison_harness
+from test_solver import free_energy
 
 
 @contextmanager
@@ -194,6 +196,27 @@ def test_criterion_6_free_boundary_convergence():
         eps_shell = 5.0 * h * (1.0 + 2.0 * np.sqrt(prof.c_inf))
         assert sublevel_shell_check(final_b, QUAD_1D, prof.c_inf, eps_shell)
         assert time.monotonic() - start <= 120.0
+
+
+def test_criterion_6b_free_energy_gap():
+    with criterion("6b", "free-energy gap to the sampled equilibrium shrinks with h"):
+        # criterion 6's case at t = 8: E_h(rho) - E_h(rho_eq), relative to
+        # |E_h(rho_eq)|, with rho_eq the cell-sampled equilibrium of the same
+        # mass (E_h's minimizer); measured 1.591e-3, 4.116e-4 and 1.064e-4,
+        # 3.9x per halving of h
+        measured = {0.05: 1.591e-3, 0.025: 4.116e-4, 0.0125: 1.064e-4}
+        cfg = SolverConfig(m=2.0, potential=QUAD_1D, t_end=8.0, snapshot_every=0.5)
+        gaps = []
+        for h, gap_then in measured.items():
+            grid = Grid(dim=1, h=h, extent=2.5)
+            rho0 = bump_density(grid, amplitude=0.6, width=0.8, center=-0.3)
+            eq = equilibrium_profile(integrate(rho0), QUAD_1D, 2.0, grid).pressure
+            phi = QUAD_1D.eval(grid.centers())
+            e_eq = free_energy(density_from_pressure(eq, 2.0).values, phi, 2.0, h)
+            e_end = free_energy(simulate(rho0, cfg).final.field.values, phi, 2.0, h)
+            gaps.append((e_end - e_eq) / abs(e_eq))
+            assert 0.0 < gaps[-1] <= 2.0 * gap_then, (h, gaps[-1])
+        assert all(coarse >= 3.0 * fine for coarse, fine in zip(gaps, gaps[1:])), gaps
 
 
 def test_criterion_7a_barenblatt_residuals():

@@ -639,6 +639,82 @@ class TestCylinderContract:
 
 
 @st.composite
+def straddling_cases(draw):
+    """(candidate, potential, box, h_s, m): a rescaled Barenblatt or wave
+    barrier in 1D or 2D, and a box whose enlargement by h_s in space and
+    h_s^2 in time now and then leaves the cylinder |x - x0| <= alpha,
+    t in [-alpha, 0], in space, in time or both, some by half a step and
+    some onto its edge.  A Barenblatt with tau < 1 also raises below
+    t = -tau alpha, inside the cylinder."""
+    d = draw(st.sampled_from([1, 2]))
+    alpha = draw(st.floats(0.05, 0.2))
+    x0 = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    pot = draw(st.sampled_from([make_zero_potential(d), make_quadratic_potential(0.5, d)]))
+    h_s = alpha * draw(st.floats(0.02 if d == 1 else 0.05, 0.15))
+    # u / alpha at the base's reference point: 0.5 to 4 floors 10 h_s / alpha
+    size = draw(st.floats(0.5, 4.0)) * 10.0 * h_s / alpha
+    if draw(st.booleans()):  # size: A (|y| - B) at |y| = 1, t = 0
+        A = size / 0.4
+        base = SphericalWaveSpec(A=A, omega=2.0, B=0.6, R=1.0, m=2.0, d=d)
+    else:  # size: about u at y = 0, t = 0
+        tau = draw(st.floats(0.5, 2.0))
+        base = BarenblattSpec(m=draw(st.floats(1.2, 3.0)), d=d, tau=tau, C=size * tau)
+    rescale = RescaleSpec(alpha=alpha, x0=tuple(x0.tolist()), t0=0.0,
+                          drift=tuple(np.atleast_1d(pot.grad(x0)).tolist()), C_pert=1.0)
+    # per axis within alpha / sqrt(d), where a square's corners meet the
+    # ball, or ending k h_s inside it: k = 1 puts a shifted point on the
+    # edge, k = 0.5 past it
+    reach = alpha / np.sqrt(d)
+    near = [reach - k * h_s for k in (2.0, 1.0, 3.0, 0.5)]
+    lo, hi = [], []
+    for c in x0:
+        a = c + draw(st.sampled_from([-e for e in near]) | st.floats(-reach, reach))
+        b = c + draw(st.sampled_from(near) | st.floats(-reach, reach))
+        lo.append(min(a, b))
+        hi.append(max(a, b))
+    # up to four levels; the last k h_s^2 below t0 or the first k h_s^2
+    # above t0 - alpha, now and then: k = 1 puts t -+ h_s^2 on the edge,
+    # k = 0.5 past it
+    edge = [k * h_s * h_s for k in (2.0, 1.0, 3.0, 0.5)]
+    levels = draw(st.integers(0, 3)) * h_s
+    at = draw(st.sampled_from(["top", "bottom", "free"]))
+    if at == "top":
+        t_hi = -draw(st.sampled_from(edge))
+    elif at == "bottom":
+        t_hi = -alpha + draw(st.sampled_from(edge)) + levels
+    else:
+        t_hi = draw(st.floats(-0.8 * alpha, -0.05 * alpha))
+    t_lo = t_hi - levels
+    box = SpaceTimeBox(lo=tuple(lo), hi=tuple(hi), t_lo=t_lo, t_hi=t_hi)
+    return build_barrier(RescaledBarrierSpec(base=base, rescale=rescale)), pot, box, h_s, base.m
+
+
+class TestDomainProbe:
+    @settings(max_examples=150, deadline=None)
+    @given(straddling_cases())
+    def test_raises_exactly_when_the_reference_raises(self, case):
+        # the reference evaluates every point of every level; residual_pmed
+        # checks the domain once, by its probe, and raises on non-finite
+        # residuals
+        candidate, pot, box, h_s, m = case
+        try:
+            interior, boundary, tol, _ = reference_residuals(candidate, pot, box, h_s, m)
+            raised = not (np.all(np.isfinite(interior)) and np.all(np.isfinite(boundary)))
+        except PmedError:
+            raised = True
+        event("raises" if raised else
+              f"passes, {'with' if interior.size else 'no'} interior samples")
+        if raised:
+            with pytest.raises(PmedError):
+                residual_pmed(candidate, pot, box, h_s, m)
+            return
+        rep = residual_pmed(candidate, pot, box, h_s, m)
+        assert_same_bits(rep.interior_residuals, interior)
+        assert_same_bits(rep.boundary_residuals, boundary)
+        assert rep.tol == tol
+
+
+@st.composite
 def timed_barriers(draw):
     """(candidate, dim, centre, half, times): every barrier kind, points in
     centre +- half, and times that now and then leave the kind's range:
@@ -744,7 +820,7 @@ class TestTimeBatches:
     ])
     def test_2d_batches_pass_times_shaped_like_the_points(self, spec, half):
         # every call's t broadcasts against its points' leading shape, and
-        # its values take that shape, the shifted faces' included
+        # its values take that shape, the domain probe's included
         candidate = build_barrier(spec)
         calls = []
 
@@ -753,7 +829,7 @@ class TestTimeBatches:
             assert np.broadcast_shapes(np.shape(t), lead) == lead
             u = candidate(x, t)
             assert np.shape(u) == lead
-            calls.append(lead)
+            calls.append((lead, np.shape(t)))
             return u
 
         pot = make_zero_potential(2)
@@ -764,7 +840,10 @@ class TestTimeBatches:
         with patch.object(barriers, "_BATCH_POINTS", 3 * points):  # batches of 3 and 2 levels
             rep = residual_pmed(checked, pot, box, h_s, 2.0)
         assert rep.interior_count > 0 and rep.boundary_count > 0
-        assert any(len(lead) == 2 and lead[0] == 3 for lead in calls)  # the faces of 3 levels
+        # the probe: 8 moved corners at 2 levels and 4 corners at 2 times,
+        # one t per point; then the lattice of 3 levels, one t per level
+        assert calls[0] == ((24,), (24,))
+        assert calls[1] == ((3,) + (len(_lattice(-half, half, h_s)),) * 2, (3, 1, 1))
         assert_same_bits(rep.interior_residuals, ref.interior_residuals)
         assert_same_bits(rep.boundary_residuals, ref.boundary_residuals)
 
@@ -804,9 +883,9 @@ class TestCallBudget:
                                   "1d-barenblatt"])
     @pytest.mark.parametrize("levels", [1, 2, 4])
     def test_calls_per_batch(self, case, levels):
-        # per batch: the lattice, its faces, the crossings, t +- h_s^2 and
-        # x +- h_s e_k over the samples, and t +- h_s^2 once more when a
-        # level of the batch has no interior sample
+        # one domain probe, then per batch: the lattice, the crossings, and
+        # t +- h_s^2 and x +- h_s e_k over the samples, whether or not a
+        # level of the batch has an interior sample
         candidate, pot, box, h_s, m = case
         dim = len(box.lo)
         lattice = tuple(len(_lattice(lo, hi, h_s)) for lo, hi in zip(box.lo, box.hi))
@@ -820,13 +899,17 @@ class TestCallBudget:
         assert (0 in per_level) == (case in (EMPTY_LEVELS, EMPTY_LEVELS_1D))
         with patch.object(barriers, "_BATCH_POINTS", levels * int(np.prod(lattice))):
             rep = residual_pmed(counted, pot, box, h_s, m)
+        # the probe: 2^dim corners, moved outward along each of the dim axes
+        # at 2 levels, and the corners themselves at 2 times
+        assert calls[0] == (2 * (dim + 1) * 2 ** dim, dim)
         batches = [per_level[i:i + levels] for i in range(0, len(per_level), levels)]
         starts = [i for i, shape in enumerate(calls) if shape[1:] == lattice + (dim,)]
+        assert starts[0] == 1
         assert [calls[i][0] for i in starts] == [len(b) for b in batches]
         made = np.diff(starts + [len(calls)]).tolist()
-        assert made == [5 + 2 * dim + 2 * (0 in b) for b in batches]
-        # the (k, dim) calls: the crossings, then the differences over the
-        # samples, interior and boundary, and no more points
-        points = sum(shape[0] for shape in calls if len(shape) == 2)
+        assert made == [4 + 2 * dim] * len(batches)
+        # the (k, dim) calls after the probe: the crossings, then the
+        # differences over the samples, interior and boundary, and no more points
+        points = sum(shape[0] for shape in calls[1:] if len(shape) == 2)
         samples = rep.interior_count + rep.boundary_count
         assert points == rep.boundary_count + (2 + 2 * dim) * samples

@@ -268,6 +268,26 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
         assert not (tmp_path / "runs").exists()
 
+    def test_interrupted_run_leaves_no_files(self, tmp_path, monkeypatch):
+        # an interrupt at the second snapshot, after both snapshot files
+        # were opened, is raised again once the stage is cleared
+        calls = []
+        real = pmed.cli.pressure_from_density
+
+        def interrupted(rho, m):
+            calls.append(rho)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(rho, m)
+
+        monkeypatch.setattr(pmed.cli, "pressure_from_density", interrupted)
+        command, data = CASES["simulate-2d"]
+        out = tmp_path / "runs" / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main([command, "--config", write_config(tmp_path, data), "--out", str(out)])
+        assert len(calls) == 2
+        assert not (tmp_path / "runs").exists()
+
     def test_step_rate_overflow_is_a_typed_error(self, tmp_path, capsys):
         # a bump of 1e160 at m 3: its power m - 1 overflows a float
         data = simulate_config(initial={"kind": "bump", "amplitude": 1e160, "width": 0.6})

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -117,6 +118,12 @@ def reference_flux_divergence(v, grid, m, g):
     div0 = np.diff(np.concatenate([z0, f0, z0], axis=0), axis=0)
     div1 = np.diff(np.concatenate([z1, f1, z1], axis=1), axis=1)
     return (div0 + div1) / h
+
+
+def free_energy(rho, phi, m, h):
+    """The discrete free energy E_h = h^d sum(rho^m / (m - 1) + rho Phi) of
+    a density field rho and the potential's cell values phi."""
+    return h**rho.ndim * float(np.sum(rho**m / (m - 1.0) + rho * phi))
 
 
 def same_bits(a, b):
@@ -474,6 +481,69 @@ class TestWindowedStep:
             support = np.nonzero(np.any(stack.v > 0.0, axis=0))
             assert stack.box == (tuple((int(i.min()), int(i.max()) + 1) for i in support)
                                  if support[0].size else None)
+
+
+@st.composite
+def driftless_cases(draw):
+    """A density field of a random palette on a box at least two cells off
+    the margin, with Phi = 0, m in [1.1, 4] and cfl_safety in [0.001, 1]."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(10, 20 if dim == 2 else 40))
+    h = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    grid = Grid(dim=dim, h=h, extent=n * h / 2.0)
+    box = []
+    for _ in range(dim):
+        lo = draw(st.integers(4, n - 5))
+        box.append(slice(lo, draw(st.integers(lo, n - 5)) + 1))
+    shape = tuple(b.stop - b.start for b in box)
+    size = math.prod(shape)
+    palette = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4)) + [0.0]
+    v = np.zeros(grid.shape)
+    v[tuple(box)] = np.reshape(draw(st.lists(st.sampled_from(palette), min_size=size,
+                                             max_size=size)), shape)
+    cfg = SolverConfig(m=draw(st.floats(1.1, 4.0)), potential=make_zero_potential(dim),
+                       t_end=1.0, snapshot_every=1.0,
+                       cfl_safety=draw(st.just(1.0) | st.floats(1e-3, 1.0)))
+    return grid, cfg, v
+
+
+class TestFreeEnergy:
+    @settings(max_examples=200, deadline=None)
+    @given(driftless_cases(), st.integers(1, 6))
+    def test_no_rise_without_drift(self, case, steps):
+        # At Phi = 0 the step is conservative and monotone, with constants as
+        # fixed points, so every convex entropy, E_h among them, is
+        # non-increasing (Crandall & Tartar, Proc. AMS 78 (1980)).  Rounding:
+        # each stepped cell is within 8 u (rho_i + k T_i) of the exact step,
+        # T_i the cell's interface terms |(rho^m)_{i+1} - (rho^m)_i| and
+        # k = dt / h^2 (see test_step_within_rounding_of_the_former_step),
+        # which moves E_h by E_h'(rho_i) = m / (m - 1) rho_i^(m-1) per unit,
+        # taken at the larger of the two values and doubled; each E_h sums N
+        # positive terms, within (N + 2) u of their sum.
+        grid, cfg, v = case
+        m, u = cfg.m, np.finfo(float).eps / 2.0
+        phi = np.zeros(grid.shape)
+        stack = _Stack(v[None].copy(), grid, cfg)
+        for _ in range(steps):
+            if not stack.margin_ok():
+                break
+            before = stack.v[0].copy()
+            dt = stack.cfl_dt()
+            stack.step(dt)
+            after = stack.v[0]
+            rm, terms = np.power(before, m), np.zeros(grid.shape)
+            for a in range(grid.dim):
+                lo, hi = pair_slices(a)
+                t = np.pad(np.abs(rm[hi] - rm[lo]),
+                           [(1, 1) if b == a else (0, 0) for b in range(grid.dim)])
+                terms += t[lo] + t[hi]
+            slope = m / (m - 1.0) * np.maximum(before, after) ** (m - 1.0)
+            e0, e1 = (free_energy(r, phi, m, grid.h) for r in (before, after))
+            moved = grid.cell_volume * float(np.sum(slope * (before + dt / grid.h**2 * terms)))
+            bound = u * (16.0 * moved + (before.size + 2) * (e0 + e1))
+            assert e1 - e0 <= bound, (e0, e1, bound)
+            event("E_h fell" if e1 < e0 else "E_h rose within rounding" if e1 > e0
+                  else "E_h kept")
 
 
 def empty_density(grid):
