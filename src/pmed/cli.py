@@ -224,13 +224,11 @@ def _ok(value: Any) -> bool:
     return value is not _BAD
 
 
-def _potential(p: dict, dim: int) -> Potential:
+def _potential(p: dict) -> Potential:
     if p["kind"] == "quadratic":
-        return make_quadratic_potential(p["a"], dim)
+        return make_quadratic_potential(p["a"])
     if p["kind"] == "zero":
-        return make_zero_potential(dim)
-    if dim != 1:
-        raise InvalidParameterError("polynomial potentials are 1D only")
+        return make_zero_potential()
     return make_polynomial_potential(p["coefficients"])
 
 
@@ -255,7 +253,7 @@ class _BarrierJob:
     pot: Potential
 
 
-def _barrier_job(idx: int, b: dict, potential: dict) -> _BarrierJob:
+def _barrier_job(idx: int, b: dict, pot: Potential) -> _BarrierJob:
     p = b.get("base", b)  # the Barenblatt or spherical-wave profile
     if p["kind"] == "barenblatt":
         spec = base = bar.BarenblattSpec(**{k: p[k] for k in _BARENBLATT})
@@ -264,7 +262,6 @@ def _barrier_job(idx: int, b: dict, potential: dict) -> _BarrierJob:
     for key, v in (("box.lo", b["box"]["lo"]), ("x0", b.get("x0")), ("drift", b.get("drift"))):
         if v is not None and len(v) != base.d:
             raise InvalidParameterError(f"{key} has {len(v)} entries, but d = {base.d}")
-    pot = _potential(potential, base.d)
     if "base" in b:
         # defaults: the drift grad Phi(x0), and C_pert 1 + Phi's curvature on |x - x0| <= a
         x0, a = np.asarray(b["x0"]), b["alpha"]
@@ -294,8 +291,7 @@ def _build(errors: list[str], blocks: dict, command: str) -> dict:
                 blocks.get("grid"))
     physics = blocks["physics"] if _ok(blocks["physics"]) else {}
     m = physics.get("m")
-    pot = make("physics.potential", lambda p, g: _potential(p, g.dim),
-               physics.get("potential"), grid)
+    pot = make("physics.potential", _potential, physics.get("potential"))
     out: dict[str, Any] = {"command": command, "grid": grid, "m": m, "potential": pot}
     if "solver" in blocks:
         out["solver"] = make("solver", lambda s, m, pot: SolverConfig(m=m, potential=pot, **s),
@@ -304,7 +300,7 @@ def _build(errors: list[str], blocks: dict, command: str) -> dict:
         if key in blocks:
             out[key] = make(key, _initial, blocks[key], grid, m, pot)
     if isinstance(blocks.get("barriers"), list):
-        out["barriers"] = [make(f"barriers[{i}]", _barrier_job, i, b, physics.get("potential"))
+        out["barriers"] = [make(f"barriers[{i}]", _barrier_job, i, b, pot)
                            for i, b in enumerate(blocks["barriers"])]
     # plain values (if any failed, ``out`` is never returned)
     if isinstance(eq := blocks.get("equilibrium"), dict):
@@ -526,7 +522,8 @@ def _run_convergence(cfg: dict, stage: _Stage) -> int:
 
     eps_shell = cfg["epsilon_shell"]
     if eps_shell is None:
-        eps_shell = 5.0 * grid.h * (1.0 + 2.0 * np.sqrt(prof.c_inf))
+        phi_min = cfg["potential"].min_value(grid.dim)  # the shell check ignores Phi's offset
+        eps_shell = 5.0 * grid.h * (1.0 + 2.0 * np.sqrt(prof.c_inf - phi_min))
     shell_ok = sublevel_shell_check(final_b, cfg["potential"], prof.c_inf, eps_shell)
     ok = shell_ok
     summary = [

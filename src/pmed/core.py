@@ -293,7 +293,7 @@ def _extrema(c: Sequence[float], lo: float, hi: float) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True)
 class Potential:
-    """Drift potential Phi(x) = sum_k p(x_k) over ``dim`` axes, for the
+    """Drift potential Phi(x) = sum_k p(x_k) over the axes of x, for the
     polynomial p with ascending ``coefficients``; hashed and compared by value.
 
     ``eval`` maps points (..., dim) to values (...).  ``grad`` applies p' to
@@ -302,7 +302,6 @@ class Potential:
     Hessian bounds are computed from the coefficients."""
 
     coefficients: tuple[float, ...]
-    dim: int = 1
 
     def __post_init__(self):
         c = tuple(map(float, self.coefficients))
@@ -330,17 +329,17 @@ class Potential:
         v, size = _extrema(d2, -_BIG, _BIG)
         return bool(np.all(v >= -8.0 * np.finfo(float).eps * size))
 
-    def min_value(self) -> float:
-        """Global minimum dim * min p, taken at a real root of p'; computed
-        once per potential value."""
-        return _min_value(self)
+    def min_value(self, dim: int) -> float:
+        """Global minimum dim * min p over ``dim`` axes, min p taken at a real
+        root of p' and computed once per potential value."""
+        return dim * _min_value(self)
 
     def hessian_bound(self, lo, hi) -> float:
-        """Largest over the axes of max |p''| on [lo_k, hi_k], each maximum
-        exact up to rounding: the Hessian of a separable Phi is diagonal, so
-        this is its largest norm on that box."""
+        """Largest over the axes k of lo and hi of max |p''| on [lo_k, hi_k],
+        each exact up to rounding: the Hessian of a separable Phi is diagonal,
+        so this is its largest norm on that box."""
         d2 = _derivative(_derivative(self.coefficients))
-        lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (self.dim,)) for v in (lo, hi))
+        lo, hi = np.broadcast_arrays(np.atleast_1d(lo), np.atleast_1d(hi))
         return float(max(np.abs(_extrema(d2, a, b)[0]).max() for a, b in zip(lo, hi)))
 
 
@@ -350,20 +349,20 @@ def _min_value(pot: Potential) -> float:
         raise UnsupportedPotentialError(
             f"needs a strictly convex potential, got coefficients {pot.coefficients}"
         )
-    return pot.dim * float(_extrema(pot.coefficients, -_BIG, _BIG)[0].min())
+    return float(_extrema(pot.coefficients, -_BIG, _BIG)[0].min())
 
 
-def make_quadratic_potential(a: float, dim: int = 1) -> Potential:
+def make_quadratic_potential(a: float) -> Potential:
     """Phi(x) = a |x|^2, so p = a x^2; strictly convex, minimum at 0."""
     require("quadratic coefficient", a, 0.0)
-    return Potential((0.0, 0.0, a), dim)
+    return Potential((0.0, 0.0, a))
 
 
-def make_zero_potential(dim: int = 1) -> Potential:
+def make_zero_potential() -> Potential:
     """Phi = 0: no drift, not strictly convex."""
-    return Potential((0.0,), dim)
+    return Potential((0.0,))
 
 
 def make_polynomial_potential(coefficients: Sequence[float]) -> Potential:
-    """One-dimensional polynomial Phi(x) = sum_k c_k x^k."""
+    """Phi(x) = sum_k p(x_k) for the polynomial p(y) = sum_j c_j y^j."""
     return Potential(tuple(coefficients))

@@ -102,7 +102,8 @@ def _settle(mins: np.ndarray, bound: float, a: np.ndarray, b: np.ndarray) -> flo
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two nonempty (k, dim) point clouds.
 
-    Raises InvalidInputError if a coordinate is NaN or infinite.  Both
+    Raises InvalidInputError if the clouds are not 2-D with one number of
+    columns, or if a coordinate is NaN or infinite.  Both
     clouds are sorted along axis 0; each block of rows of a is reduced only
     against the points of b whose axis-0 coordinate lies within delta of
     the block's range, delta = 16 span / max(k, l) with span the largest
@@ -112,6 +113,9 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     the whole other cloud.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[1:] != b.shape[1:] or a.shape[1] == 0:
+        raise InvalidInputError(f"hausdorff requires (k, dim) clouds of one dim, "
+                                f"got shapes {a.shape} and {b.shape}")
     if len(a) == 0 or len(b) == 0:
         raise EmptyBoundarySetError("hausdorff requires nonempty boundary sets")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -179,7 +183,7 @@ def _equilibrium(
     require("target_mass", target_mass, 0.0)
     require("m", m, 1.0)
     phi = _cell_potential(pot, grid)
-    phi_min = min(float(phi.min()), pot.min_value())
+    phi_min = min(float(phi.min()), pot.min_value(grid.dim))
     mass = _MassMap(phi, m, grid.cell_volume)
 
     # C stays <= c_cap, the least Phi on the outer ring, so (C - Phi)_+ is 0 there;

@@ -6,7 +6,7 @@ import numpy as np
 
 from .barriers import BarenblattSpec, barenblatt
 from .core import Field, FieldVariable, Grid, Potential, density_from_pressure, dot_last, ring
-from .errors import DomainTooSmallError, InvalidInputError
+from .errors import DomainTooSmallError, InvalidInputError, InvalidParameterError
 from .freeboundary import _equilibrium
 
 __all__ = ["barenblatt_density", "bump_density", "equilibrium_offset_density"]
@@ -14,6 +14,8 @@ __all__ = ["barenblatt_density", "bump_density", "equilibrium_offset_density"]
 
 def barenblatt_density(grid: Grid, spec: BarenblattSpec, t: float = 0.0) -> Field:
     """Sample the self-similar profile at time t and convert to density."""
+    if spec.d != grid.dim:
+        raise InvalidParameterError(f"spec.d = {spec.d} does not match grid.dim = {grid.dim}")
     if spec.support_radius(t) >= grid.extent - 2.0 * grid.h:
         raise DomainTooSmallError(
             f"support radius {spec.support_radius(t):.3g} does not fit in the box"

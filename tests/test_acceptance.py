@@ -55,15 +55,14 @@ def criterion(num, name):
 
 
 BB = BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0)
-ZERO_POT_1D = make_zero_potential(1)
-QUAD_1D = make_quadratic_potential(1.0, dim=1)
-QUAD_2D = make_quadratic_potential(1.0, dim=2)
+ZERO_POT = make_zero_potential()
+QUAD = make_quadratic_potential(1.0)
 
 
 @lru_cache(maxsize=8)
 def barenblatt_run(h, snapshot_every):
     grid = Grid(dim=1, h=h, extent=4.0)
-    cfg = SolverConfig(m=2.0, potential=ZERO_POT_1D, t_end=0.5,
+    cfg = SolverConfig(m=2.0, potential=ZERO_POT, t_end=0.5,
                        snapshot_every=snapshot_every)
     return simulate(barenblatt_density(grid, BB), cfg)
 
@@ -92,7 +91,7 @@ def test_criterion_2_mass_conservation():
     with criterion(2, "mass conservation and clipped-mass budget"):
         runs = [barenblatt_run(0.05, 0.1)]
         grid2 = Grid(dim=2, h=0.1, extent=2.0)
-        cfg2 = SolverConfig(m=2.0, potential=QUAD_2D, t_end=0.3, snapshot_every=0.1)
+        cfg2 = SolverConfig(m=2.0, potential=QUAD, t_end=0.3, snapshot_every=0.1)
         runs.append(simulate(bump_density(grid2, amplitude=0.6, width=0.7), cfg2))
         for traj in runs:
             m0 = traj.snapshots[0].mass
@@ -106,9 +105,9 @@ def test_criterion_3_equilibrium_constant():
     with criterion(3, "equilibrium constant against the analytic mass law"):
         start = time.monotonic()
         grid = Grid(dim=1, h=2e-4, extent=2.0)
-        c = equilibrium_constant(2.0 / 3.0, QUAD_1D, 2.0, grid)
+        c = equilibrium_constant(2.0 / 3.0, QUAD, 2.0, grid)
         assert abs(c - 1.0) <= 1e-6
-        cs = [equilibrium_constant(mm, QUAD_1D, 2.0, grid)
+        cs = [equilibrium_constant(mm, QUAD, 2.0, grid)
               for mm in (0.2, 0.4, 2.0 / 3.0, 1.0, 1.5)]
         assert all(a < b for a, b in zip(cs, cs[1:]))
         assert time.monotonic() - start <= 5.0
@@ -121,7 +120,7 @@ def test_criterion_4_comparison_principle():
         reports = []
 
         grid1 = Grid(dim=1, h=0.05, extent=2.0)
-        cfg1 = SolverConfig(m=2.0, potential=QUAD_1D, t_end=0.5, snapshot_every=0.1)
+        cfg1 = SolverConfig(m=2.0, potential=QUAD, t_end=0.5, snapshot_every=0.1)
         for k in range(6):
             amp = 0.3 + 0.4 * rng.random()
             width = 0.5 + 0.4 * rng.random()
@@ -135,7 +134,7 @@ def test_criterion_4_comparison_principle():
             reports.append(comparison_harness(lo, hi, cfg1))
 
         grid2 = Grid(dim=2, h=0.1, extent=2.0)
-        cfg2 = SolverConfig(m=2.0, potential=QUAD_2D, t_end=0.2, snapshot_every=0.05)
+        cfg2 = SolverConfig(m=2.0, potential=QUAD, t_end=0.2, snapshot_every=0.05)
         for k in range(4):
             amp = 0.3 + 0.4 * rng.random()
             width = 0.5 + 0.3 * rng.random()
@@ -161,10 +160,10 @@ def test_criterion_5_finite_propagation():
         # initial support inside {Phi <= C - 0.2}, pressure below (C - Phi)_+
         rho0 = bump_density(grid, amplitude=0.4, width=np.sqrt(c_barrier - 0.2))
         u0 = pressure_from_density(rho0, 2.0).values
-        phi = QUAD_1D.eval(grid.centers())
+        phi = QUAD.eval(grid.centers())
         assert np.all(u0 <= np.maximum(c_barrier - phi, 0.0) + 1e-12)
 
-        cfg = SolverConfig(m=2.0, potential=QUAD_1D, t_end=2.0, snapshot_every=0.1)
+        cfg = SolverConfig(m=2.0, potential=QUAD, t_end=2.0, snapshot_every=0.1)
         traj = simulate(rho0, cfg)
         for snap in traj.snapshots:
             # support cells above a fixed 1e-8 density stay inside the barrier
@@ -174,7 +173,7 @@ def test_criterion_5_finite_propagation():
             # shell machinery on the grid-scale boundary proxy: points inside
             # {0 <= Phi <= C}, expressed as the shell around C/2 of width C/2
             b = extract_boundary(snap.field, default_support_threshold(snap.field))
-            assert sublevel_shell_check(b, QUAD_1D, c_barrier / 2.0, c_barrier / 2.0)
+            assert sublevel_shell_check(b, QUAD, c_barrier / 2.0, c_barrier / 2.0)
 
 
 def test_criterion_6_free_boundary_convergence():
@@ -184,17 +183,17 @@ def test_criterion_6_free_boundary_convergence():
         grid = Grid(dim=1, h=h, extent=2.5)
         rho0 = bump_density(grid, amplitude=0.6, width=0.8, center=-0.3)
         mass = integrate(rho0)
-        cfg = SolverConfig(m=2.0, potential=QUAD_1D, t_end=8.0, snapshot_every=0.5)
+        cfg = SolverConfig(m=2.0, potential=QUAD, t_end=8.0, snapshot_every=0.5)
         traj = simulate(rho0, cfg)
 
         eps_fb = 0.01
-        prof = equilibrium_profile(mass, QUAD_1D, 2.0, grid, eps_fb=eps_fb)
+        prof = equilibrium_profile(mass, QUAD, 2.0, grid, eps_fb=eps_fb)
         final_b = extract_boundary(traj.final.field, eps_fb)
         d_final = hausdorff(final_b, prof.boundary)
         assert d_final <= 3.0 * h
 
         eps_shell = 5.0 * h * (1.0 + 2.0 * np.sqrt(prof.c_inf))
-        assert sublevel_shell_check(final_b, QUAD_1D, prof.c_inf, eps_shell)
+        assert sublevel_shell_check(final_b, QUAD, prof.c_inf, eps_shell)
         assert time.monotonic() - start <= 120.0
 
 
@@ -205,13 +204,13 @@ def test_criterion_6b_free_energy_gap():
         # mass (E_h's minimizer); measured 1.591e-3, 4.116e-4 and 1.064e-4,
         # 3.9x per halving of h
         measured = {0.05: 1.591e-3, 0.025: 4.116e-4, 0.0125: 1.064e-4}
-        cfg = SolverConfig(m=2.0, potential=QUAD_1D, t_end=8.0, snapshot_every=0.5)
+        cfg = SolverConfig(m=2.0, potential=QUAD, t_end=8.0, snapshot_every=0.5)
         gaps = []
         for h, gap_then in measured.items():
             grid = Grid(dim=1, h=h, extent=2.5)
             rho0 = bump_density(grid, amplitude=0.6, width=0.8, center=-0.3)
-            eq = equilibrium_profile(integrate(rho0), QUAD_1D, 2.0, grid).pressure
-            phi = QUAD_1D.eval(grid.centers())
+            eq = equilibrium_profile(integrate(rho0), QUAD, 2.0, grid).pressure
+            phi = QUAD.eval(grid.centers())
             e_eq = free_energy(density_from_pressure(eq, 2.0).values, phi, 2.0, h)
             e_end = free_energy(simulate(rho0, cfg).final.field.values, phi, 2.0, h)
             gaps.append((e_end - e_eq) / abs(e_eq))
@@ -229,7 +228,7 @@ def test_criterion_7a_barenblatt_residuals():
                                    t_lo=0.0, t_hi=0.2)
                 h_s = 0.02 if d == 1 else 0.025
                 cand = build_barrier(spec)
-                pot = make_zero_potential(d)
+                pot = make_zero_potential()
                 rep = residual_pmed(cand, pot, box, h_s, m)
                 for kind in ("sub", "super"):
                     assert rep.passed(kind), (m, d, kind)
@@ -251,7 +250,7 @@ def test_criterion_7b_wave_supersolutions():
             half = 0.7 * c["R"] if c["d"] == 2 else 0.95 * c["R"]
             box = SpaceTimeBox(lo=(-half,) * c["d"], hi=(half,) * c["d"],
                                t_lo=t_lo, t_hi=0.0)
-            rep = residual_pmed(build_barrier(spec), make_zero_potential(c["d"]),
+            rep = residual_pmed(build_barrier(spec), make_zero_potential(),
                                 box, 0.01, c["m"])
             assert rep.passed("super"), c
             assert rep.interior_count > 0 and rep.boundary_count > 0
@@ -261,8 +260,8 @@ def test_criterion_7c_rescaled_wave_under_drift():
     with criterion(7, "(c) rescaled inf-convolved wave is a drift supersolution"):
         alpha = 0.1
         x0 = (1.05,)
-        drift = tuple(np.atleast_1d(QUAD_1D.grad(np.asarray(x0))))
-        c_pert = QUAD_1D.hessian_bound((x0[0] - alpha,), (x0[0] + alpha,)) + 1.0
+        drift = tuple(np.atleast_1d(QUAD.grad(np.asarray(x0))))
+        c_pert = QUAD.hessian_bound((x0[0] - alpha,), (x0[0] + alpha,)) + 1.0
         resc = RescaleSpec(alpha=alpha, x0=x0, t0=0.0, drift=drift, C_pert=c_pert)
         wave = SphericalWaveSpec(A=1.5, omega=1.7, B=0.55, R=1.0, m=2.0, d=1)
         assert wave.is_valid()
@@ -274,7 +273,7 @@ def test_criterion_7c_rescaled_wave_under_drift():
             t_lo=-alpha + 2 * h_s,
             t_hi=-2 * h_s * h_s,
         )
-        rep = residual_pmed(cand, QUAD_1D, box, h_s, 2.0)
+        rep = residual_pmed(cand, QUAD, box, h_s, 2.0)
         assert rep.passed("super")
         assert rep.interior_count > 0 and rep.boundary_count > 0
 
@@ -345,7 +344,7 @@ def test_criterion_9b_velocity_law_2d():
         spec = BarenblattSpec(m=2.0, d=2, tau=1.0, C=0.25)
         h = dt_snap = 0.05
         grid = Grid(dim=2, h=h, extent=2.5)
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(2), t_end=0.5,
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(), t_end=0.5,
                            snapshot_every=dt_snap)
         traj = simulate(barenblatt_density(grid, spec), cfg)
         eps_fb = default_support_threshold(traj.final.field)

@@ -344,7 +344,7 @@ class TestHyperbolicRescale:
 class TestResidualPmed:
     def test_equilibrium_pressure_is_stationary(self):
         # u = (C - Phi)_+ makes every term cancel inside the support
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         c = 1.0
         u = lambda x, t: np.maximum(c - pot.eval(x), 0.0)
         box = SpaceTimeBox(lo=(-0.7,), hi=(0.7,), t_lo=0.0, t_hi=0.1)
@@ -362,7 +362,7 @@ class TestResidualPmed:
                                      C=0.45161680053435427), 2.842302906833812, 0.025))
         for spec, half, h_s in cases:
             box = SpaceTimeBox(lo=(-half,) * spec.d, hi=(half,) * spec.d, t_lo=0.0, t_hi=0.2)
-            rep = residual_pmed(build_barrier(spec), make_zero_potential(spec.d), box, h_s,
+            rep = residual_pmed(build_barrier(spec), make_zero_potential(), box, h_s,
                                 spec.m)
             assert rep.passed(kind), spec
             assert rep.interior_count > 0 and rep.boundary_count > 0, spec
@@ -374,7 +374,7 @@ class TestResidualPmed:
         # the floor 10 h_s = 1 is not below max u = C/tau = 1
         spec = BarenblattSpec(m=2.0, d=2, tau=1.0, C=1.0)
         box = SpaceTimeBox(lo=(-2.0, -2.0), hi=(2.0, 2.0), t_lo=0.0, t_hi=0.2)
-        rep = residual_pmed(build_barrier(spec), make_zero_potential(2), box, h_s=0.1, m=2.0)
+        rep = residual_pmed(build_barrier(spec), make_zero_potential(), box, h_s=0.1, m=2.0)
         assert rep.interior_count == 0 and rep.boundary_count == 0
         assert not rep.passed(kind)
         assert rep.worst(kind) == (0.0, 0.0)
@@ -382,7 +382,7 @@ class TestResidualPmed:
     def test_wave_super_under_pme(self):
         spec = SphericalWaveSpec(A=1.0, omega=2.0, B=0.6, R=1.0, m=2.0, d=2)
         assert spec.is_valid()
-        pot = make_zero_potential(2)
+        pot = make_zero_potential()
         box = SpaceTimeBox(lo=(-0.7, -0.7), hi=(0.7, 0.7), t_lo=-0.2, t_hi=0.0)
         rep = residual_pmed(build_barrier(spec), pot, box, h_s=0.01, m=2.0)
         assert rep.passed("super")
@@ -400,7 +400,7 @@ class TestResidualPmed:
         def floats(x, t):
             return np.where(x[..., 0] > 0.0, 2.0, 0.0)
 
-        pot = make_quadratic_potential(0.5, 2)
+        pot = make_quadratic_potential(0.5)
         box = SpaceTimeBox(lo=(-0.1, -0.1), hi=(0.1, 0.1), t_lo=0.0, t_hi=0.03)
         with patch.object(barriers, "_BATCH_POINTS", 3 * 21 * 21):  # 3 levels, then 1
             got = residual_pmed(ints, pot, box, 0.01, 2.0)
@@ -418,7 +418,7 @@ class TestResidualPmed:
     def test_invalid_kind(self):
         u = lambda x, t: np.zeros(np.asarray(x).shape[:-1])
         box = SpaceTimeBox(lo=(0.0,), hi=(1.0,), t_lo=0.0, t_hi=0.1)
-        rep = residual_pmed(u, make_zero_potential(1), box, 0.01, 2.0)
+        rep = residual_pmed(u, make_zero_potential(), box, 0.01, 2.0)
         for ask in (rep.passed, rep.worst):
             with pytest.raises(InvalidParameterError):
                 ask("both")
@@ -503,7 +503,7 @@ def sampling_cases(draw):
     floor_share = draw(st.one_of(st.floats(0.01, 1.2), st.floats(0.05, 0.5)))
     if family != "rescaled":
         d = draw(st.sampled_from([1, 2]))
-        pot = draw(st.sampled_from([make_zero_potential(d), make_quadratic_potential(0.5, d)]))
+        pot = draw(st.sampled_from([make_zero_potential(), make_quadratic_potential(0.5)]))
     if family == "barenblatt":
         spec = BarenblattSpec(m=draw(st.floats(1.2, 3.0)), d=d,
                               tau=draw(st.floats(0.3, 2.0)), C=draw(st.floats(0.1, 2.0)))
@@ -545,7 +545,7 @@ def sampling_cases(draw):
 # |x| > 0.6 at t = 0
 EMPTY_LEVELS = (
     build_barrier(SphericalWaveSpec(A=1.0, omega=2.0, B=0.5, R=1.0, m=2.0, d=2)),
-    make_zero_potential(2),
+    make_zero_potential(),
     SpaceTimeBox(lo=(0.5, -0.05), hi=(0.75, 0.05), t_lo=-0.15, t_hi=0.0),
     0.01, 2.0,
 )
@@ -555,7 +555,7 @@ EMPTY_LEVELS = (
 # boundary sample
 AT_THE_FLOOR = (
     lambda x, t: np.where(x[..., 0] < 0.0, 1.0, 2.0) * (10.0 * 0.01),
-    make_zero_potential(1),
+    make_zero_potential(),
     SpaceTimeBox(lo=(-0.2,), hi=(0.2,), t_lo=0.0, t_hi=0.02),
     0.01, 2.0,
 )
@@ -564,7 +564,7 @@ AT_THE_FLOOR = (
 # no crossing, so the candidate also meets an empty (0, 2) array of points
 ABOVE_THE_FLOOR = (
     build_barrier(BarenblattSpec(m=2.0, d=2, tau=1.0, C=1.0)),
-    make_zero_potential(2),
+    make_zero_potential(),
     SpaceTimeBox(lo=(-0.2, -0.2), hi=(0.2, 0.2), t_lo=0.0, t_hi=0.02),
     0.01, 2.0,
 )
@@ -608,7 +608,7 @@ class TestCylinderContract:
     h_s = 0.0005
 
     def run_both(self, box):
-        candidate, pot = build_barrier(SMALL_BUMP), make_zero_potential(1)
+        candidate, pot = build_barrier(SMALL_BUMP), make_zero_potential()
         return (lambda: reference_residuals(candidate, pot, box, self.h_s, 2.0),
                 lambda: residual_pmed(candidate, pot, box, self.h_s, 2.0))
 
@@ -649,7 +649,7 @@ def straddling_cases(draw):
     d = draw(st.sampled_from([1, 2]))
     alpha = draw(st.floats(0.05, 0.2))
     x0 = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
-    pot = draw(st.sampled_from([make_zero_potential(d), make_quadratic_potential(0.5, d)]))
+    pot = draw(st.sampled_from([make_zero_potential(), make_quadratic_potential(0.5)]))
     h_s = alpha * draw(st.floats(0.02 if d == 1 else 0.05, 0.15))
     # u / alpha at the base's reference point: 0.5 to 4 floors 10 h_s / alpha
     size = draw(st.floats(0.5, 4.0)) * 10.0 * h_s / alpha
@@ -832,7 +832,7 @@ class TestTimeBatches:
             calls.append((lead, np.shape(t)))
             return u
 
-        pot = make_zero_potential(2)
+        pot = make_zero_potential()
         box = SpaceTimeBox(lo=(-half, -half), hi=(half, half), t_lo=-0.1, t_hi=-0.01)
         h_s = 0.02
         points = len(_lattice(-half, half, h_s)) ** 2
@@ -855,14 +855,14 @@ class TestTimeBatches:
         candidate, h_s = build_barrier(SMALL_BUMP), 0.0005
         with patch.object(barriers, "_BATCH_POINTS", 9 * levels):
             with pytest.raises(OutOfCylinderError, match="outside"):
-                residual_pmed(candidate, make_zero_potential(1), box, h_s, 2.0)
+                residual_pmed(candidate, make_zero_potential(), box, h_s, 2.0)
 
 
 # EMPTY_LEVELS in 1D: u = |x| + 2 t - 0.5 stays below the floor 0.1 on the
 # box while t <= -0.08
 EMPTY_LEVELS_1D = (
     build_barrier(SphericalWaveSpec(A=1.0, omega=2.0, B=0.5, R=1.0, m=2.0, d=1)),
-    make_zero_potential(1),
+    make_zero_potential(),
     SpaceTimeBox(lo=(0.5,), hi=(0.75,), t_lo=-0.15, t_hi=0.0),
     0.01, 2.0,
 )
@@ -870,7 +870,7 @@ EMPTY_LEVELS_1D = (
 # a 1D Barenblatt whose support edge crosses the box at every level
 BARENBLATT_1D = (
     build_barrier(BarenblattSpec(m=2.0, d=1, tau=1.0, C=0.5)),
-    make_quadratic_potential(0.5, 1),
+    make_quadratic_potential(0.5),
     SpaceTimeBox(lo=(-1.5,), hi=(1.5,), t_lo=0.0, t_hi=0.1),
     0.02, 2.0,
 )

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,14 @@ class TestParseConfig:
         assert cfg["barriers"][0].spec.rescale.C_pert == 3.0
         assert cfg["barriers"][0].spec.rescale.drift == (1.0, 0.0)
 
+    def test_polynomial_potential_in_2d(self):
+        # p = 0.1 x + 0.5 x^2 on both axes: grad Phi(0.5, 0) = (0.6, 0.1), p'' = 1
+        data = barenblatt_2d_config({"kind": "polynomial", "coefficients": [0, 0.1, 0.5]},
+                                    x0=[0.5, 0.0])
+        cfg = parse_config(json.dumps(data), "verify-barriers")
+        assert cfg["barriers"][0].spec.rescale.C_pert == 2.0
+        assert cfg["barriers"][0].spec.rescale.drift == (0.6, 0.1)
+
     def test_default_c_pert_on_the_rescale_cylinder(self):
         # |Phi''| = 6 |x| of Phi = x^3 reaches 120.6 on |x - 20| <= 0.1
         data = rescaled_wave_config(x0=[20.0])
@@ -99,7 +108,6 @@ class TestParseConfig:
     @pytest.mark.parametrize("potential,overrides,message", [
         ({"kind": "zero"}, {"x0": [0.5]}, "x0 has 1 entries, but d = 2"),
         ({"kind": "zero"}, {"x0": [0.5, 0.0], "drift": [0.0]}, "drift has 1 entries, but d = 2"),
-        ({"kind": "polynomial", "coefficients": [1.0]}, {}, "polynomial potentials are 1D only"),
     ])
     def test_barrier_dimension_errors(self, potential, overrides, message):
         data = barenblatt_2d_config(potential, **overrides)
@@ -181,8 +189,6 @@ BAD_CONFIGS = {
                               "barriers[0]"),
     "rescaled-x0-length": ("verify-barriers", barenblatt_2d_config(
         {"kind": "zero"}, x0=[0.5]), "barriers[0]"),
-    "polynomial-potential-2d-barrier": ("verify-barriers", barenblatt_2d_config(
-        {"kind": "polynomial", "coefficients": [0.0, 0.0, 1.0]}), "barriers[0]"),
     "barrier-ball-step": ("verify-barriers", rescaled_wave_config(ball_step=0.01),
                           "barriers[0].ball_step"),
     "verify-barriers-grid": ("verify-barriers", {
@@ -731,6 +737,33 @@ class TestConvergenceCommand:
         out = tmp_path / "out"
         assert main(["convergence", "--config", cfgp, "--out", str(out)]) == 0
         assert len((out / "hausdorff.csv").read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("grid,coefficients,bump,solver,shell", [
+        ({"dim": 1, "L": 2.0, "h": 0.05}, [-1.0, 0.0, 1.0], {"amplitude": 0.3, "width": 0.5},
+         {"t_end": 0.5, "snapshot_every": 0.1}, 0.56083),
+        ({"dim": 2, "L": 2.0, "h": 0.1}, [-1.0, 0.3, 1.0],
+         {"amplitude": 0.6, "width": 0.8, "center": [0.2, 0.0]},
+         {"t_end": 1.0, "snapshot_every": 0.5}, 1.34578),
+    ])
+    def test_default_shell_width_under_a_negative_level(self, tmp_path, grid, coefficients,
+                                                        bump, solver, shell):
+        # p(0) = -1 puts C_inf below 0; the shell width sees only C_inf - min Phi
+        data = self.base()
+        data["grid"], data["solver"] = grid, solver
+        data["physics"]["potential"] = {"kind": "polynomial", "coefficients": coefficients}
+        data["initial"] = {"kind": "bump", **bump}
+        del data["convergence"]
+        cfgp = write_config(tmp_path, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["convergence", "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+        summary = dict(
+            line.split(",", 1)
+            for line in (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+        )
+        assert float(summary["c_inf"]) < 0.0
+        assert summary["shell_ok"] == "true"
+        assert float(summary["epsilon_shell"]) == pytest.approx(shell, abs=5e-6)
 
 
 class TestEnvironment:

@@ -313,7 +313,7 @@ class TestIntegrate:
 
 class TestPotentials:
     def test_quadratic_values(self):
-        pot = make_quadratic_potential(1.0, dim=2)
+        pot = make_quadratic_potential(1.0)
         x = np.array([1.0, 0.0])
         assert pot.eval(x) == 1.0
         np.testing.assert_array_equal(pot.grad(x), [2.0, 0.0])
@@ -322,7 +322,7 @@ class TestPotentials:
         assert pot.strictly_convex
         # Hessian diag(2, 2): its norm is the larger diagonal entry, not their sum
         assert pot.hessian_bound([-1.0, -1.0], [1.0, 1.0]) == 2.0
-        assert pot.min_value() == 0.0
+        assert pot.min_value(2) == 0.0
 
     def test_quadratic_invalid(self):
         with pytest.raises(InvalidParameterError):
@@ -330,7 +330,7 @@ class TestPotentials:
 
     def test_gradient_matches_finite_differences(self):
         a = 1.7
-        pot = make_quadratic_potential(a, dim=2)
+        pot = make_quadratic_potential(a)
         rng = np.random.default_rng(11)
         h = 1e-3
         pts = rng.uniform(-2, 2, size=(100, 2))
@@ -341,14 +341,14 @@ class TestPotentials:
             assert np.max(np.abs(fd - pot.grad(pts)[:, k])) <= 10 * h * h * a
 
     def test_gradient_nonzero_away_from_minimum(self):
-        pot = make_quadratic_potential(2.0, dim=1)
+        pot = make_quadratic_potential(2.0)
         rng = np.random.default_rng(5)
         pts = rng.uniform(0.1, 3.0, size=(50, 1)) * rng.choice([-1, 1], size=(50, 1))
         norms = np.abs(pot.grad(pts)[:, 0])
         assert np.all(norms > 0)
 
     def test_zero_potential(self):
-        pot = make_zero_potential(dim=2)
+        pot = make_zero_potential()
         pts = np.ones((4, 2))
         np.testing.assert_array_equal(pot.eval(pts), 0.0)
         np.testing.assert_array_equal(pot.grad(pts), 0.0)
@@ -361,11 +361,12 @@ class TestPotentials:
         np.testing.assert_allclose(pot.eval(x), [21.0, 1.0])
         np.testing.assert_allclose(pot.grad(x)[:, 0], [2 * 2 + 4 * 8, 0.0])
         assert pot.strictly_convex
-        assert pot.min_value() == 1.0
+        assert pot.min_value(1) == 1.0
+        assert pot.min_value(2) == 2.0
 
     def test_one_representation(self):
         assert make_quadratic_potential(1.0) == make_polynomial_potential([0, 0, 1])
-        assert make_zero_potential(2) == Potential((0.0,), 2)
+        assert make_zero_potential() == Potential((0.0,))
         with pytest.raises(InvalidParameterError):
             make_polynomial_potential([])
 
@@ -373,22 +374,22 @@ class TestPotentials:
         (make_polynomial_potential([0, 0, 0, 0, 1]), True),  # x^4
         (make_polynomial_potential([1, -4, 6, -4, 1]), True),  # (x - 1)^4 expanded
         (make_polynomial_potential([0, 0, 0.3]), True),
-        (make_quadratic_potential(0.3, dim=2), True),
+        (make_quadratic_potential(0.3), True),
         (make_polynomial_potential([0, 0, -1, 0, 1]), False),  # double well x^4 - x^2
         (make_polynomial_potential([0, 0, 0, 1]), False),  # x^3
         (make_polynomial_potential([2.5]), False),
         (make_polynomial_potential([1.0, 3.0]), False),
-        (make_zero_potential(2), False),
+        (make_zero_potential(), False),
         (make_polynomial_potential([0, 0, -1]), False),
         (make_polynomial_potential([0, 0, 0, 0, -1]), False),
     ])
     def test_strictly_convex_table(self, pot, convex):
         assert pot.strictly_convex is convex
         if convex:
-            assert pot.min_value() == pytest.approx(0.0, abs=1e-15)
+            assert pot.min_value(1) == pytest.approx(0.0, abs=1e-15)
         else:
             with pytest.raises(UnsupportedPotentialError):
-                pot.min_value()
+                pot.min_value(1)
 
     def test_min_value_is_computed_once_per_potential_value(self, monkeypatch):
         import pmed.core as core
@@ -401,17 +402,18 @@ class TestPotentials:
 
         monkeypatch.setattr(core, "_roots", counting)
         core._min_value.cache_clear()
-        first = make_quadratic_potential(1.7, dim=2).min_value()
+        first = make_quadratic_potential(1.7).min_value(2)
         assert calls
         calls.clear()
-        assert Potential((0.0, 0.0, 1.7), 2).min_value() == first
+        assert Potential((0.0, 0.0, 1.7)).min_value(2) == first
+        assert Potential((0.0, 0.0, 1.7)).min_value(1) == first / 2
         assert calls == []
 
     def test_non_convex_min_value_raises_on_every_call(self):
         pot = make_polynomial_potential([0, 0, -1, 0, 1])
         for _ in range(3):
             with pytest.raises(UnsupportedPotentialError):
-                pot.min_value()
+                pot.min_value(2)
 
 
 # Reference closures of the potentials before they became coefficient
@@ -460,15 +462,15 @@ class TestPotentialProperties:
     @given(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), st.sampled_from([1, 2]),
            st.lists(COORDS, min_size=2, max_size=30))
     def test_quadratic_bit_for_bit(self, a, dim, xs):
-        pot = make_quadratic_potential(a, dim)
+        pot = make_quadratic_potential(a)
         x = np.array(xs[: len(xs) // dim * dim]).reshape(-1, dim)
         assert _same_bits(pot.eval(x), a * dot_last(x, x))
         # equal as numbers; the old 2 a x kept the sign of x = -0.0
         np.testing.assert_array_equal(pot.grad(x), 2.0 * a * x)
 
     @settings(max_examples=300, deadline=None)
-    @given(COEFFS, st.floats(-3, 3), st.floats(0, 3))
-    def test_hessian_bound_is_the_max_of_the_second_derivative(self, coeffs, lo, width):
+    @given(COEFFS, st.floats(-3, 3), st.floats(0, 3), st.floats(-3, 3))
+    def test_hessian_bound_is_the_max_of_the_second_derivative(self, coeffs, lo, width, lo2):
         hi = lo + width
         d2 = P.polyder(coeffs, 2)
         x = np.linspace(lo, hi, 4001)
@@ -478,8 +480,12 @@ class TestPotentialProperties:
         d4 = P.polyder(coeffs, 4)
         gap = _abs_poly(d4, r) * (x[1] - x[0]) ** 2 / 8.0
         rounding = 1e-12 * _abs_poly(d2, r)
-        bound = make_polynomial_potential(coeffs).hessian_bound([lo], [hi])
+        pot = make_polynomial_potential(coeffs)
+        bound = pot.hessian_bound([lo], [hi])
         assert sampled - rounding <= bound <= sampled + gap + rounding
+        # over two axes, the larger of the two intervals' bounds
+        second = pot.hessian_bound([lo2], [lo2 + width])
+        assert pot.hessian_bound([lo, lo2], [hi, lo2 + width]) == max(bound, second)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.05, 3), st.floats(0, 2),
@@ -487,7 +493,7 @@ class TestPotentialProperties:
     def test_min_value_is_the_sampled_minimum(self, c0, c1, a, d, e, dim):
         # c0 + c1 x + a x^2 + d (x - e)^4, strictly convex for a > 0
         coeffs = (c0 + d * e**4, c1 - 4 * d * e**3, a + 6 * d * e**2, -4 * d * e, d)
-        pot = Potential(coeffs, dim)
+        pot = Potential(coeffs)
         assert pot.strictly_convex
         # the minimizer |x*| <= |c1| / (2 a) + 2 |e| + 1 < 35; a convex p has
         # it within one step of the coarse argmin, so refine around that
@@ -498,4 +504,4 @@ class TestPotentialProperties:
         r = max(abs(fine[0]), abs(fine[-1]))
         gap = dim * _abs_poly(P.polyder(coeffs, 2), r) * (fine[1] - fine[0]) ** 2 / 8.0
         rounding = 1e-12 * dim * _abs_poly(coeffs, r)
-        assert sampled - gap - rounding <= pot.min_value() <= sampled + rounding
+        assert sampled - gap - rounding <= pot.min_value(dim) <= sampled + rounding

@@ -29,6 +29,7 @@ from pmed.core import (
 )
 from pmed.errors import InvalidParameterError, PmedError, require
 from pmed.freeboundary import equilibrium_constant, extract_boundary
+from pmed.initialdata import barenblatt_density
 from pmed.solver import SolverConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pmed"
@@ -40,7 +41,7 @@ BARENBLATT_2D = build_barrier(BarenblattSpec(m=2.0, d=2, tau=1.0, C=1.0))
 
 
 def solver(**kw):
-    return SolverConfig(**{"m": 2.0, "potential": make_zero_potential(1), "t_end": 1.0,
+    return SolverConfig(**{"m": 2.0, "potential": make_zero_potential(), "t_end": 1.0,
                            "snapshot_every": 0.1, **kw})
 
 
@@ -81,9 +82,9 @@ SITES = [
     ("R", 0.0, None, lambda v: validate_wave_params(1.0, 10.0, 0.75, v, 2.0, 2)),
     ("A", 0.0, None, lambda v: validate_wave_params(v, 10.0, 0.75, 1.0, 2.0, 2)),
     ("h_s", 0.0, None,
-     lambda v: residual_pmed(BARENBLATT, make_zero_potential(1), POINT, v, 2.0)),
+     lambda v: residual_pmed(BARENBLATT, make_zero_potential(), POINT, v, 2.0)),
     ("m", 1.0, None,
-     lambda v: residual_pmed(BARENBLATT, make_zero_potential(1), POINT, 0.05, v)),
+     lambda v: residual_pmed(BARENBLATT, make_zero_potential(), POINT, 0.05, v)),
     ("eps_fb", 0.0, None, lambda v: extract_boundary(ZEROS[FieldVariable.DENSITY], v)),
     ("target_mass", 0.0, None,
      lambda v: equilibrium_constant(v, make_quadratic_potential(1.0), 2.0, GRID)),
@@ -134,6 +135,15 @@ def test_require_message(lo, hi, value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("d,dim", [(1, 2), (2, 1)])
+def test_barenblatt_density_needs_the_grid_dimension(d, dim):
+    # lambda = 1/((m - 1) d + 2) depends on d: a d = 1 profile on a 2D grid
+    # is not the Barenblatt solution there
+    grid = Grid(dim=dim, h=0.1, extent=3.0)
+    with pytest.raises(InvalidParameterError, match="does not match"):
+        barenblatt_density(grid, barenblatt(d=d, C=0.5))
+
+
 def test_cell_count_that_overflows():
     with pytest.raises(InvalidParameterError, match="is not an integer cell count"):
         Grid(dim=1, h=5e-324, extent=2.0)
@@ -160,7 +170,7 @@ def test_lattice_whose_point_count_overflows():
     box = SpaceTimeBox((-1e308,), (1e308,), 0.0, 0.0)
     with pytest.raises(InvalidParameterError,
                        match=r"^box extent \[-1e\+308, 1e\+308\] at h_s 1.0 gives"):
-        residual_pmed(BARENBLATT, make_zero_potential(1), box, 1.0, 2.0)
+        residual_pmed(BARENBLATT, make_zero_potential(), box, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("half, points", [
@@ -174,7 +184,7 @@ def test_lattice_numpy_cannot_allocate(half, points):
     box = SpaceTimeBox((-half,), (half,), 0.0, 0.0)
     with pytest.raises(InvalidParameterError,
                        match=rf"gives a lattice of {points} points, more than numpy can"):
-        residual_pmed(BARENBLATT, make_zero_potential(1), box, 1.0, 2.0)
+        residual_pmed(BARENBLATT, make_zero_potential(), box, 1.0, 2.0)
 
 
 def test_2d_lattice_numpy_cannot_allocate():
@@ -183,4 +193,4 @@ def test_2d_lattice_numpy_cannot_allocate():
     box = SpaceTimeBox((-3e6, -3e6), (3e6, 3e6), 0.0, 0.0)
     with pytest.raises(InvalidParameterError,
                        match=r"gives a lattice of 6000001 x 6000001 points, more than numpy"):
-        residual_pmed(BARENBLATT_2D, make_zero_potential(2), box, 1.0, 2.0)
+        residual_pmed(BARENBLATT_2D, make_zero_potential(), box, 1.0, 2.0)

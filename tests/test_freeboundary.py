@@ -59,7 +59,7 @@ class TestExtractBoundary:
 
     def test_2d_circle(self):
         g = Grid(dim=2, h=0.05, extent=2.0)
-        pot = make_quadratic_potential(1.0, dim=2)
+        pot = make_quadratic_potential(1.0)
         u = np.maximum(1.0 - pot.eval(g.centers()), 0.0)
         f = Field(g, u, FieldVariable.PRESSURE)
         b = extract_boundary(f, 1e-6)
@@ -70,7 +70,7 @@ class TestExtractBoundary:
     def test_level_close_to_potential_level(self):
         # points of the (C - Phi)_+ boundary sit within 2 Lip(Phi) h of the level
         g = Grid(dim=1, h=0.05, extent=2.0)
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         c = 1.0
         u = np.maximum(c - pot.eval(g.centers()), 0.0)
         f = Field(g, u, FieldVariable.PRESSURE)
@@ -90,7 +90,7 @@ class TestExtractBoundary:
     def test_default_threshold_on_a_coarse_grid(self):
         # 2L/h = 20 cells: 10 h max / L equals the maximum, the cap is max / 2
         g = Grid(dim=2, h=0.1, extent=1.0)
-        prof = equilibrium_profile(0.05, make_quadratic_potential(1.0, dim=2), 2.0, g)
+        prof = equilibrium_profile(0.05, make_quadratic_potential(1.0), 2.0, g)
         assert default_support_threshold(prof.pressure) == 0.5 * prof.pressure.max()
         assert len(prof.boundary) > 0
 
@@ -115,6 +115,20 @@ class TestHausdorff:
     def test_empty_raises(self):
         with pytest.raises(EmptyBoundarySetError):
             hausdorff(np.empty((0, 1)), np.array([[0.0]]))
+        with pytest.raises(EmptyBoundarySetError):
+            hausdorff(np.array([[0.0, 1.0]]), np.empty((0, 2)))
+
+    @pytest.mark.parametrize("a,b", [
+        ([[0.0, 0.0], [1.0, 5.0]], [[0.0], [1.0]]),  # widths 2 and 1
+        ([[0.0], [1.0]], [[0.0, 0.0], [1.0, 5.0]]),
+        ([0.0, 1.0], [0.0, 1.0]),  # 1-D arrays
+        ([[0.0], [1.0]], [0.0, 1.0]),
+        (np.zeros((1, 1, 1)), np.zeros((1, 1, 1))),
+        (np.zeros((2, 0)), np.zeros((1, 0))),  # no coordinates
+    ])
+    def test_clouds_of_other_shapes_raise(self, a, b):
+        with pytest.raises(InvalidInputError):
+            hausdorff(a, b)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", [0, 1])
@@ -314,7 +328,7 @@ def full_grid_equilibrium_constant(target_mass, pot, m, grid):
     """A plain bisection to |M(C) - target| <= 1e-10 target, each M(C) over
     every cell: the reference of equilibrium_constant's Newton iteration."""
     phi = np.asarray(pot.eval(grid.centers()), dtype=float)
-    phi_min = min(float(phi.min()), pot.min_value())
+    phi_min = min(float(phi.min()), pot.min_value(grid.dim))
 
     def mass(c):
         return full_grid_mass(c, phi, m, grid.cell_volume)
@@ -348,7 +362,7 @@ class TestEquilibriumConstant:
     @given(st.sampled_from([1, 2]), st.integers(8, 40), st.sampled_from([0.01, 0.05, 0.25]),
            st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
     def test_cell_potential_is_the_point_cloud_evaluation(self, dim, n, h, coeffs):
-        grid, pot = Grid(dim=dim, h=h, extent=n * h / 2.0), Potential(tuple(coeffs), dim)
+        grid, pot = Grid(dim=dim, h=h, extent=n * h / 2.0), Potential(tuple(coeffs))
         want = np.asarray(pot.eval(grid.centers()), dtype=float)
         got = _cell_potential(pot, grid)
         assert got.shape == want.shape
@@ -357,25 +371,25 @@ class TestEquilibriumConstant:
     def test_analytic_oracle(self):
         # m=2, Phi=x^2: mass(C) = (2/3) C^(3/2), so mass 2/3 gives C = 1
         g = Grid(dim=1, h=2e-4, extent=2.0)
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         c = equilibrium_constant(2.0 / 3.0, pot, 2.0, g)
         assert c == pytest.approx(1.0, abs=1e-6)
 
     def test_doubled_mass(self):
         g = Grid(dim=1, h=2e-4, extent=2.0)
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         c = equilibrium_constant(4.0 / 3.0, pot, 2.0, g)
         assert c == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-6)
 
     def test_small_mass_limit(self):
         g = Grid(dim=1, h=1e-3, extent=2.0)
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         c = equilibrium_constant(1e-9, pot, 2.0, g)
         assert 0.0 <= c <= 1e-3
 
     def test_monotone_in_mass(self):
         g = Grid(dim=1, h=1e-3, extent=2.0)
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         cs = [equilibrium_constant(mm, pot, 2.0, g)
               for mm in (0.2, 0.4, 2.0 / 3.0, 1.0, 1.5)]
         assert all(a < b for a, b in zip(cs, cs[1:]))
@@ -383,7 +397,7 @@ class TestEquilibriumConstant:
     def test_discrete_mass_map_nondecreasing(self):
         from pmed.freeboundary import _MassMap
         g = Grid(dim=1, h=0.01, extent=2.0)
-        phi = make_quadratic_potential(1.0, dim=1).eval(g.centers())
+        phi = make_quadratic_potential(1.0).eval(g.centers())
         for m in (1.5, 2.0, 3.0):
             mass = _MassMap(phi, m, g.cell_volume)
             levels = np.linspace(0.0, 2.0, 60)
@@ -407,7 +421,7 @@ class TestEquilibriumConstant:
         a2 = data.draw(st.floats(0.1, 4.0))
         a4 = data.draw(st.sampled_from([0.0, 0.0, 0.3, 1.0]))
         c1 = data.draw(st.floats(-1.0, 1.0))
-        pot = Potential((data.draw(st.floats(-2.0, 2.0)), c1, a2, 0.0, a4), dim)
+        pot = Potential((data.draw(st.floats(-2.0, 2.0)), c1, a2, 0.0, a4))
         m = data.draw(st.sampled_from([1.5, 2.0, 3.0]))
         mass = 10.0 ** data.draw(st.floats(-4.0, 0.5))
 
@@ -440,7 +454,7 @@ class TestEquilibriumConstant:
         monkeypatch.setattr(fb._MassMap, "__call__",
                             lambda self, c: levels.append(c) or real(self, c))
         g = Grid(dim=dim, h=4.0 / n, extent=2.0)
-        pot = make_quadratic_potential(1.0, dim=dim)
+        pot = make_quadratic_potential(1.0)
         c = equilibrium_constant(target, pot, m, g)
         assert len(levels) <= 10
         phi = pot.eval(g.centers())
@@ -458,7 +472,7 @@ class TestEquilibriumConstant:
     def test_profile_is_zero_on_the_outer_ring(self, dim, n, c0, c1, a2, a4, m, fill):
         # the level stays at most the least Phi on the ring, up to the capacity
         g = Grid(dim=dim, h=4.0 / (n if dim == 1 else 8 + n % 41), extent=2.0)
-        pot = Potential((c0, c1, a2, 0.0, a4), dim)
+        pot = Potential((c0, c1, a2, 0.0, a4))
         phi = pot.eval(g.centers())
         c_cap = float(ring(phi, 1).min())
         capacity = full_grid_mass(c_cap, phi, m, g.cell_volume)
@@ -511,10 +525,10 @@ class TestEquilibriumConstant:
         monkeypatch.setattr(core.Potential, "eval", counting)
         g = Grid(dim=2, h=0.1, extent=2.0)
         # once, at the axis centers: p(x_i) + p(x_j) is Phi on the cells
-        equilibrium_profile(0.5, make_quadratic_potential(1.0, dim=2), 2.0, g)
+        equilibrium_profile(0.5, make_quadratic_potential(1.0), 2.0, g)
         assert calls == [(g.n_cells, 1)]
         calls.clear()
-        equilibrium_offset_density(g, 2.0, make_quadratic_potential(1.0, dim=2), 0.5, 0.9)
+        equilibrium_offset_density(g, 2.0, make_quadratic_potential(1.0), 0.5, 0.9)
         assert calls == [(g.n_cells, 1)]
 
     def test_computed_minimum_starts_the_bracket(self):
@@ -522,9 +536,9 @@ class TestEquilibriumConstant:
         # grid value; the bracket starts there with no declared minimum
         g = Grid(dim=1, h=0.01, extent=2.0)
         pot = make_polynomial_potential([0.0, 0.0, 1.0])
-        assert pot.min_value() == 0.0 < pot.eval(g.centers()).min()
+        assert pot.min_value(1) == 0.0 < pot.eval(g.centers()).min()
         c = equilibrium_constant(0.1, pot, 2.0, g)
-        assert c == equilibrium_constant(0.1, make_quadratic_potential(1.0, dim=1), 2.0, g)
+        assert c == equilibrium_constant(0.1, make_quadratic_potential(1.0), 2.0, g)
         # the level nearest the mass: M(C) is 0.1 to the rounding of its sum
         mass = full_grid_mass(c, pot.eval(g.centers()), 2.0, g.cell_volume)
         assert abs(mass - 0.1) <= 8 * np.spacing(0.1)
@@ -532,17 +546,17 @@ class TestEquilibriumConstant:
     def test_nonconvex_rejected(self):
         g = Grid(dim=1, h=0.01, extent=2.0)
         with pytest.raises(UnsupportedPotentialError):
-            equilibrium_constant(0.5, make_zero_potential(1), 2.0, g)
+            equilibrium_constant(0.5, make_zero_potential(), 2.0, g)
 
     def test_domain_too_small(self):
         g = Grid(dim=1, h=0.01, extent=1.0)
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         with pytest.raises(DomainTooSmallError):
             equilibrium_constant(100.0, pot, 2.0, g)
 
     def test_profile_mass_matches(self):
         g = Grid(dim=1, h=1e-3, extent=2.0)
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         prof = equilibrium_profile(0.5, pot, 2.0, g)
         mass = integrate(density_from_pressure(prof.pressure, 2.0))
         assert abs(mass - 0.5) <= 1e-8 * 0.5
@@ -551,18 +565,18 @@ class TestEquilibriumConstant:
 
 class TestSublevelShell:
     def test_exact_level_points(self):
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         pts = np.array([[1.0], [-1.0]])  # Phi = 1 exactly
         assert sublevel_shell_check(pts, pot, 1.0, 1e-9)
 
     def test_point_outside_shell(self):
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         eps = 0.05
         x = np.sqrt(1.0 + 2 * eps)
         assert not sublevel_shell_check(np.array([[x]]), pot, 1.0, eps)
 
     def test_empty_raises(self):
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         with pytest.raises(EmptyBoundarySetError):
             sublevel_shell_check(np.empty((0, 1)), pot, 1.0, 0.1)
 
@@ -570,7 +584,7 @@ class TestSublevelShell:
 class TestShellEntryFromSimulation:
     def test_barenblatt_data_enters_shell(self):
         # late-time boundary of a drift run lands in the predicted shell
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         h = 0.05
         g = Grid(dim=1, h=h, extent=2.5)
         spec = BarenblattSpec(m=2.0, d=1, tau=1.0, C=0.3)
@@ -588,7 +602,7 @@ class TestShellEntryFromSimulation:
 
 class TestBoundaryVelocity:
     def equilibrium_run(self, h=0.05):
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         g = Grid(dim=1, h=h, extent=2.0)
         rho = equilibrium_offset_density(g, 2.0, pot, mass=0.5)
         cfg = SolverConfig(m=2.0, potential=pot, t_end=6.0, snapshot_every=2.0)
@@ -606,7 +620,7 @@ class TestBoundaryVelocity:
         assert np.max(np.abs(final.law_residual)) <= 4.0 * 0.05
 
     def test_2d_equilibrium_velocities(self):
-        pot = make_quadratic_potential(1.0, dim=2)
+        pot = make_quadratic_potential(1.0)
         g = Grid(dim=2, h=0.1, extent=2.0)
         rho = equilibrium_offset_density(g, 2.0, pot, mass=0.5)
         cfg = SolverConfig(m=2.0, potential=pot, t_end=3.0, snapshot_every=1.0)
@@ -618,7 +632,7 @@ class TestBoundaryVelocity:
         assert np.max(np.abs(final.law_residual)) <= 2.0 * g.h
 
     def test_needs_three_snapshots(self):
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         g = Grid(dim=1, h=0.05, extent=2.0)
         rho = equilibrium_offset_density(g, 2.0, pot, mass=0.5)
         cfg = SolverConfig(m=2.0, potential=pot, t_end=1.0, snapshot_every=1.0)
@@ -629,7 +643,7 @@ class TestBoundaryVelocity:
     def test_gap_error_lists_times(self):
         g = Grid(dim=1, h=0.05, extent=2.0)
         rho = Field(g, np.zeros(g.shape), FieldVariable.DENSITY)
-        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0, 1),
+        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0),
                            t_end=0.3, snapshot_every=0.1)
         traj = simulate(rho, cfg)
         with pytest.raises(BoundaryGapError) as exc:

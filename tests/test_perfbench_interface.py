@@ -44,7 +44,7 @@ def test_solver_replay_names():
     values = np.zeros(grid.shape)
     values[8:12] = 0.5
     rho = Field(grid, values, FieldVariable.DENSITY)
-    cfg = pmed.solver.SolverConfig(m=2.0, potential=make_zero_potential(1),
+    cfg = pmed.solver.SolverConfig(m=2.0, potential=make_zero_potential(),
                                    t_end=1.0, snapshot_every=1.0)
     rep = pmed.solver.step_density_report(rho, cfg, pmed.solver.cfl_dt(rho, cfg))
     assert isinstance(rep.field, Field)
@@ -54,7 +54,7 @@ def test_trace_counts_read_real_results():
     # freeboundary.boundary_points and hausdorff_pairs are read off these
     counts = load_perfbench("tracing")._call_counts
     grid = Grid(dim=2, h=0.05, extent=1.0)
-    pot = make_quadratic_potential(1.0, dim=2)
+    pot = make_quadratic_potential(1.0)
     prof = pmed.cli.equilibrium_profile(0.05, pot, 2.0, grid)
     b = pmed.cli.extract_boundary(prof.pressure)
     d = pmed.cli.hausdorff(b, prof.boundary)
@@ -72,7 +72,7 @@ def test_barrier_proxy_counts_samples():
     proxy = tracing._barrier_proxy(tracer, pmed.barriers)
     spec = pmed.barriers.BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0)
     box = pmed.barriers.SpaceTimeBox(lo=(-3.0,), hi=(3.0,), t_lo=0.0, t_hi=0.04)
-    rep = proxy.residual_pmed(proxy.build_barrier(spec), make_zero_potential(1), box, 0.02, 2.0)
+    rep = proxy.residual_pmed(proxy.build_barrier(spec), make_zero_potential(), box, 0.02, 2.0)
     span = next(s for s in tracer.take() if s.name == "barriers.residual_pmed")
     assert rep.interior_count > 0 and rep.boundary_count > 0
     assert span.counts == {"samples": rep.interior_count + rep.boundary_count}

@@ -137,12 +137,11 @@ def kernel_cases(draw):
     n = draw(st.integers(8, 14))
     h = draw(st.sampled_from([0.05, 0.1, 0.25]))
     grid = Grid(dim=dim, h=h, extent=n * h / 2.0)
-    kinds = ["quadratic", "zero"] + (["polynomial"] if dim == 1 else [])
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(["quadratic", "zero", "polynomial"]))
     if kind == "quadratic":
-        pot = make_quadratic_potential(draw(st.floats(0.01, 5.0)), dim)
+        pot = make_quadratic_potential(draw(st.floats(0.01, 5.0)))
     elif kind == "zero":
-        pot = make_zero_potential(dim)
+        pot = make_zero_potential()
     else:
         coeffs = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
         pot = make_polynomial_potential(coeffs)
@@ -213,7 +212,7 @@ class TestFluxKernelReference:
 
     def test_drift_data_is_one_vector_per_grid(self):
         grid = Grid(dim=2, h=0.01, extent=2.0)
-        dphi, out = _drift(grid, make_quadratic_potential(1.0, 2))
+        dphi, out = _drift(grid, make_quadratic_potential(1.0))
         assert (dphi.shape, out.shape) == ((399,), (400,))
 
 
@@ -292,7 +291,7 @@ def stack_cases(draw):
     # steep: the advective limit binds on some or all steps
     steep = draw(st.sampled_from([1.0, 40.0]))
     pot = Potential(tuple(steep * c for c in draw(st.lists(st.floats(-3.0, 3.0),
-                                                          min_size=1, max_size=5))), dim)
+                                                          min_size=1, max_size=5))))
     m = draw(st.sampled_from([1.5, 2.0, 3.0, 4.0]) | st.floats(1.01, 4.0))
     members = []
     for _ in range(draw(st.integers(1, 3))):
@@ -331,7 +330,7 @@ def faded_face_case(mirror):
     grid = Grid(dim=1, h=0.1, extent=0.8)
     v = np.zeros(grid.shape)
     v[6:10], v[3], v[12] = 1.0, 5e-324, 1e-200
-    cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(200.0, 1), t_end=1.0,
+    cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(200.0), t_end=1.0,
                        snapshot_every=1.0)
     return grid, cfg, [v[::-1].copy() if mirror else v]
 
@@ -398,7 +397,7 @@ class TestWindowedStep:
     @settings(max_examples=100, deadline=None)
     @given(stack_cases(), st.floats(0.05, 1.0))
     @example(one_cell_case(Grid(dim=1, h=0.05, extent=0.225), 4, 5.96046448e-08, SolverConfig(
-        m=2.0, potential=Potential((0.0, 0.0, -0.0078125, 1.0, -2.101386799162184), 1),
+        m=2.0, potential=Potential((0.0, 0.0, -0.0078125, 1.0, -2.101386799162184)),
         t_end=1.0, snapshot_every=1.0)), 0.0625)  # dt * rate = safety * (1 + 1.7e-12)
     def test_dt_within_every_cells_diagonal_rate(self, case, safety):
         # the step is monotone where it matters: in every cell that holds mass
@@ -501,7 +500,7 @@ def driftless_cases(draw):
     v = np.zeros(grid.shape)
     v[tuple(box)] = np.reshape(draw(st.lists(st.sampled_from(palette), min_size=size,
                                              max_size=size)), shape)
-    cfg = SolverConfig(m=draw(st.floats(1.1, 4.0)), potential=make_zero_potential(dim),
+    cfg = SolverConfig(m=draw(st.floats(1.1, 4.0)), potential=make_zero_potential(),
                        t_end=1.0, snapshot_every=1.0,
                        cfl_safety=draw(st.just(1.0) | st.floats(1e-3, 1.0)))
     return grid, cfg, v
@@ -553,7 +552,7 @@ def empty_density(grid):
 class TestCflDt:
     def test_empty_field_capped_at_snapshot(self):
         g = Grid(dim=1, h=0.1, extent=1.0)
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=1.0, snapshot_every=0.25)
         assert cfl_dt(empty_density(g), cfg) == 0.25
 
@@ -562,7 +561,7 @@ class TestCflDt:
         v = np.zeros(20)
         v[8:12] = 1.0
         rho = Field(g, v, FieldVariable.DENSITY)
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=1.0, snapshot_every=10.0)
         # 0.8 / (2 * dim * m * rho_max^(m-1) / h^2) = 0.8 * 0.01 / 4
         assert cfl_dt(rho, cfg) == pytest.approx(2e-3, rel=1e-12)
@@ -587,7 +586,7 @@ class TestCflDt:
         g = Grid(dim=1, h=0.1, extent=1.0)
         v = np.zeros(20)
         v[10] = 5e-324
-        cfg = SolverConfig(m=3.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=3.0, potential=make_zero_potential(),
                            t_end=1.0, snapshot_every=0.25)
         assert cfl_dt(Field(g, v, FieldVariable.DENSITY), cfg) == 0.25
 
@@ -597,7 +596,7 @@ class TestCflDt:
             v = np.zeros(g.n_cells)
             v[g.n_cells // 2] = 1.0
             rho = Field(g, v, FieldVariable.DENSITY)
-            cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+            cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                                t_end=1.0, snapshot_every=100.0)
             return cfl_dt(rho, cfg)
 
@@ -607,7 +606,7 @@ class TestCflDt:
 class TestStepDensity:
     def test_zero_is_fixed_point(self):
         g = Grid(dim=1, h=0.1, extent=1.0)
-        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0, 1),
+        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0),
                            t_end=1.0, snapshot_every=0.5)
         rho = empty_density(g)
         out = step_density_report(rho, cfg, cfl_dt(rho, cfg)).field
@@ -618,7 +617,7 @@ class TestStepDensity:
         v = np.zeros(20)
         v[9:11] = 1.0
         rho = Field(g, v, FieldVariable.DENSITY)
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=1.0, snapshot_every=1.0)
         with pytest.raises(StepTooLargeError):
             step_density_report(rho, cfg, 10.0 * cfl_dt(rho, cfg))
@@ -628,7 +627,7 @@ class TestStepDensity:
         v = np.zeros(20)
         v[1:19] = 0.5  # support inside the ring but within the two-cell margin
         rho = Field(g, v, FieldVariable.DENSITY)
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=1.0, snapshot_every=1.0)
         with pytest.raises(DomainOverflowError):
             step_density_report(rho, cfg, 1e-6)
@@ -653,7 +652,7 @@ class TestStepDensity:
     def test_mass_and_positivity(self):
         g = Grid(dim=2, h=0.1, extent=1.0)
         rho = bump_density(g, amplitude=0.8, width=0.5)
-        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0, 2),
+        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0),
                            t_end=1.0, snapshot_every=1.0)
         rep = step_density_report(rho, cfg, cfl_dt(rho, cfg))
         # pre-clip mass change within the same 1e-12 relative budget
@@ -665,7 +664,7 @@ class TestStepDensity:
     def test_one_step_matches_barenblatt(self):
         # frozen constant from the closed-form oracle: error <= 1.0 (dt^2 + dt h)
         spec = BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0)
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=1.0, snapshot_every=1.0)
         for h in (0.1, 0.05):
             g = Grid(dim=1, h=h, extent=4.0)
@@ -679,7 +678,7 @@ class TestStepDensity:
     def test_equilibrium_near_stationarity(self):
         # dual route: the update must equal dt times the independently
         # evaluated flux divergence, whose size is the stationarity defect
-        pot = make_quadratic_potential(1.0, dim=1)
+        pot = make_quadratic_potential(1.0)
         h = 0.05
         g = Grid(dim=1, h=h, extent=2.0)
         rho = equilibrium_offset_density(g, 2.0, pot, mass=0.5)
@@ -697,7 +696,7 @@ class TestSimulate:
     def test_horizon_smaller_than_cadence(self):
         g = Grid(dim=1, h=0.1, extent=1.0)
         rho = bump_density(g, amplitude=0.5, width=0.4)
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=0.05, snapshot_every=0.1)
         traj = simulate(rho, cfg)
         assert len(traj.snapshots) == 1
@@ -706,7 +705,7 @@ class TestSimulate:
     def test_snapshot_times_and_mass(self):
         g = Grid(dim=1, h=0.05, extent=2.0)
         rho = bump_density(g, amplitude=0.5, width=0.6)
-        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0, 1),
+        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0),
                            t_end=0.5, snapshot_every=0.1)
         traj = simulate(rho, cfg)
         np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
@@ -722,7 +721,7 @@ class TestSimulate:
         errs_l1, errs_inf = [], []
         for h in (0.2, 0.1, 0.05):
             g = Grid(dim=1, h=h, extent=4.0)
-            cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+            cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                                t_end=0.5, snapshot_every=0.25)
             traj = simulate(barenblatt_density(g, spec), cfg)
             exact = barenblatt_density(g, spec, t=0.5)
@@ -739,7 +738,7 @@ class TestSimulate:
         # there records the same values, and no two snapshots share memory
         grid = Grid(dim=dim, h=0.1, extent=1.5)
         lo, hi = (bump_density(grid, amplitude=a, width=w) for a, w in ((0.3, 0.4), (0.6, 0.5)))
-        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(0.5, dim),
+        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(0.5),
                            t_end=0.3, snapshot_every=0.05)
         short = _simulate_stack((lo, hi), replace(cfg, t_end=0.1))
         for run, ended in zip(_simulate_stack((lo, hi), cfg), short):
@@ -752,7 +751,7 @@ class TestSimulate:
         spec = BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0)
         g = Grid(dim=1, h=0.05, extent=3.0)  # support will hit the margin
         rho0 = barenblatt_density(g, spec)
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=2.0, snapshot_every=0.1)
         with pytest.raises(DomainOverflowError, match="at t ="):
             simulate(rho0, cfg)
@@ -765,7 +764,7 @@ class TestSimulate:
         g = Grid(dim=1, h=0.1, extent=1.0)
         v = bump_density(g, amplitude=0.5, width=0.4).values.copy()
         v[10] = bad
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=0.5, snapshot_every=0.1)
         with pytest.raises(InvalidInputError):
             simulate(Field(g, v, FieldVariable.DENSITY), cfg)
@@ -777,7 +776,7 @@ class TestSimulate:
         snap = lambda t, mass: type(
             "S", (), {"t": t, "field": rho, "mass": mass, "clipped_cum": 0.0}
         )()
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=1.0, snapshot_every=0.5)
         with pytest.raises(InvalidInputError):
             Trajectory((snap(0.0, 1.0), snap(0.0, 1.0)), cfg)
@@ -797,7 +796,7 @@ class TestSimulate:
         v = np.zeros(g.shape)
         v[18:22] = 1e160
         rho = Field(g, v, FieldVariable.DENSITY)
-        cfg = SolverConfig(m=3.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=3.0, potential=make_zero_potential(),
                            t_end=0.1, snapshot_every=0.05)
         for call in (simulate, cfl_dt):
             with pytest.raises(InvalidInputError, match="step rate is not finite"):
@@ -810,7 +809,7 @@ class TestSimulate:
         v = np.zeros(g.shape)
         v[18:22] = 1e306
         rho = Field(g, v, FieldVariable.DENSITY)
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=0.1, snapshot_every=0.05)
         for call in (simulate, cfl_dt):
             with pytest.raises(InvalidInputError, match="step rate is not finite: the "
@@ -826,7 +825,7 @@ class TestSimulate:
         v = np.zeros(g.shape)
         v[9:11] = 1e-200
         rho = Field(g, v, FieldVariable.DENSITY)
-        cfg = SolverConfig(m=3.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=3.0, potential=make_zero_potential(),
                            t_end=0.1, snapshot_every=0.1)
         assert cfl_dt(rho, cfg) == 0.1
         for call in (simulate, lambda r, c: step_density_report(r, c, 0.1)):
@@ -838,7 +837,7 @@ class TestWeakResidual:
     def test_constant_test_function_is_mass_drift(self):
         g = Grid(dim=1, h=0.05, extent=2.0)
         rho = bump_density(g, amplitude=0.5, width=0.6)
-        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0, 1),
+        cfg = SolverConfig(m=2.0, potential=make_quadratic_potential(1.0),
                            t_end=0.3, snapshot_every=0.1)
         traj = simulate(rho, cfg)
         res = weak_residual(traj, SpaceTimeTestFunction.constant())
@@ -857,7 +856,7 @@ class TestWeakResidual:
         )
         spec = BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0)
         g = Grid(dim=1, h=0.05, extent=L)
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=0.5, snapshot_every=0.05)
         traj = simulate(barenblatt_density(g, spec), cfg)
         assert weak_residual(traj, phi) <= 1e-4
@@ -865,7 +864,7 @@ class TestWeakResidual:
 
 class TestComparisonHarness:
     def cfg(self, dim=1):
-        return SolverConfig(m=2.0, potential=make_quadratic_potential(1.0, dim),
+        return SolverConfig(m=2.0, potential=make_quadratic_potential(1.0),
                             t_end=0.3, snapshot_every=0.1)
 
     def test_identical_data(self):
@@ -879,7 +878,7 @@ class TestComparisonHarness:
         g = Grid(dim=1, h=0.05, extent=4.0)
         lo = barenblatt_density(g, BarenblattSpec(m=2.0, d=1, tau=1.0, C=0.5))
         hi = barenblatt_density(g, BarenblattSpec(m=2.0, d=1, tau=1.0, C=1.0))
-        cfg = SolverConfig(m=2.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=2.0, potential=make_zero_potential(),
                            t_end=0.3, snapshot_every=0.1)
         rep = comparison_harness(lo, hi, cfg)
         assert rep.ordered
@@ -909,11 +908,11 @@ def ordered_pairs(draw, cfl_safety=SolverConfig.cfl_safety):
     grid = Grid(dim=dim, h=0.1, extent=n * 0.1 / 2.0)
     kind = draw(st.sampled_from(["quadratic", "zero", "polynomial"]))
     if kind == "quadratic":
-        pot = make_quadratic_potential(draw(st.floats(0.1, 8.0)), dim)
+        pot = make_quadratic_potential(draw(st.floats(0.1, 8.0)))
     elif kind == "zero":
-        pot = make_zero_potential(dim)
+        pot = make_zero_potential()
     else:
-        pot = Potential(tuple(draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4))), dim)
+        pot = Potential(tuple(draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4))))
     # a block off the potential's minimum, where the drift is strong, and
     # well off the margin
     inner = tuple(slice(c - 2, c + 3) for c in (n // 2 + draw(st.integers(-n // 5, n // 5))
@@ -970,7 +969,7 @@ def spiked_pairs(draw):
     diffusive = 2.0 * dim * m * top ** (m - 1.0) / h**2
     share = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
     slope = draw(st.sampled_from([1.0, -1.0])) * share * diffusive * h / dim
-    cfg = SolverConfig(m=m, potential=Potential((0.0, slope), dim), t_end=1.0,
+    cfg = SolverConfig(m=m, potential=Potential((0.0, slope)), t_end=1.0,
                        snapshot_every=1.0,
                        cfl_safety=draw(st.sampled_from([0.8, 1.0]) | st.floats(0.8, 1.0)))
     return grid, cfg, lo, hi
@@ -984,7 +983,7 @@ def subnormal_lo_case():
     hi[22:27] = [1.0, 0.625, 1.0, 1.0, 0.125]
     lo[23], lo[26] = (float.fromhex(x) for x in ("0x0.000068db8bac7p-1022",
                                                  "0x0.000014f8b588ep-1022"))
-    cfg = SolverConfig(m=1.5, potential=make_quadratic_potential(1.0, 1), t_end=0.004,
+    cfg = SolverConfig(m=1.5, potential=make_quadratic_potential(1.0), t_end=0.004,
                        snapshot_every=0.0005, cfl_safety=0.8)
     as_field = lambda v: Field(grid, v, FieldVariable.DENSITY)
     return as_field(lo), as_field(hi), cfg
@@ -1030,7 +1029,7 @@ class TestSharpComparison:
         hi, lo = np.zeros(grid.shape), np.zeros(grid.shape)
         hi[19:22] = [0.5, 1.0, 0.5]
         lo[19:22] = [0.5, 0.9, 0.5]
-        cfg = SolverConfig(m=4.0, potential=make_zero_potential(1),
+        cfg = SolverConfig(m=4.0, potential=make_zero_potential(),
                            t_end=0.01, snapshot_every=0.01)
         as_field = lambda v: Field(grid, v, FieldVariable.DENSITY)
         assert_ordered_to_rounding(as_field(lo), as_field(hi), cfg)
@@ -1042,7 +1041,7 @@ class TestSolverConfig:
         dict(t_end=0.0), dict(snapshot_every=0.0),
     ])
     def test_invalid(self, kwargs):
-        base = dict(m=2.0, potential=make_zero_potential(1),
+        base = dict(m=2.0, potential=make_zero_potential(),
                     t_end=1.0, snapshot_every=0.1)
         base.update(kwargs)
         with pytest.raises(InvalidParameterError):
