@@ -250,7 +250,6 @@ class _BarrierJob:
     box: bar.SpaceTimeBox
     h_s: float
     m: float
-    pot: Potential
 
 
 def _barrier_job(idx: int, b: dict, pot: Potential) -> _BarrierJob:
@@ -271,7 +270,7 @@ def _barrier_job(idx: int, b: dict, pot: Potential) -> _BarrierJob:
             alpha=b["alpha"], x0=b["x0"], t0=b["t0"], drift=drift, C_pert=c_pert))
     label = b["label"] if b["label"] is not None else f"{b['kind']}-{idx}"
     return _BarrierJob(label=label, spec=spec, check=b["check"],
-                       box=bar.SpaceTimeBox(**b["box"]), h_s=b["h_s"], m=base.m, pot=pot)
+                       box=bar.SpaceTimeBox(**b["box"]), h_s=b["h_s"], m=base.m)
 
 
 def _build(errors: list[str], blocks: dict, command: str) -> dict:
@@ -472,7 +471,7 @@ def _run_verify_barriers(cfg: dict, stage: _Stage) -> int:
     all_pass = True
     for job in cfg["barriers"]:
         cand = bar.build_barrier(job.spec)
-        rep = bar.residual_pmed(cand, job.pot, job.box, job.h_s, job.m)
+        rep = bar.residual_pmed(cand, cfg["potential"], job.box, job.h_s, job.m)
         for kind in ("sub", "super") if job.check == "both" else (job.check,):
             passed = rep.passed(kind)
             all_pass = all_pass and passed

@@ -177,41 +177,29 @@ def level_crossings(values: np.ndarray, axes: Sequence[np.ndarray], level: float
     clipped to the array, is searched: every edge with a crossing has an
     endpoint above the level, so it lies in that box, and the points and
     their order are those of the whole lattice.
+
+    Each axis's edges come from flat indices: ``np.flatnonzero`` of its
+    ``np.diff`` mask, split by one divmod into the lower end's row and
+    column (a 1D lattice has only the column) and written into the points.
     """
     above = values > level
     box = support_box(above)
     if box is None:
         return np.empty((0, above.ndim))
     box = tuple(slice(max(lo - 1, 0), hi + 1) for lo, hi in box)
-    values, above = values[box], above[box]
-    axes = [x[s] for x, s in zip(axes, box)]
-    if values.ndim == 2:
-        return _crossings_2d(values, above, axes, level)
-    (x,) = axes
-    i = np.flatnonzero(np.diff(above))
-    v0 = values[i]
-    theta = (level - v0) / (values[i + 1] - v0)
-    pts = np.empty((len(i), 1))
-    pts[:, 0] = x[i] + theta * (x[i + 1] - x[i])
-    return pts
-
-
-def _crossings_2d(values: np.ndarray, above: np.ndarray, axes: Sequence[np.ndarray],
-                  level: float) -> np.ndarray:
-    """level_crossings on a 2D lattice, from flat indices: per axis,
-    ``np.flatnonzero`` of its ``np.diff`` mask, split into the lower end's
-    row and column by one divmod and written straight into the points."""
-    flat, n1 = values.ravel(), values.shape[1]
-    edges = [np.flatnonzero(np.diff(above, axis=a)) for a in (0, 1)]
-    pts = np.empty((len(edges[0]) + len(edges[1]), 2))
-    blocks = pts[:len(edges[0])], pts[len(edges[0]):]
-    for a, (k, block, step) in enumerate(zip(edges, blocks, (n1, 1))):
-        rows, cols = np.divmod(k, n1 - a)  # an axis-1 mask row is one sample shorter
-        lower = k + rows if a else k
+    flat, above = values[box].ravel(), above[box]
+    axes, n, d = [x[s] for x, s in zip(axes, box)], above.shape[-1], above.ndim
+    edges = [np.flatnonzero(np.diff(above, axis=a)) for a in range(d)]
+    pts, start = np.empty((sum(map(len, edges)), d)), 0
+    for a, k in enumerate(edges):
+        last = a == d - 1
+        rows, cols = np.divmod(k, n - last)  # a mask row along the last axis is one sample shorter
+        lower = k + rows if last else k
         v0 = flat[lower]
-        theta = (level - v0) / (flat[lower + step] - v0)
-        (i, j), x = ((rows, cols), (cols, rows))[a], axes[a]
-        block[:, a], block[:, 1 - a] = x[i] + theta * (x[i + 1] - x[i]), axes[1 - a][j]
+        theta = (level - v0) / (flat[lower + (1 if last else n)] - v0)
+        block, start = pts[start:start + len(k)], start + len(k)
+        for b, (x, i) in enumerate(zip(axes, (rows, cols)[2 - d:])):
+            block[:, b] = x[i] + theta * (x[i + 1] - x[i]) if b == a else x[i]
     return pts
 
 
@@ -307,6 +295,8 @@ class Potential:
         c = tuple(map(float, self.coefficients))
         if not c:
             raise InvalidParameterError("need at least one polynomial coefficient")
+        if not np.isfinite(c).all():
+            raise InvalidParameterError(f"polynomial coefficients must be finite, got {c}")
         object.__setattr__(self, "coefficients", c)
 
     def eval(self, x) -> np.ndarray:

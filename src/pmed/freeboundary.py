@@ -170,8 +170,17 @@ class _MassMap:
 
 def _cell_potential(pot: Potential, grid: Grid) -> np.ndarray:
     """Phi at every cell center, from its axis polynomial p at the axis
-    centers: p(x_i) + p(x_j) in 2D, bit for bit pot.eval(grid.centers())."""
-    p = np.asarray(pot.eval(grid.axis_centers()[:, None]), dtype=float)
+    centers: p(x_i) + p(x_j) in 2D, bit for bit pot.eval(grid.centers()).
+
+    Raises InvalidParameterError unless every value is finite, read from p
+    alone: a float sum is monotone in each term, so all p(x_i) + p(x_j) are
+    finite iff 2 min p and 2 max p are."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.asarray(pot.eval(grid.axis_centers()[:, None]), dtype=float)
+        ends = grid.dim * np.array([p.min(), p.max()])
+    if not np.isfinite(ends).all():
+        raise InvalidParameterError(
+            f"the potential {pot.coefficients} is not finite on the grid")
     return p if grid.dim == 1 else p[:, None] + p[None, :]
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -48,6 +47,7 @@ from .core import (Field, FieldVariable, Grid, Potential, dot_last, integrate, r
 from .errors import (
     DomainOverflowError,
     InvalidInputError,
+    InvalidParameterError,
     PmedError,
     StepTooLargeError,
     require,
@@ -140,15 +140,23 @@ class StepReport:
     clipped_mass: float
 
 
-@lru_cache(maxsize=32)
 def _drift(grid: Grid, potential: Potential) -> tuple[np.ndarray, np.ndarray]:
     """Drift data of every axis, from Phi's axis polynomial p at the axis's
     cell centers x: the interface differences dPhi = diff(p(x)) and each
     cell's outflow rate max(-g_{i+1/2}, 0) + max(g_{i-1/2}, 0), g = dPhi / h,
-    with no flux through the grid walls.  A box's _Window slices these."""
-    dphi = np.diff(potential.eval(grid.axis_centers()[:, None]))
-    walls = np.concatenate(([0.0], dphi / grid.h, [0.0]))  # g at interfaces -1/2 .. n-1/2
-    return dphi, np.maximum(-walls[1:], 0.0) + np.maximum(walls[:-1], 0.0)
+    with no flux through the grid walls.  A box's _Window slices these.
+
+    Raises InvalidParameterError unless all of them are finite: every p(x_i)
+    enters a dPhi and every dPhi a rate, so the rates alone tell."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dphi = np.diff(potential.eval(grid.axis_centers()[:, None]))
+        walls = np.concatenate(([0.0], dphi / grid.h, [0.0]))  # g at interfaces -1/2 .. n-1/2
+        out = np.maximum(-walls[1:], 0.0) + np.maximum(walls[:-1], 0.0)
+    if not np.isfinite(out).all():
+        raise InvalidParameterError(
+            f"the drift of the potential {potential.coefficients} is not finite on the grid:"
+            " p at the cell centers, its differences or the outflow rates overflow a float")
+    return dphi, out
 
 
 class _Window:
@@ -319,8 +327,8 @@ class _Stack:
         rate out_i of a cell in the support box.  The rate bounds every
         cell's diagonal rate from above (see the module docstring), so the
         step is monotone for every cfl_safety <= 1.  A zero rate (no drift
-        out of the box, and T^(m-1) rounding to 0) leaves the cadence; a
-        rate that overflows a float raises InvalidInputError.
+        out of the box, and T^(m-1) rounding to 0) leaves the cadence; any
+        other rate that is not finite raises InvalidInputError.
         """
         drift = self._window().drift if self.box is not None else 0.0
         try:
@@ -328,10 +336,11 @@ class _Stack:
         except OverflowError:  # a float power raises where a product gives inf
             rate = math.inf
         if not 0.0 < rate < math.inf:
-            if rate > 0.0:
+            if rate != 0.0:  # +inf or NaN
+                cause = ("the drift out of the support box" if drift == math.inf else
+                         f"the largest density {self.top!r} at m = {self.cfg.m!r}")
                 raise InvalidInputError(
-                    f"step rate is not finite: the largest density {self.top!r} at "
-                    f"m = {self.cfg.m!r} gives a rate that overflows a float")
+                    f"step rate is not finite: {cause} gives a rate that overflows a float")
             return self.cfg.snapshot_every
         return min(self.cfg.snapshot_every, self.cfg.cfl_safety / rate)
 

@@ -316,6 +316,27 @@ class TestSimulateCommand:
             "pmed: error: InvalidInputError: step rate is not finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, potential, block, message", [
+        # Phi overflows near the box edge: the drift there was NaN or +inf
+        ("simulate", {"kind": "polynomial", "coefficients": [1e308, 0.0, 1e308]},
+         {"solver": {"t_end": 0.2, "snapshot_every": 0.1},
+          "initial": {"kind": "bump", "amplitude": 0.5, "width": 0.5}},
+         "the drift of the potential (1e+308, 0.0, 1e+308) is not finite on the grid"),
+        ("equilibrium", {"kind": "quadratic", "a": 1e308},
+         {"equilibrium": {"target_mass": 0.1}},
+         "the potential (0.0, 0.0, 1e+308) is not finite on the grid"),
+    ], ids=["simulate", "equilibrium"])
+    def test_potential_that_overflows_on_the_grid(self, tmp_path, capsys, command,
+                                                  potential, block, message):
+        data = {"grid": {"dim": 1, "L": 2.0, "h": 0.1},
+                "physics": {"m": 2.0, "potential": potential}, **block}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, data),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"pmed: error: InvalidParameterError: {message}")
+        assert not out.exists()
+
     def test_failing_run_keeps_an_earlier_runs_outputs(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", "--config", write_config(tmp_path, simulate_config()),

@@ -4,6 +4,7 @@ InvalidParameterError with "<name> must be ...", the nearest float inside
 passes, and so does a closed upper end."""
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +23,16 @@ from pmed.core import (
     Field,
     FieldVariable,
     Grid,
+    Potential,
     density_from_pressure,
     make_quadratic_potential,
     make_zero_potential,
     pressure_from_density,
 )
-from pmed.errors import InvalidParameterError, PmedError, require
+from pmed.errors import InvalidInputError, InvalidParameterError, PmedError, require
 from pmed.freeboundary import equilibrium_constant, extract_boundary
-from pmed.initialdata import barenblatt_density
-from pmed.solver import SolverConfig
+from pmed.initialdata import barenblatt_density, bump_density
+from pmed.solver import SolverConfig, cfl_dt, simulate
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pmed"
 GRID = Grid(dim=1, h=0.5, extent=2.0)
@@ -142,6 +144,40 @@ def test_barenblatt_density_needs_the_grid_dimension(d, dim):
     grid = Grid(dim=dim, h=0.1, extent=3.0)
     with pytest.raises(InvalidParameterError, match="does not match"):
         barenblatt_density(grid, barenblatt(d=d, C=0.5))
+
+
+def test_potential_that_is_not_finite_on_the_grid():
+    # each case is a typed error that names its cause, with no numpy warning
+    # on the way: a NaN rate left the cadence as the step, and an overflowed
+    # Phi gave the wrong error or none
+    grid = Grid(dim=1, h=0.1, extent=2.0)
+    near_one = bump_density(grid, amplitude=0.5, width=0.4, center=1.0)
+    centered = bump_density(grid, amplitude=0.5, width=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in ((float("nan"),), (0.0, float("inf")), (0.0, 1.0, -float("inf"))):
+            with pytest.raises(InvalidParameterError, match="coefficients must be finite"):
+                Potential(c)
+        for rho, c in ((near_one, (0.0, 1e308, 1e308)), (centered, (1e308, 0.0, 1e308))):
+            cfg = SolverConfig(m=2.0, potential=Potential(c), t_end=0.2, snapshot_every=0.1)
+            for call in (cfl_dt, simulate):
+                with pytest.raises(InvalidParameterError, match=r"drift of the potential "
+                                   r"\(.*\) is not finite on the grid"):
+                    call(rho, cfg)
+        # p and its rates are finite, but the box's drift rate O / h is not
+        cfg = SolverConfig(m=2.0, potential=Potential((0.0, 0.0, 1e307)), t_end=0.2,
+                           snapshot_every=0.1)
+        with pytest.raises(InvalidInputError, match="step rate is not finite: the drift "
+                           "out of the support box gives a rate that overflows a float"):
+            cfl_dt(near_one, cfg)
+        for dim in (1, 2):
+            with pytest.raises(InvalidParameterError, match="is not finite on the grid"):
+                equilibrium_constant(0.1, make_quadratic_potential(1e308), 2.0,
+                                     Grid(dim=dim, h=0.1, extent=2.0))
+        # 2D: each p(x_i) is finite, but p(x_i) + p(x_j) is not near the corners
+        with pytest.raises(InvalidParameterError, match="is not finite on the grid"):
+            equilibrium_constant(0.1, Potential((0.0, 0.0, 3e307)), 2.0,
+                                 Grid(dim=2, h=0.1, extent=2.0))
 
 
 def test_cell_count_that_overflows():

@@ -165,7 +165,7 @@ class TestFluxKernelReference:
         dphi, out = _drift(grid, pot)
         ref_dphi = reference_dphi(grid, pot)
         assert len(ref_dphi) == grid.dim
-        for a, ra in enumerate(ref_dphi):  # the cached vector, along axis a
+        for a, ra in enumerate(ref_dphi):  # the one vector per grid, along axis a
             along = dphi.reshape((-1,) + (1,) * (grid.dim - 1 - a))
             assert same_bits(np.broadcast_to(along, ra.shape), ra)
         dense = out if grid.dim == 1 else np.add.outer(out, out)  # axis 0's rate + axis 1's
