@@ -60,6 +60,13 @@ class Grid:
             raise InvalidParameterError(f"2*extent/h = {cells} is not an integer cell count")
         if n < 8:
             raise InvalidParameterError(f"need at least 8 cells per axis, got {n}")
+        try:  # the stepper divides by h^2; cell_volume is h or h^2
+            h2 = self.h**2
+        except OverflowError:  # a float power raises where a product gives inf
+            h2 = np.inf
+        if not 0.0 < h2 < np.inf:
+            raise InvalidParameterError(
+                f"spacing h = {self.h!r} squares to {h2!r}: h^2 must be a positive float")
 
     @property
     def n_cells(self) -> int:
@@ -96,9 +103,29 @@ class FieldVariable(enum.Enum):
     PRESSURE = "pressure"
 
 
+def _frozen(v) -> bool:
+    """Whether ``v`` is a read-only array whose bases are read-only arrays,
+    down to the one that owns the memory."""
+    while isinstance(v, np.ndarray) and not v.flags.writeable:
+        if v.base is None:
+            return True
+        v = v.base
+    return False
+
+
 @dataclass(frozen=True)
 class Field:
-    """Nonnegative scalar per cell, compactly supported inside the box."""
+    """Nonnegative scalar per cell, compactly supported inside the box.
+
+    ``values`` is a read-only float array of the grid's shape.  Every input
+    is checked: its shape, finite nonnegative values and a zero outer ring.
+    A read-only float array whose bases are all read-only arrays (see
+    _frozen), such as a slice of the solver's snapshot buffer, is then kept
+    as it is; any other input is copied, so that a later write to the
+    caller's array cannot reach the field.  Freezing an array is taken as a
+    promise not to write it again: numpy cannot see a writable view taken
+    before the freeze.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -114,8 +141,9 @@ class Field:
             raise InvalidInputError("field values must be finite and nonnegative")
         if np.any(ring(v, 1) != 0.0):
             raise InvalidInputError("outermost cell ring must be zero (compact support)")
-        v = v.copy()
-        v.setflags(write=False)
+        if not _frozen(v):
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def with_values(self, values: np.ndarray) -> "Field":

@@ -224,9 +224,11 @@ def _equilibrium(
                 break
             c = 0.5 * (lo + hi) if hi_known else hi
     err, c = best
-    if err > tol:
-        raise InvalidParameterError(f"no level meets target mass {target_mass} to 1e-10: "
-                                    f"the nearest found, C = {c}, misses it by {err}")
+    if err > tol:  # name the bracket: a level tied at M = 0 may be far below it
+        (m_lo, _), (m_hi, _) = mass(lo), mass(hi)
+        raise InvalidParameterError(
+            f"no level meets target mass {target_mass} to 1e-10: the final bracket"
+            f" C in [{lo}, {hi}] has M = {m_lo} at its lower end and {m_hi} at its upper end")
     # the mass map's buffer becomes the pressure, so no third grid-sized array
     pressure = np.maximum(np.subtract(c, phi, out=mass.buf), 0.0, out=mass.buf)
     return c, Field(grid, pressure, FieldVariable.PRESSURE)
@@ -245,7 +247,8 @@ def equilibrium_constant(
     iterate.  The level must meet
     |M(C) - target| <= 1e-10 target; a target that no float C meets (for
     m > 2, M jumps by about (ulp of Phi)^(1/(m-1)) where C passes a cell's
-    Phi) raises InvalidParameterError.  Raises UnsupportedPotentialError
+    Phi) raises InvalidParameterError, which names the final bracket and M
+    at its ends.  Raises UnsupportedPotentialError
     unless Phi is strictly convex.
     """
     return _equilibrium(target_mass, pot, m, grid)[0]

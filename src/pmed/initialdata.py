@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .barriers import BarenblattSpec, barenblatt
-from .core import Field, FieldVariable, Grid, Potential, density_from_pressure, dot_last, ring
+from .core import Field, FieldVariable, Grid, Potential, density_from_pressure, ring
 from .errors import DomainTooSmallError, InvalidInputError, InvalidParameterError
 from .freeboundary import _equilibrium
 
@@ -32,8 +32,11 @@ def bump_density(grid: Grid, amplitude: float, width: float, center=0.0) -> Fiel
         raise InvalidInputError(
             f"center must have 1 or dim = {grid.dim} entries, got {center!r}"
         )
-    pts = grid.centers()
-    r2 = dot_last(pts - c, pts - c)
+    # |x - c|^2 from one square per axis, as _cell_potential forms Phi: dot_last
+    # over the (n, ..., n, dim) cloud, bit for bit (its +0.0 only mends a -0.0
+    # sum, which squares never give), without building the cloud
+    sq = [np.square(grid.axis_centers() - ck) for ck in np.broadcast_to(c, grid.dim)]
+    r2 = sq[0] if grid.dim == 1 else sq[0][:, None] + sq[1][None, :]
     prof = np.maximum(1.0 - r2 / width**2, 0.0)
     values = amplitude * prof * prof
     if np.any(ring(r2, 2) <= width**2):

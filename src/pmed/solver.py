@@ -394,15 +394,27 @@ def step_density_report(rho: Field, cfg: SolverConfig, dt: float) -> StepReport:
 
 def _simulate_stack(fields: tuple[Field, ...], cfg: SolverConfig) -> list[Trajectory]:
     """Step density fields of one grid together, with the smallest member's
-    cfl_dt as the shared step; one trajectory per field (see simulate)."""
+    cfl_dt as the shared step; one trajectory per field (see simulate).
+
+    The values of every snapshot after the first are copied into one
+    (snapshots, members, *grid.shape) buffer per run, made read-only after
+    the last step; each snapshot's Field adopts its slice without a copy
+    (see Field).  Keeping any one of those snapshots keeps the whole buffer
+    alive."""
     if any(f.variable is not FieldVariable.DENSITY for f in fields):
         raise InvalidInputError("simulate expects a density field")
     grid = fields[0].grid
     stack = _Stack(np.stack([f.values for f in fields]), grid, cfg)
     if not stack.margin_ok():
         raise DomainOverflowError("initial support within two cells of the box edge")
-    snaps = [[Snapshot(0.0, f, integrate(f), 0.0)] for f in fields]
     n_targets = int(np.floor(cfg.t_end / cfg.snapshot_every + 1e-9))
+    try:
+        frames = np.empty((n_targets, len(fields), *grid.shape))
+    except (MemoryError, ValueError):  # ValueError: the byte count overflows
+        raise InvalidParameterError(
+            f"t_end / snapshot_every gives {n_targets} snapshots of {len(fields)} x"
+            f" {grid.shape} cells, more than numpy can allocate") from None
+    clipped = []  # per snapshot, each member's clipped_cum
     t = 0.0
     for k in range(1, n_targets + 1):
         target = k * cfg.snapshot_every
@@ -418,9 +430,14 @@ def _simulate_stack(fields: tuple[Field, ...], cfg: SolverConfig) -> list[Trajec
             if abs(t - target) <= 1e-12 * max(1.0, target):
                 t = target
         t = target
-        for member, v, clipped in zip(snaps, stack.v, stack.clipped_cum):
+        frames[k - 1] = stack.v
+        clipped.append(tuple(stack.clipped_cum))
+    frames.setflags(write=False)
+    snaps = [[Snapshot(0.0, f, integrate(f), 0.0)] for f in fields]
+    for k, (frame, cums) in enumerate(zip(frames, clipped), start=1):
+        for member, v, cum in zip(snaps, frame, cums):
             field = Field(grid, v, FieldVariable.DENSITY)
-            member.append(Snapshot(t, field, integrate(field), clipped))
+            member.append(Snapshot(k * cfg.snapshot_every, field, integrate(field), cum))
     return [Trajectory(tuple(s), cfg) for s in snaps]
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,7 +20,9 @@ from pmed.core import (
     ring,
     support_box,
 )
-from pmed.errors import InvalidInputError, InvalidParameterError, UnsupportedPotentialError
+from pmed.errors import (DomainTooSmallError, InvalidInputError, InvalidParameterError,
+                         UnsupportedPotentialError)
+from pmed.initialdata import bump_density
 
 
 def field_1d(values, h=0.5, L=2.0, variable=FieldVariable.DENSITY):
@@ -89,6 +91,55 @@ class TestField:
         f = field_1d(np.zeros(8))
         with pytest.raises(ValueError):
             f.values[2] = 1.0
+
+    def test_writable_input_is_copied(self):
+        v = np.zeros(8)
+        v[3] = 0.5
+        f = field_1d(v)
+        v[3] = 9.0
+        assert f.values is not v and f.values[3] == 0.5
+
+    def test_read_only_view_of_a_writable_base_is_copied(self):
+        base = np.zeros(10)
+        base[4] = 0.5
+        view = base[1:9]
+        view.setflags(write=False)
+        f = field_1d(view)
+        base[4] = 9.0
+        assert f.values is not view and f.values[3] == 0.5
+
+    def test_read_only_arrays_are_adopted(self):
+        owner = np.zeros(8)
+        owner[3] = 0.5
+        owner.setflags(write=False)
+        assert field_1d(owner).values is owner
+        # a view whose every base is read-only, as a snapshot's slice
+        frames = np.zeros((2, 8))
+        frames[1, 3] = 0.5
+        frames.setflags(write=False)
+        view = frames[1]
+        f = field_1d(view)
+        assert f.values is view and f.values.base is frames
+
+    @pytest.mark.parametrize("cell, value, message", [
+        (3, -1e-3, "finite and nonnegative"),
+        (3, np.nan, "finite and nonnegative"),
+        (3, np.inf, "finite and nonnegative"),
+        (0, 0.1, "outermost cell ring"),
+        (7, 0.1, "outermost cell ring"),
+    ])
+    def test_read_only_arrays_are_still_checked(self, cell, value, message):
+        v = np.zeros(8)
+        v[cell] = value
+        v.setflags(write=False)
+        with pytest.raises(InvalidInputError, match=message):
+            field_1d(v)
+
+    def test_read_only_array_of_another_shape_still_raises(self):
+        frames = np.zeros((2, 9))
+        frames.setflags(write=False)
+        with pytest.raises(InvalidInputError, match="does not match grid shape"):
+            field_1d(frames[0])
 
 
 class TestRing:
@@ -231,6 +282,37 @@ class TestDotLast:
         before = a.copy()
         np.testing.assert_array_equal(dot_last(a, np.array([1.0, -1.0])), [-1.0, -1.0, -1.0])
         np.testing.assert_array_equal(a, before)
+
+
+@st.composite
+def bump_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    h = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    grid = Grid(dim=dim, h=h, extent=draw(st.integers(4, 30)) * h)
+    size = draw(st.sampled_from([1, dim]))
+    center = draw(st.lists(st.floats(-0.4, 0.4), min_size=size, max_size=size))
+    width = draw(st.floats(0.05, 0.8)) * grid.extent
+    return grid, draw(st.floats(0.01, 3.0)), width, [c * grid.extent for c in center]
+
+
+class TestBumpDensity:
+    @settings(max_examples=300, deadline=None)
+    @given(bump_cases())
+    @example((Grid(dim=2, h=0.1, extent=1.0), 0.5, 0.4, [0.05, -0.05]))
+    @example((Grid(dim=1, h=0.1, extent=1.0), 0.5, 0.75, [0.1]))  # support at the edge
+    def test_matches_the_point_cloud_formula(self, case):
+        # r^2 per axis is dot_last over the (n, ..., n, dim) cloud, bit for bit
+        grid, amplitude, width, center = case
+        pts = grid.centers()
+        r2 = dot_last(pts - np.array(center), pts - np.array(center))
+        prof = np.maximum(1.0 - r2 / width**2, 0.0)
+        if np.any(ring(r2, 2) <= width**2):
+            event("support reaches the box edge")
+            with pytest.raises(DomainTooSmallError):
+                bump_density(grid, amplitude, width, center)
+            return
+        got = bump_density(grid, amplitude, width, center).values
+        assert got.tobytes() == (amplitude * prof * prof).tobytes()
 
 
 class TestTransforms:

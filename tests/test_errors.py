@@ -180,6 +180,28 @@ def test_potential_that_is_not_finite_on_the_grid():
                                  Grid(dim=2, h=0.1, extent=2.0))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("h", [1e-170, 1e200])
+def test_spacing_whose_square_is_not_a_positive_float(h, dim):
+    # 8 cells, but h^2 underflows to 0.0 or overflows: cfl_dt divides by it,
+    # and raised a bare ZeroDivisionError or OverflowError
+    with pytest.raises(InvalidParameterError,
+                       match=rf"^spacing h = {re.escape(repr(h))} squares to "):
+        Grid(dim=dim, h=h, extent=4.0 * h)
+
+
+@pytest.mark.parametrize("every", [
+    1e-6,  # 1e12 snapshots of 20 cells, 146 TiB: MemoryError
+    1e-12,  # 1e18 snapshots, past 2^63 bytes: ValueError
+])
+def test_snapshots_numpy_cannot_allocate(every):
+    # the run's snapshot buffer is allocated before the first step
+    rho = bump_density(Grid(dim=1, h=0.1, extent=1.0), amplitude=0.5, width=0.4)
+    with pytest.raises(InvalidParameterError, match=r"^t_end / snapshot_every gives \d{13,19}"
+                       r" snapshots of 1 x \(20,\) cells, more than numpy can allocate$"):
+        simulate(rho, solver(t_end=1e6, snapshot_every=every))
+
+
 def test_cell_count_that_overflows():
     with pytest.raises(InvalidParameterError, match="is not an integer cell count"):
         Grid(dim=1, h=5e-324, extent=2.0)

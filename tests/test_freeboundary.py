@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -512,6 +514,28 @@ class TestEquilibriumConstant:
         for solve in (equilibrium_constant, full_grid_equilibrium_constant):
             with pytest.raises(InvalidParameterError):
                 solve(capacity * (1.0 - 1e-9), pot, 3.0, g)
+
+    @pytest.mark.parametrize("target, pot, m, grid", [
+        # M jumps from 0 to about 1e280 where C passes the least cell Phi, so
+        # every level below it misses by the whole target, the first iterate
+        # C = 1.0 among them
+        (0.1, Potential((0.0, 0.0, 1e300)), 2.0, Grid(dim=1, h=0.1, extent=2.0)),
+        (0.1, Potential((0.0, 0.0, 1e300)), 2.0, Grid(dim=2, h=0.1, extent=2.0)),
+        # the jump at the top of test_target_at_the_top_of_a_jump_and_inside_it
+        (0.5744266579147964 * (1.0 - 1e-9), Potential((0.0, 0.1, 0.1)), 3.0,
+         Grid(dim=1, h=0.5, extent=2.0)),
+    ])
+    def test_missed_target_names_the_final_bracket(self, target, pot, m, grid):
+        with pytest.raises(InvalidParameterError) as info:
+            equilibrium_constant(target, pot, m, grid)
+        found = re.search(r"the final bracket C in \[(\S+), (\S+)\] has M = (\S+) at its"
+                          r" lower end and (\S+) at its upper end$", str(info.value))
+        lo, hi, m_lo, m_hi = map(float, found.groups())
+        phi = _cell_potential(pot, grid)
+        assert phi.min() <= lo < hi
+        assert m_lo == full_grid_mass(lo, phi, m, grid.cell_volume)
+        assert m_hi == full_grid_mass(hi, phi, m, grid.cell_volume)
+        assert m_lo < (1.0 - 1e-10) * target and m_hi > (1.0 + 1e-10) * target
 
     def test_profile_evaluates_phi_once(self, monkeypatch):
         import pmed.core as core

@@ -833,6 +833,48 @@ class TestSimulate:
                 call(rho, cfg)
 
 
+def assert_one_frozen_buffer(trajectories, inputs):
+    """The first snapshot of each run is its input; every later one is a
+    read-only slice of one read-only buffer that owns its memory."""
+    bases = set()
+    for traj, rho in zip(trajectories, inputs, strict=True):
+        assert traj.snapshots[0].field is rho
+        for snap in traj.snapshots[1:]:
+            v = snap.field.values
+            assert not v.flags.writeable and not v.base.flags.writeable
+            assert v.base.base is None
+            bases.add(id(v.base))
+    assert len(bases) == 1
+
+
+class TestSnapshotBuffer:
+    def cfg(self):
+        return SolverConfig(m=2.0, potential=make_quadratic_potential(1.0),
+                            t_end=0.3, snapshot_every=0.1)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_simulate(self, dim):
+        rho = bump_density(Grid(dim=dim, h=0.1, extent=2.0), amplitude=0.5, width=0.6)
+        traj = simulate(rho, self.cfg())
+        assert len(traj.snapshots) == 4
+        assert_one_frozen_buffer([traj], [rho])
+
+    def test_comparison_harness(self, monkeypatch):
+        import pmed.solver as solver
+        runs = []
+
+        def recording(fields, cfg):
+            runs.append(_simulate_stack(fields, cfg))
+            return runs[-1]
+
+        monkeypatch.setattr(solver, "_simulate_stack", recording)
+        g = Grid(dim=1, h=0.05, extent=2.0)
+        lo, hi = (bump_density(g, amplitude=a, width=0.6) for a in (0.4, 0.5))
+        assert comparison_harness(lo, hi, self.cfg()).ordered
+        [trajectories] = runs
+        assert_one_frozen_buffer(trajectories, (lo, hi))
+
+
 class TestWeakResidual:
     def test_constant_test_function_is_mass_drift(self):
         g = Grid(dim=1, h=0.05, extent=2.0)
